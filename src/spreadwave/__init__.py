@@ -12,7 +12,7 @@ into an operating quoting policy.
 __version__ = "0.1.0"
 
 from .calibration import (
-    BarRecord,
+    BarColumns,
     BucketSpec,
     CalibrationResult,
     CurveBucket,
@@ -76,7 +76,6 @@ from .optimizer import (
     stationarity_residual,
 )
 from .scaling import (
-    HorizonSpread,
     PiecewiseConstantTable,
     SpreadSurfaceParams,
     bar_spread_dimensionless,
@@ -117,11 +116,11 @@ __all__ = [
     "bar_height_rayleigh_scale", "evolve_amplitudes", "evolve_fluctuating",
     "suggest_amplitude_dt", "impact_price",
     # scaling
-    "HorizonSpread", "PiecewiseConstantTable", "SpreadSurfaceParams",
+    "PiecewiseConstantTable", "SpreadSurfaceParams",
     "scale_spread_time", "classical_scale", "bar_spread_with_volume",
     "bar_spread_dimensionless", "spread_surface", "default_surface_grids",
     # calibration
-    "TradeRecord", "QuoteRecord", "BarRecord", "CurveSource", "FlowStats",
+    "TradeRecord", "QuoteRecord", "BarColumns", "CurveSource", "FlowStats",
     "SpreadSamples", "CurveBucket", "BucketSpec", "SpreadVolumeCurve",
     "CalibrationResult", "measure_flow_stats", "bars_to_samples",
     "quotes_to_samples", "build_spread_volume_curve", "bidask_spread_model",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .errors import (
     DomainError,
@@ -52,13 +51,18 @@ class QuoteRecord:
 
 
 @dataclass(frozen=True)
-class BarRecord:
-    timestamp: float
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
+class BarColumns:
+    """Columnar OHLC bars: one float array per field, in row order."""
+
+    timestamp: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
 
 
 class CurveSource(str, Enum):
@@ -189,20 +193,19 @@ def measure_flow_stats(trades, window: float) -> FlowStats:
 # sample adapters
 # --------------------------------------------------------------------------
 
-def bars_to_samples(bars) -> SpreadSamples:
-    """High-low ranges paired with per-bar volume."""
-    volumes, spreads, rejected = [], [], 0
-    for bar in bars:
-        rng = bar.high - bar.low
-        if bar.volume > 0.0 and rng >= 0.0 and math.isfinite(rng) \
-                and math.isfinite(bar.volume):
-            volumes.append(bar.volume)
-            spreads.append(rng)
-        else:
-            rejected += 1
+def bars_to_samples(bars: BarColumns) -> SpreadSamples:
+    """High-low ranges paired with per-bar volume.
+
+    Bars with a non-positive or non-finite volume, or a negative or
+    non-finite range, are rejected.
+    """
+    with np.errstate(invalid="ignore"):
+        ranges = bars.high - bars.low
+    keep = (bars.volume > 0.0) & np.isfinite(bars.volume) \
+        & (ranges >= 0.0) & np.isfinite(ranges)
     return SpreadSamples(
-        volumes=np.array(volumes), spreads=np.array(spreads),
-        source=CurveSource.BAR, n_rejected=rejected,
+        volumes=bars.volume[keep], spreads=ranges[keep],
+        source=CurveSource.BAR, n_rejected=len(bars) - int(np.count_nonzero(keep)),
     )
 
 
@@ -354,6 +357,9 @@ def _run_spread_fit(
     tau0: float,
     strict_product: bool,
 ) -> CalibrationResult:
+    # Imported on use: scipy.optimize is most of the package's import time.
+    from scipy.optimize import least_squares, nnls
+
     a_cols = basis(v)
     a_weighted = a_cols * w[:, None]
     init_sq, _ = nnls(a_weighted, (y * y) * w)

@@ -37,6 +37,7 @@ from .calibration import (
     quotes_to_samples,
 )
 from .coupled_wave import (
+    STREAM_LAYOUT,
     CoupledWaveParams,
     LastPriceRule,
     VolumeConfig,
@@ -253,6 +254,12 @@ def _require(resolved: dict, *keys: str) -> None:
         raise InputFormatError(f"missing required config: {', '.join(missing)}")
 
 
+def _require_count(resolved: dict, *keys: str) -> None:
+    for key in keys:
+        if resolved[key] < 1:
+            raise InputFormatError(f"{key} must be >= 1, got {resolved[key]!r}")
+
+
 def _report_envelope(command: str, resolved: dict, inputs: list[str]) -> dict:
     return {
         "command": command,
@@ -280,7 +287,7 @@ def _run_body(body: Callable[[], None]) -> None:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_IO)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         click.echo(f"error: numerical failure: {exc}", err=True)
         raise SystemExit(EXIT_NUMERICAL)
 
@@ -356,19 +363,25 @@ def cmd_simulate(config_path, **kwargs) -> None:
         bars_path = _out_path(cfg, "bars.csv")
         write_bars_csv(bars_path, series)
 
-        empirical = None
+        predicted = predicted_volatility(params, cfg["s0"])
+        empirical = closure = None
         if len(series) >= 1000:
             empirical = path_volatility(series)
+            if predicted > 0.0:
+                closure = empirical / predicted
         report = _report_envelope("simulate", cfg, [])
         report["outputs"] = {"bars": "bars.csv"}
         report["units"] = {"prices": "input money units", "volume": "shares per bar"}
         report["summary"] = {
             "steps": len(series),
+            "stream_layout": STREAM_LAYOUT,
             "empirical_volatility": empirical,
-            "predicted_volatility": predicted_volatility(params, cfg["s0"]),
+            "predicted_volatility": predicted,
+            "closure_ratio": closure,
             "mean_bar_height": float(np.mean(series.h)),
             "rayleigh_scale": bar_height_rayleigh_scale(series),
             "redraws": series.redraws,
+            "redraw_rate": series.redraws / len(series),
             "final_price": float(series.s_last[-1]),
         }
         write_json_report(_out_path(cfg, "simulate_report.json"), report)
@@ -585,6 +598,7 @@ def cmd_scale(config_path, **kwargs) -> None:
         if cfg["surface"]:
             _require(cfg, "lambda_risk", "rho_risk", "sigma_tau", "n",
                      "v_lo", "v_hi", "t_lo", "t_hi")
+            _require_count(cfg, "nv", "nt")
             params = SpreadSurfaceParams(
                 lambda_risk=cfg["lambda_risk"], rho_risk=cfg["rho_risk"],
                 sigma_tau=cfg["sigma_tau"], n=cfg["n"], tau0=cfg["tau0"],
@@ -599,6 +613,7 @@ def cmd_scale(config_path, **kwargs) -> None:
             report["summary"] = {"nv": int(cfg["nv"]), "nt": int(cfg["nt"])}
         else:
             _require(cfg, "base_spread", "eta", "lam", "t2_max")
+            _require_count(cfg, "t_steps")
             t1 = cfg["horizon"]
             t_grid = np.geomspace(t1, cfg["t2_max"], cfg["t_steps"])
             rows = [
@@ -709,6 +724,7 @@ def cmd_optimize(config_path, **kwargs) -> None:
             raise InputFormatError(
                 f"volume grid must satisfy 0 < v_lo < v_hi, got {v_lo!r}, {v_hi!r}"
             )
+        _require_count(cfg, "v_points")
         grid = np.geomspace(v_lo, v_hi, cfg["v_points"])
         model = ExecutionModel(lambda0=lambda0)
         policy = policy_curve(grid, model, law, cfg["alpha"])

@@ -7,9 +7,14 @@ inside the bar by a configurable rule.  Probability amplitudes on the two
 levels evolve unitarily, with the bar height setting the oscillation
 frequency between the high and low levels.
 
-Reproducibility contract: every path is generated from a substream derived
+Reproducibility contract: every path is generated from substreams derived
 from (seed, path_index), so results are bit-identical no matter how paths
-are distributed across workers.
+are distributed across workers.  Within one stream layout (``STREAM_LAYOUT``)
+a seed reproduces the same bars byte for byte; layout 2 draws each variate
+kind of ``simulate_path`` as a whole array from its own substream, so its
+bars differ from those of spreadwave 0.1.0 (layout 1, which drew all four
+variates of a step in turn from the single (seed, path_index) stream).
+``step_price`` and ``evolve_fluctuating`` still draw from one stream.
 """
 
 from __future__ import annotations
@@ -22,12 +27,24 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_finite
 
 logger = logging.getLogger(__name__)
 
 # Redraw rate above which a parameter set is considered suspicious.
 _REDRAW_WARN_RATE = 1e-3
+
+# Version of the substream layout simulate_path draws from, and the spawn
+# subkeys of its substreams under (seed, path_index).  Subkey 1 holds the
+# lognormal volumes in every layout.
+STREAM_LAYOUT = 2
+_VOLUME_STREAM = 1
+_DZ_STREAM = 2
+_XI_KAPPA_STREAM = 3
+_PLACEMENT_STREAM = 4
+_REDRAW_STREAM = 5
+# Positivity redraws allowed per step before the step is declared hopeless.
+_MAX_REDRAWS = 10_000
 
 
 class LastPriceRule(str, Enum):
@@ -66,12 +83,12 @@ class CoupledWaveParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_step < 0.0:
-            raise DomainError(f"sigma_step must be >= 0, got {self.sigma_step!r}")
-        if self.xi_std < 0.0 or self.kappa_std < 0.0:
-            raise DomainError("xi_std and kappa_std must be >= 0")
-        if not (self.tau0 > 0.0):
-            raise DomainError(f"tau0 must be > 0, got {self.tau0!r}")
+        for name in ("sigma_step", "xi_std", "kappa_std"):
+            check_finite(name, getattr(self, name), at_least=0.0)
+        check_finite("xi_mean", self.xi_mean)
+        check_finite("kappa_mean", self.kappa_mean)
+        check_finite("tau0", self.tau0, above=0.0)
+        check_finite("seed", self.seed, at_least=0)
         if self._h_sq_mean() == 0.0:
             # Fully degenerate bars (h == 0) are allowed for frozen-dynamics
             # checks but are not a meaningful market configuration.
@@ -136,10 +153,11 @@ class VolumeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("impact", "lognormal", "none"):
             raise DomainError(f"unknown volume mode {self.mode!r}")
-        if self.mode == "impact" and not (self.avg_trade_size > 0.0):
-            raise DomainError("avg_trade_size must be > 0 for impact volumes")
-        if self.mode == "lognormal" and not (self.log_sigma >= 0.0):
-            raise DomainError("log_sigma must be >= 0")
+        check_finite("avg_trade_size", self.avg_trade_size,
+                     above=0.0 if self.mode == "impact" else None)
+        check_finite("log_mean", self.log_mean)
+        check_finite("log_sigma", self.log_sigma,
+                     at_least=0.0 if self.mode == "lognormal" else None)
 
 
 @dataclass
@@ -189,42 +207,49 @@ def eigen_decompose(op: PriceOperator2x2) -> tuple[float, float, float, float]:
     return (s_mid + 0.5 * h, s_mid - 0.5 * h, h, s_mid)
 
 
+def _guarded(value: float, redraw, used: int, max_redraws: int) -> tuple[float, int]:
+    """Redraw ``value`` until it is positive.
+
+    ``used`` counts the redraws already spent in the current step; the
+    updated count is returned with the value.
+    """
+    while value <= 0.0:
+        used += 1
+        if used > max_redraws:
+            raise DomainError(
+                "positive-price redraw limit exceeded; "
+                "step volatility or bar height is too large for this price"
+            )
+        value = redraw()
+    return value, used
+
+
 def step_price(
     s_last: float,
     params: CoupledWaveParams,
     rng: np.random.Generator,
     redraw_counter: RedrawCounter | None = None,
-    max_redraws: int = 10_000,
+    max_redraws: int = _MAX_REDRAWS,
+    *,
+    redraw_rng: np.random.Generator | None = None,
 ) -> BarSample:
     """Advance the process by one step and return the resulting bar.
 
     Draw order per step is fixed (dz, xi, kappa, placement).  Prices must
     stay positive: a non-positive mid redraws dz, a non-positive last price
-    redraws the placement, both incrementing ``redraw_counter``.  The bar
+    redraws the placement, both incrementing ``redraw_counter``.  Redraws
+    come from ``redraw_rng`` when given, else from ``rng``.  The bar
     envelope itself may touch zero when h is comparable to the price; only
     traded prices (mid, last) are constrained.
     """
     if not (s_last > 0.0):
         raise DomainError(f"s_last must be > 0, got {s_last!r}")
+    source = rng if redraw_rng is None else redraw_rng
 
-    redraws = 0
+    def mid(gen: np.random.Generator) -> float:
+        return s_last * (1.0 + params.sigma_step * gen.standard_normal())
 
-    def _guarded(draw) -> float:
-        nonlocal redraws
-        value = draw()
-        while value <= 0.0:
-            redraws += 1
-            if redraws > max_redraws:
-                raise DomainError(
-                    "positive-price redraw limit exceeded; "
-                    "step volatility or bar height is too large for this price"
-                )
-            value = draw()
-        return value
-
-    s_mid = _guarded(
-        lambda: s_last * (1.0 + params.sigma_step * rng.standard_normal())
-    )
+    s_mid, redraws = _guarded(mid(rng), lambda: mid(source), 0, max_redraws)
 
     xi = params.xi_mean + params.xi_std * rng.standard_normal()
     kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
@@ -233,13 +258,39 @@ def step_price(
     s_low = s_mid - 0.5 * h
 
     if params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR:
-        s_next = _guarded(lambda: rng.uniform(s_low, s_high))
+        def place(gen: np.random.Generator) -> float:
+            return gen.uniform(s_low, s_high)
     else:
-        s_next = _guarded(lambda: s_mid + 0.5 * h * rng.standard_normal())
+        def place(gen: np.random.Generator) -> float:
+            return s_mid + 0.5 * h * gen.standard_normal()
+
+    s_next, redraws = _guarded(place(rng), lambda: place(source), redraws, max_redraws)
 
     if redraw_counter is not None:
         redraw_counter.count += redraws
     return BarSample(s_mid=s_mid, s_high=s_high, s_low=s_low, s_last=s_next, h=h)
+
+
+def _guarded_step(
+    s_last: float, growth: float, half_h: float, variate: float, uniform: bool,
+    params: CoupledWaveParams, redraw_rng: np.random.Generator,
+) -> tuple[float, float, int]:
+    """One step of simulate_path's recurrence with step_price's redraws."""
+    s_mid, used = _guarded(
+        s_last * growth,
+        lambda: s_last * (1.0 + params.sigma_step * redraw_rng.standard_normal()),
+        0, _MAX_REDRAWS,
+    )
+    s_low, s_high = s_mid - half_h, s_mid + half_h
+    if uniform:
+        s_next, used = _guarded(s_low + (s_high - s_low) * variate,
+                                lambda: redraw_rng.uniform(s_low, s_high),
+                                used, _MAX_REDRAWS)
+    else:
+        s_next, used = _guarded(s_mid + half_h * variate,
+                                lambda: s_mid + half_h * redraw_rng.standard_normal(),
+                                used, _MAX_REDRAWS)
+    return s_mid, s_next, used
 
 
 def simulate_path(
@@ -249,54 +300,85 @@ def simulate_path(
     path_index: int = 0,
     volume: VolumeConfig | None = None,
 ) -> BarSeries:
-    """Simulate a path of bars by iterating the one-step transition.
+    """Simulate a path of bars (stream layout 2).
 
-    The volume column is produced after the bar pass (see VolumeConfig), so
-    changing the volume mode never perturbs the price stream.
+    dz, (xi, kappa) and the placement variate are drawn as whole arrays,
+    each from its own (seed, path_index, k) substream.  Only the
+    positivity-guarded mid/last recurrence runs step by step, with exactly
+    the arithmetic of ``step_price``; its redraws come from one more
+    substream, capped per step as in ``step_price``.  The volume column is
+    produced after the bar pass (see VolumeConfig), so changing the volume
+    mode never perturbs the price stream.
     """
-    if not (s0 > 0.0):
-        raise DomainError(f"s0 must be > 0, got {s0!r}")
+    check_finite("s0", s0, above=0.0)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
 
-    rng = path_rng(params.seed, path_index)
-    counter = RedrawCounter()
-    mids = np.empty(n_steps)
-    highs = np.empty(n_steps)
-    lows = np.empty(n_steps)
-    lasts = np.empty(n_steps)
-    heights = np.empty(n_steps)
+    def substream(key: int) -> np.random.Generator:
+        return path_rng(params.seed, path_index, key)
 
-    s_last = s0
-    for i in range(n_steps):
-        bar = step_price(s_last, params, rng, counter)
-        mids[i] = bar.s_mid
-        highs[i] = bar.s_high
-        lows[i] = bar.s_low
-        lasts[i] = bar.s_last
-        heights[i] = bar.h
-        s_last = bar.s_last
+    growth = 1.0 + params.sigma_step * substream(_DZ_STREAM).standard_normal(n_steps)
+    z = substream(_XI_KAPPA_STREAM).standard_normal((2, n_steps))
+    xi = params.xi_mean + params.xi_std * z[0]
+    kappa = params.kappa_mean + params.kappa_std * z[1]
+    # math.hypot as in step_price: np.hypot differs from it in the last bit
+    # for some inputs.
+    heights = np.fromiter(map(math.hypot, xi.tolist(), kappa.tolist()),
+                          dtype=float, count=n_steps)
+    half_h = 0.5 * heights
+    uniform = params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR
+    placement_rng = substream(_PLACEMENT_STREAM)
+    placement = (placement_rng.random(n_steps) if uniform
+                 else placement_rng.standard_normal(n_steps))
+    redraw_rng = substream(_REDRAW_STREAM)
 
-    if counter.count > _REDRAW_WARN_RATE * n_steps:
+    mids: list[float] = []
+    lasts: list[float] = []
+    redraws = 0
+    s_last = float(s0)
+    for growth_i, half_i, variate in zip(growth.tolist(), half_h.tolist(),
+                                         placement.tolist()):
+        s_mid = s_last * growth_i
+        if uniform:
+            s_low = s_mid - half_i
+            s_next = s_low + ((s_mid + half_i) - s_low) * variate
+        else:
+            s_next = s_mid + half_i * variate
+        if s_mid <= 0.0 or s_next <= 0.0:
+            s_mid, s_next, used = _guarded_step(s_last, growth_i, half_i, variate,
+                                                uniform, params, redraw_rng)
+            redraws += used
+        mids.append(s_mid)
+        lasts.append(s_next)
+        s_last = s_next
+
+    mids_arr = np.array(mids)
+    lasts_arr = np.array(lasts)
+    if not np.isfinite(lasts_arr).all():
+        raise DomainError(
+            "simulated prices overflowed; step volatility or bar height is "
+            "too large for this price"
+        )
+    if redraws > _REDRAW_WARN_RATE * n_steps:
         logger.warning(
             "mid-price redraw rate %.3g exceeds %.3g; results may be biased",
-            counter.count / n_steps, _REDRAW_WARN_RATE,
+            redraws / n_steps, _REDRAW_WARN_RATE,
         )
 
     volume = volume if volume is not None else VolumeConfig(mode="none")
     if volume.mode == "impact":
         volumes = volume.avg_trade_size * heights / (
-            2.0 * math.pi * params.tau0 * mids
+            2.0 * math.pi * params.tau0 * mids_arr
         )
     elif volume.mode == "lognormal":
-        vol_rng = path_rng(params.seed, path_index, 1)
-        volumes = vol_rng.lognormal(volume.log_mean, volume.log_sigma, n_steps)
+        volumes = substream(_VOLUME_STREAM).lognormal(
+            volume.log_mean, volume.log_sigma, n_steps)
     else:
         volumes = np.zeros(n_steps)
 
     return BarSeries(
-        s_mid=mids, s_high=highs, s_low=lows, s_last=lasts, h=heights,
-        volume=volumes, s0=s0, redraws=counter.count,
+        s_mid=mids_arr, s_high=mids_arr + half_h, s_low=mids_arr - half_h,
+        s_last=lasts_arr, h=heights, volume=volumes, s0=s0, redraws=redraws,
     )
 
 

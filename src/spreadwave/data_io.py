@@ -5,7 +5,9 @@ rerun with identical inputs produces identical bytes on any platform.
 Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
-rejections instead of failing.
+rejections instead of failing.  The bar reader parses plain numeric files
+in one ``np.loadtxt`` pass and falls back to the strict row parser for
+anything else, so malformed files still fail with their line number.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .calibration import (
-    BarRecord,
+    BarColumns,
     CurveBucket,
     CurveSource,
     QuoteRecord,
@@ -76,7 +79,8 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _open_rows(path: str, required: Sequence[str]) -> list[dict[str, str]]:
+def _open_rows(path: str, required: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
+    """Data rows with their line numbers; blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -86,9 +90,11 @@ def _open_rows(path: str, required: Sequence[str]) -> list[dict[str, str]]:
             for col in required:
                 if col not in header:
                     raise InputFormatError(f"{path}: missing column {col!r}")
-            return list(reader)
+            return [(reader.line_num, row) for row in reader]
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: malformed CSV: {exc}") from exc
 
 
 def _cell_float(row: dict[str, str], col: str, path: str, line: int) -> float:
@@ -103,47 +109,74 @@ def _cell_float(row: dict[str, str], col: str, path: str, line: int) -> float:
         ) from exc
 
 
+def _cell_timestamp(row: dict[str, str], path: str, line: int) -> float:
+    try:
+        return parse_timestamp(row["timestamp"] or "")
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}:{line}: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # readers
 # --------------------------------------------------------------------------
 
 def read_trades(path: str) -> list[TradeRecord]:
-    rows = _open_rows(path, _TRADE_COLUMNS)
-    out = []
-    for i, row in enumerate(rows, start=2):
-        out.append(TradeRecord(
-            timestamp=parse_timestamp(row["timestamp"]),
-            price=_cell_float(row, "price", path, i),
-            size=_cell_float(row, "size", path, i),
-        ))
-    return out
+    return [
+        TradeRecord(
+            timestamp=_cell_timestamp(row, path, line),
+            price=_cell_float(row, "price", path, line),
+            size=_cell_float(row, "size", path, line),
+        )
+        for line, row in _open_rows(path, _TRADE_COLUMNS)
+    ]
 
 
 def read_quotes(path: str) -> list[QuoteRecord]:
-    rows = _open_rows(path, _QUOTE_COLUMNS)
-    out = []
-    for i, row in enumerate(rows, start=2):
-        out.append(QuoteRecord(
-            timestamp=parse_timestamp(row["timestamp"]),
-            bid=_cell_float(row, "bid", path, i),
-            ask=_cell_float(row, "ask", path, i),
-        ))
-    return out
+    return [
+        QuoteRecord(
+            timestamp=_cell_timestamp(row, path, line),
+            bid=_cell_float(row, "bid", path, line),
+            ask=_cell_float(row, "ask", path, line),
+        )
+        for line, row in _open_rows(path, _QUOTE_COLUMNS)
+    ]
 
 
-def read_bars(path: str) -> list[BarRecord]:
-    rows = _open_rows(path, _BAR_COLUMNS)
-    out = []
-    for i, row in enumerate(rows, start=2):
-        out.append(BarRecord(
-            timestamp=parse_timestamp(row["timestamp"]),
-            open=_cell_float(row, "open", path, i),
-            high=_cell_float(row, "high", path, i),
-            low=_cell_float(row, "low", path, i),
-            close=_cell_float(row, "close", path, i),
-            volume=_cell_float(row, "volume", path, i),
-        ))
-    return out
+def _read_bars_strict(path: str) -> BarColumns:
+    """Row-by-row bar reader: ISO or numeric timestamps, errors name path:line."""
+    rows = [
+        (_cell_timestamp(row, path, line),
+         *(_cell_float(row, col, path, line) for col in _BAR_COLUMNS[1:]))
+        for line, row in _open_rows(path, _BAR_COLUMNS)
+    ]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(_BAR_COLUMNS))
+    return BarColumns(*table.T)
+
+
+def read_bars(path: str) -> BarColumns:
+    """Bar CSV as columns, whatever the order of its columns.
+
+    A file with numeric timestamps, no quotes and no malformed cells is read
+    in one ``np.loadtxt`` pass; any other file goes through
+    ``_read_bars_strict``, which gives the same arrays or fails with the
+    offending path and line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            quoted = b'"' in header or b'"' in fh.read()
+        names = header.rstrip(b"\r\n").decode("utf-8").split(",")
+        position = {name: i for i, name in enumerate(names)}  # last one wins, as in csv
+        if quoted or not all(col in position for col in _BAR_COLUMNS):
+            return _read_bars_strict(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               usecols=[position[col] for col in _BAR_COLUMNS],
+                               ndmin=2, encoding="utf-8")
+    except ValueError:
+        return _read_bars_strict(path)
+    return BarColumns(*table.T)
 
 
 def read_curve(
@@ -158,7 +191,7 @@ def read_curve(
         raise InputFormatError(f"{path}: curve has no buckets")
     buckets = []
     accepted = 0
-    for i, row in enumerate(rows, start=2):
+    for i, row in rows:
         raw_count = row.get("count", "")
         try:
             count = int(raw_count)
@@ -190,8 +223,17 @@ def _write_lines(path: str, header: Sequence[str],
                  rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_columns(path: str, header: Sequence[str], columns) -> None:
+    """One row per element: each column is an iterable of formatted cells."""
+    _write_lines(path, header, zip(*columns))
+
+
+def _floats(values) -> Iterable[str]:
+    """``format_float`` over a whole column."""
+    return map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
 def write_bars_csv(path: str, series: BarSeries) -> None:
@@ -201,17 +243,13 @@ def write_bars_csv(path: str, series: BarSeries) -> None:
     the last price; high/low are widened to contain both so every row is a
     well-formed OHLC bar even when the placement rule leaves the envelope.
     """
-    def rows():
-        for i in range(len(series)):
-            o = series.s_mid[i]
-            c = series.s_last[i]
-            hi = max(series.s_high[i], o, c)
-            lo = min(series.s_low[i], o, c)
-            yield (str(i), format_float(o), format_float(hi),
-                   format_float(lo), format_float(c),
-                   format_float(series.volume[i]))
-
-    _write_lines(path, _BAR_COLUMNS, rows())
+    o, c = series.s_mid, series.s_last
+    hi = np.maximum(np.maximum(series.s_high, o), c)
+    lo = np.minimum(np.minimum(series.s_low, o), c)
+    _write_columns(path, _BAR_COLUMNS, (
+        map(str, range(len(series))),
+        *(_floats(col) for col in (o, hi, lo, c, series.volume)),
+    ))
 
 
 def write_trades_csv(path: str, trades: Sequence[TradeRecord]) -> None:
@@ -259,19 +297,11 @@ def write_overlay_csv(path: str, curve: SpreadVolumeCurve,
 
 
 def write_policy_csv(path: str, policy: QuotePolicy) -> None:
-    def rows():
-        for i in range(len(policy.v)):
-            yield (
-                format_float(policy.v[i]),
-                format_float(policy.lambda_opt[i]),
-                format_float(policy.spread_opt[i]),
-                format_float(policy.exec_rate[i]),
-                format_float(policy.pnl_opt[i]),
-                format_float(policy.pnl_naive[i]),
-                str(int(policy.halt[i])),
-            )
-
-    _write_lines(path, _POLICY_COLUMNS, rows())
+    _write_columns(path, _POLICY_COLUMNS, (
+        *(_floats(col) for col in (policy.v, policy.lambda_opt, policy.spread_opt,
+                                   policy.exec_rate, policy.pnl_opt, policy.pnl_naive)),
+        map(str, np.asarray(policy.halt, dtype=int).tolist()),
+    ))
 
 
 def write_scale_csv(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
@@ -290,14 +320,11 @@ def write_surface_csv(path: str, t_grid: Sequence[float],
             f"surface shape {surface.shape} does not match grids "
             f"({len(t_grid)}, {len(v_grid)})"
         )
-
-    def rows():
-        for i, t in enumerate(t_grid):
-            for j, v in enumerate(v_grid):
-                yield (format_float(t), format_float(v),
-                       format_float(surface[i, j]))
-
-    _write_lines(path, ("T", "v", "delta"), rows())
+    _write_columns(path, ("T", "v", "delta"), (
+        _floats(np.repeat(np.asarray(t_grid, dtype=float), len(v_grid))),
+        _floats(np.tile(np.asarray(v_grid, dtype=float), len(t_grid))),
+        _floats(surface),
+    ))
 
 
 # --------------------------------------------------------------------------

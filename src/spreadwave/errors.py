@@ -1,4 +1,6 @@
-"""Exception taxonomy and process exit codes shared across the package."""
+"""Exception taxonomy, process exit codes and the shared parameter check."""
+
+import math
 
 # Stable CLI exit-code contract.
 EXIT_OK = 0
@@ -33,3 +35,22 @@ class FitConvergenceError(SpreadwaveError):
     def __init__(self, message: str, best_so_far=None):
         super().__init__(message)
         self.best_so_far = best_so_far
+
+
+def check_finite(name: str, value: float, *, above: float | None = None,
+                 at_least: float | None = None) -> None:
+    """Reject a non-finite parameter, or one outside its lower bound.
+
+    ``above`` is a strict lower bound and ``at_least`` an inclusive one; NaN
+    and infinities always fail, so a bad value cannot slip past a plain
+    ``value < bound`` comparison.
+    """
+    if above is not None and not value > above:
+        bound = f" and > {above!r}"
+    elif at_least is not None and not value >= at_least:
+        bound = f" and >= {at_least!r}"
+    elif not math.isfinite(value):
+        bound = ""
+    else:
+        return
+    raise DomainError(f"{name} must be finite{bound}, got {value!r}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .calibration import (
     CalibrationResult,
@@ -25,7 +24,7 @@ from .calibration import (
     bar_spread_model,
     bidask_spread_model,
 )
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 # Reference quoting level as a fraction of the execution scale.  The market
 # curve is a high-percentile envelope of observed spreads, so the matching
@@ -44,8 +43,7 @@ class ExecutionModel:
     lambda0: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda0 > 0.0) or not math.isfinite(self.lambda0):
-            raise DomainError(f"lambda0 must be > 0, got {self.lambda0!r}")
+        check_finite("lambda0", self.lambda0, above=0.0)
 
 
 def execution_rate(model: ExecutionModel, lam: float) -> float:
@@ -76,8 +74,7 @@ class LinearSpreadLaw:
     """
 
     def __init__(self, delta_ref: Callable[[float], float], lambda_ref: float):
-        if not (lambda_ref > 0.0):
-            raise DomainError(f"lambda_ref must be > 0, got {lambda_ref!r}")
+        check_finite("lambda_ref", lambda_ref, above=0.0)
         self.delta_ref = delta_ref
         self.lambda_ref = lambda_ref
 
@@ -138,12 +135,8 @@ class PnLParams:
     spread_law: LinearSpreadLaw
 
     def __post_init__(self) -> None:
-        if self.commission_alpha < 0.0:
-            raise DomainError(
-                f"commission_alpha must be >= 0, got {self.commission_alpha!r}"
-            )
-        if not (self.volume_v > 0.0):
-            raise DomainError(f"volume_v must be > 0, got {self.volume_v!r}")
+        check_finite("commission_alpha", self.commission_alpha, at_least=0.0)
+        check_finite("volume_v", self.volume_v, above=0.0)
 
 
 @dataclass(frozen=True)
@@ -221,6 +214,9 @@ def optimize_spread(
     condition with a bracketing root-finder; a bounded scalar minimization
     is the fallback when the optimum sits on a corner of the grid.
     """
+    # Imported on use: scipy.optimize is most of the package's import time.
+    from scipy.optimize import brentq, minimize_scalar
+
     v = params.volume_v
     alpha = params.commission_alpha
     law = params.spread_law

@@ -14,23 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class HorizonSpread:
-    """A spread together with the horizon and volatility it refers to."""
-
-    horizon_T: float
-    spread: float
-    eta: float
-    sigma_T: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.horizon_T > 0.0):
-            raise DomainError(f"horizon_T must be > 0, got {self.horizon_T!r}")
-        if self.spread < 0.0:
-            raise DomainError(f"spread must be >= 0, got {self.spread!r}")
+from .errors import DomainError, check_finite
 
 
 class PiecewiseConstantTable:
@@ -76,9 +60,7 @@ class SpreadSurfaceParams:
 
     def __post_init__(self) -> None:
         for name in ("lambda_risk", "rho_risk", "sigma_tau", "n", "tau0"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise DomainError(f"{name} must be strictly positive, got {value!r}")
+            check_finite(name, getattr(self, name), above=0.0)
 
     def lambda_at(self, T: float, V: float) -> float:
         if self.lambda_table is None:

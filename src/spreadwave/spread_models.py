@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .errors import DomainError, NoSolutionError
+from .errors import NoSolutionError, check_finite
 
 # Implied risk-aversion multiplier of the straddle-replication argument.
 STRADDLE_LAMBDA = math.sqrt(8.0 / math.pi)
@@ -52,9 +50,7 @@ class SpreadModelParams:
     def __post_init__(self) -> None:
         for name in ("price_s", "sigma", "lambda_risk", "rho_risk",
                      "avg_trade_size_n", "tau0"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise DomainError(f"{name} must be strictly positive, got {value!r}")
+            check_finite(name, getattr(self, name), above=0.0)
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,8 @@ class DimensionlessSpreadParams:
     v0_scale: float
 
     def __post_init__(self) -> None:
-        if not (self.a_coeff > 0.0 and math.isfinite(self.a_coeff)):
-            raise DomainError(f"a_coeff must be strictly positive, got {self.a_coeff!r}")
-        if not (self.v0_scale > 0.0 and math.isfinite(self.v0_scale)):
-            raise DomainError(f"v0_scale must be strictly positive, got {self.v0_scale!r}")
+        check_finite("a_coeff", self.a_coeff, above=0.0)
+        check_finite("v0_scale", self.v0_scale, above=0.0)
 
     @classmethod
     def from_model(cls, params: SpreadModelParams) -> "DimensionlessSpreadParams":
@@ -94,8 +88,8 @@ class SpreadMinimum:
 
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            raise DomainError(f"{name} must be strictly positive, got {value!r}")
+        if not 0.0 < value < math.inf:  # inline: this guards per-point hot paths
+            check_finite(name, value, above=0.0)
 
 
 def _liquidity_spread(lam: float, s: float, sigma: float, tau: float) -> float:
@@ -139,8 +133,7 @@ def straddle_spread(s: float, sigma: float, tau: float) -> float:
     ``tau`` may be zero (zero-horizon limit yields a zero spread).
     """
     _require_positive(s=s, sigma=sigma)
-    if tau < 0.0 or not math.isfinite(tau):
-        raise DomainError(f"tau must be non-negative, got {tau!r}")
+    check_finite("tau", tau, at_least=0.0)
     return _liquidity_spread(STRADDLE_LAMBDA, s, sigma, tau)
 
 
@@ -200,6 +193,9 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
     Raises:
         NoSolutionError: If delta is below the curve minimum.
     """
+    # Imported on use: scipy.optimize is most of the package's import time.
+    from scipy.optimize import brentq
+
     _require_positive(a=a, delta=delta)
     minimum = spread_minimum(a)
     if delta < minimum.delta_min - _MIN_SPREAD_TIE_TOL:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spreadwave import (
-    BarRecord,
+    BarColumns,
     BucketSpec,
     CurveSource,
     DomainError,
@@ -74,15 +74,21 @@ def test_flow_stats_on_synthetic_tape():
 # --------------------------------------------------------------------------
 
 def test_bars_to_samples_rejects_bad_rows():
-    bars = [
-        BarRecord(0.0, 10.0, 11.0, 9.0, 10.5, 100.0),
-        BarRecord(1.0, 10.0, 11.0, 9.0, 10.5, 0.0),      # zero volume
-        BarRecord(2.0, 10.0, 11.0, 9.0, 10.5, math.nan),  # bad volume
+    rows = [
+        (0.0, 10.0, 11.0, 9.0, 10.5, 100.0),
+        (1.0, 10.0, 11.0, 9.0, 10.5, 0.0),            # zero volume
+        (2.0, 10.0, 11.0, 9.0, 10.5, math.nan),       # bad volume
+        (3.0, 10.0, 9.0, 11.0, 10.5, 50.0),           # negative range
+        (4.0, 10.0, math.inf, 9.0, 10.5, 50.0),       # infinite range
+        (5.0, 10.0, math.inf, math.inf, 10.0, 7.0),   # undefined range
+        (6.0, 10.0, 12.5, 9.25, 10.5, math.inf),      # infinite volume
+        (7.0, 10.0, 10.0, 10.0, 10.0, 7.0),           # zero range is kept
     ]
-    samples = bars_to_samples(bars)
-    assert len(samples.volumes) == 1
+    samples = bars_to_samples(BarColumns(*np.array(rows).T))
+    assert samples.volumes.tolist() == [100.0, 7.0]
     assert samples.spreads[0] == pytest.approx(2.0)
-    assert samples.n_rejected == 2
+    assert samples.spreads[1] == 0.0
+    assert samples.n_rejected == 6
     assert samples.source is CurveSource.BAR
 
 

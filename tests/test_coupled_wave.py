@@ -28,7 +28,7 @@ from spreadwave import (
     step_price,
     suggest_amplitude_dt,
 )
-from spreadwave.coupled_wave import path_rng
+from spreadwave.coupled_wave import RedrawCounter, path_rng
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -259,3 +259,104 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         evolve_amplitudes(AmplitudeState(1.0 + 0j, 0j), 1.0, 0.0, 1.0,
                           s=0.0, tau0=1.0, t=1.0)
+
+
+# --------------------------------------------------------------------------
+# block-drawn simulator against the one-step oracle
+# --------------------------------------------------------------------------
+
+class ReplayGenerator:
+    """Hands pre-drawn variates to step_price in the order it asks for them."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def standard_normal(self):
+        return next(self._values)
+
+    def uniform(self, low, high):
+        # numpy's Generator.uniform: low + (high - low) * next_double
+        return low + (high - low) * next(self._values)
+
+
+def step_price_oracle(params, s0, n_steps, path_index=0):
+    """Loop of step_price fed the variates of stream layout 2.
+
+    Layout 2 keys the substreams of (seed, path_index) as 2: dz, 3: (xi,
+    kappa), 4: placement, 5: positivity redraws.
+    """
+    seed = params.seed
+    dz = path_rng(seed, path_index, 2).standard_normal(n_steps)
+    xi_kappa = path_rng(seed, path_index, 3).standard_normal((2, n_steps))
+    placement_rng = path_rng(seed, path_index, 4)
+    if params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR:
+        placement = placement_rng.random(n_steps)
+    else:
+        placement = placement_rng.standard_normal(n_steps)
+    variates = np.column_stack([dz, xi_kappa[0], xi_kappa[1], placement]).ravel()
+    replay = ReplayGenerator(variates.tolist())
+    redraw_rng = path_rng(seed, path_index, 5)
+    counter = RedrawCounter()
+    bars, s_last = [], s0
+    for _ in range(n_steps):
+        bar = step_price(s_last, params, replay, counter, redraw_rng=redraw_rng)
+        bars.append(bar)
+        s_last = bar.s_last
+    return bars, counter.count
+
+
+@pytest.mark.parametrize("rule", list(LastPriceRule))
+@pytest.mark.parametrize("params, s0, expect_redraws", [
+    (dict(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=42), 100.0, False),
+    (dict(sigma_step=0.5, xi_std=0.5, kappa_std=0.5, xi_mean=0.2, seed=3), 1.0, True),
+], ids=["cli_defaults", "hostile"])
+def test_simulate_path_matches_step_price_bit_for_bit(rule, params, s0, expect_redraws):
+    p = CoupledWaveParams(last_price_rule=rule, **params)
+    n = 3000
+    series = simulate_path(p, s0, n, path_index=2)
+    bars, redraws = step_price_oracle(p, s0, n, path_index=2)
+    for field in ("s_mid", "s_high", "s_low", "s_last", "h"):
+        expected = np.array([getattr(bar, field) for bar in bars])
+        assert getattr(series, field).tobytes() == expected.tobytes(), field
+    assert series.redraws == redraws
+    assert (redraws > 0) == expect_redraws
+
+
+def test_step_price_redraws_default_to_the_main_generator():
+    # Without redraw_rng, redraws come from rng, as in the original draw order.
+    p = CoupledWaveParams(sigma_step=0.5, seed=0)
+    a, b = path_rng(7), path_rng(7)
+    bars_a = [step_price(1.0, p, a) for _ in range(200)]
+    bars_b = [step_price(1.0, p, b, redraw_rng=b) for _ in range(200)]
+    assert bars_a == bars_b
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma_step", math.nan), ("sigma_step", math.inf), ("xi_mean", math.nan),
+    ("xi_std", math.inf), ("kappa_mean", -math.inf), ("kappa_std", math.nan),
+    ("tau0", math.inf), ("tau0", math.nan), ("seed", -1),
+])
+def test_params_reject_non_finite_and_out_of_range(field, value):
+    with pytest.raises(DomainError, match=field):
+        CoupledWaveParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("avg_trade_size", math.inf), ("log_mean", math.nan), ("log_sigma", math.inf),
+])
+@pytest.mark.parametrize("mode", ["impact", "lognormal", "none"])
+def test_volume_config_rejects_non_finite(mode, field, value):
+    with pytest.raises(DomainError, match=field):
+        VolumeConfig(mode=mode, **{field: value})
+
+
+@pytest.mark.parametrize("s0", [math.inf, math.nan, 0.0, -1.0])
+def test_simulate_path_rejects_bad_start_price(s0):
+    with pytest.raises(DomainError, match="s0"):
+        simulate_path(CoupledWaveParams(), s0, 10)
+
+
+def test_simulate_path_rejects_overflowing_prices():
+    p = CoupledWaveParams(sigma_step=1e300, seed=1)
+    with pytest.raises(DomainError, match="overflowed"):
+        simulate_path(p, 1.0, 50)

@@ -1,0 +1,111 @@
+"""Golden digests: output bytes pinned against silent change.
+
+The I/O goldens feed the bar writer and the ``curve`` command inputs built
+from integer arithmetic alone, so they do not depend on the simulator or on
+numpy's random streams; their digests were recorded with spreadwave 0.1.0
+and must never move.  The pipeline golden runs the README chain at its
+documented size (5000 bars) and pins every output; it was recorded under
+stream layout 2 and may change only with a deliberate change of output
+bytes, recorded in CHANGES.md with its cause.  Random streams and the fit
+depend on numpy and scipy, so that golden holds for one environment
+(recorded with numpy 2.4 and scipy 1.17).
+"""
+
+import hashlib
+import os
+
+import numpy as np
+from click.testing import CliRunner
+
+from spreadwave import BarSeries
+from spreadwave.cli import main
+from spreadwave.data_io import write_bars_csv
+
+_N_BARS = 3000
+
+
+def _uniforms(n, seed):
+    """n floats in [0, 1) from a 64-bit LCG, exact on every platform."""
+    x, out = seed, []
+    for _ in range(n):
+        x = (6364136223846793005 * x + 1442695040888963407) % (1 << 64)
+        out.append((x >> 11) / float(1 << 53))
+    return out
+
+
+def _bar_columns():
+    """Hand-built bar columns: some closes leave the envelope, some volumes are 0."""
+    u1, u2, u3, u4 = (_uniforms(_N_BARS, seed) for seed in (1, 2, 3, 4))
+    mid = [100.0 + 10.0 * a for a in u1]
+    h = [0.01 + b for b in u2]
+    high = [m + 0.5 * x for m, x in zip(mid, h)]
+    low = [m - 0.5 * x for m, x in zip(mid, h)]
+    last = [m + 1.5 * x * (c - 0.5) for m, x, c in zip(mid, h, u3)]
+    volume = [0.0 if i % 97 == 0 else 1000.0 * d * d for i, d in enumerate(u4)]
+    return mid, high, low, last, h, volume
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_write_bars_csv_golden(tmp_path):
+    mid, high, low, last, h, volume = (np.array(c) for c in _bar_columns())
+    series = BarSeries(s_mid=mid, s_high=high, s_low=low, s_last=last, h=h,
+                       volume=volume, s0=100.0)
+    path = str(tmp_path / "bars.csv")
+    write_bars_csv(path, series)
+    assert _digest(path) == (
+        "6c14be9cc6c40dd7dab74f5cf399ff0a7d39bf976de21ab819dae75f3d84baac")
+
+
+def test_curve_from_bars_golden(tmp_path):
+    mid, high, low, last, _, volume = _bar_columns()
+    lines = ["timestamp,open,high,low,close,volume"] + [
+        f"{i},{o!r},{max(hi, o, c)!r},{min(lo, o, c)!r},{c!r},{v!r}"
+        for i, (o, hi, lo, c, v) in enumerate(zip(mid, high, low, last, volume))
+    ]
+    bars = tmp_path / "bars.csv"
+    bars.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), "--quantile", "0.9",
+                                    "--out", str(out)], catch_exceptions=False)
+    assert res.exit_code == 0
+    assert {name: _digest(out / name) for name in ("curve.csv", "curve_hist.csv")} == {
+        "curve.csv": "0e1f3db2d5786f6bb57f04be2decee10ae004fe82096d07f5918145a50a2bc06",
+        "curve_hist.csv": "c8f5bf6f9d488ce8e0ec6e9fda32af4e8c85ded4578889d9eceaa7702c4e402a",
+    }
+
+
+_README_PIPELINE = (
+    ["simulate", "--steps", "5000", "--seed", "42", "--sigma-step", "0.0002",
+     "--xi-std", "0.05", "--kappa-std", "0.05", "--s0", "100"],
+    ["curve", "--bars", "bars.csv", "--quantile", "0.9"],
+    ["calibrate", "--curve", "curve.csv", "--kind", "bar", "--horizon", "1.0",
+     "--n", "100", "--sigma", "0.02", "--price", "100"],
+    ["optimize", "--calibration", "calibration.json", "--alpha", "0.001",
+     "--lambda0", "3.0"],
+)
+
+_README_DIGESTS = {
+    "bars.csv": "96ac30572c27d281a76a209f53f9036a0b7d318c1d1b2564998f4c1209cbf82f",
+    "simulate_report.json": "84e59f19287fb00506c4dc7e74add356d225987127b14521f2dc58145bbe22d0",
+    "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
+    "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
+    "curve_report.json": "02c89b6d3964018e92a06c01c8bbefecbfe1e9b96ee63a007ffbf485facb55ae",
+    "calibration.json": "dda1d8f5d454a95a02245850e5963331a531e8f1e17c36a5d14268da01e898d9",
+    "overlay.csv": "1e573772a4b43e2862c5b38d7bc0c6c48999d09af2116c4a7c80358aec5a4667",
+    "policy.csv": "1c49be4544598c729ba8b3eeb1f6dd6609d8cb0e62091b18d0e02fc3f4b3ceeb",
+    "optimize_report.json": "3d485c659895c95b77e361e07f0dd4499af29ebb3594b9e1339597b7e3beb777",
+}
+
+
+def test_readme_pipeline_golden(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("SPREADWAVE_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    for command in _README_PIPELINE:
+        res = CliRunner().invoke(main, command, catch_exceptions=False)
+        assert res.exit_code == 0, f"{command[0]}: {res.output}"
+    assert {name: _digest(name) for name in _README_DIGESTS} == _README_DIGESTS

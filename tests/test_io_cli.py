@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spreadwave import (
     CoupledWaveParams,
@@ -22,6 +29,7 @@ from spreadwave.calibration import (
 )
 from spreadwave.cli import main, resolve_config
 from spreadwave.data_io import (
+    _read_bars_strict,
     format_float,
     parse_timestamp,
     read_bars,
@@ -84,9 +92,9 @@ def test_bars_round_trip_preserves_heights(tmp_path):
     assert len(bars) == 300
     # uniform placement keeps open/close inside the envelope, so the
     # serialized high-low range equals the bar height exactly
-    for i, bar in enumerate(bars):
-        assert bar.high - bar.low == pytest.approx(series.h[i], rel=1e-12)
-        assert bar.volume == series.volume[i]
+    for i in range(len(bars)):
+        assert bars.high[i] - bars.low[i] == pytest.approx(series.h[i], rel=1e-12)
+        assert bars.volume[i] == series.volume[i]
 
 
 def test_curve_round_trip(tmp_path, rng):
@@ -373,3 +381,175 @@ def test_version_flag():
     res = run_cli(["--version"])
     assert res.exit_code == 0
     assert "spreadwave" in res.output
+
+
+def stderr_lines(result):
+    try:
+        text = result.stderr
+    except ValueError:  # click < 8.2 mixes stderr into output
+        text = result.output
+    return text.strip().splitlines()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["simulate", "--sigma-step", "nan"], "sigma_step"),
+    (["simulate", "--xi-std", "inf"], "xi_std"),
+    (["simulate", "--s0", "inf"], "s0"),
+    (["simulate", "--seed", "-1"], "seed"),
+    (["simulate", "--avg-trade-size", "inf"], "avg_trade_size"),
+    (["optimize", "--a-coeff", "10", "--lambda0", "3", "--alpha", "nan"],
+     "commission_alpha"),
+    (["scale", "--base-spread", "2.0", "--eta", "0.8", "--lam", "1.6",
+      "--t2-max", "10", "--t-steps", "0"], "t_steps"),
+    (["optimize", "--a-coeff", "10", "--lambda0", "3", "--v-points", "-1"],
+     "v_points"),
+])
+def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
+    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert not (tmp_path / "bars.csv").exists()
+    assert not (tmp_path / "policy.csv").exists()
+
+
+def test_simulate_report_diagnostics(tmp_path):
+    for steps, out in ((2000, tmp_path / "long"), (999, tmp_path / "short")):
+        assert run_cli(["simulate", "--steps", str(steps), "--seed", "5",
+                        "--out", str(out)]).exit_code == 0
+    long = read_json_report(str(tmp_path / "long" / "simulate_report.json"))["summary"]
+    short = read_json_report(str(tmp_path / "short" / "simulate_report.json"))["summary"]
+    assert long["stream_layout"] == short["stream_layout"] == 2
+    assert long["closure_ratio"] == pytest.approx(
+        long["empirical_volatility"] / long["predicted_volatility"], rel=1e-15)
+    assert 0.9 < long["closure_ratio"] < 1.1
+    assert short["closure_ratio"] is None
+    assert long["redraw_rate"] == long["redraws"] / 2000 == 0.0
+
+
+def test_simulate_report_redraw_rate(tmp_path):
+    res = run_cli(["simulate", "--steps", "500", "--seed", "3", "--s0", "1",
+                   "--sigma-step", "0.5", "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    summary = read_json_report(str(tmp_path / "simulate_report.json"))["summary"]
+    assert summary["redraws"] > 0
+    assert summary["redraw_rate"] == summary["redraws"] / 500
+
+
+# --------------------------------------------------------------------------
+# columnar bar reader against the strict row parser
+# --------------------------------------------------------------------------
+
+_BAR_COLUMNS = ["timestamp", "open", "high", "low", "close", "volume"]
+
+_number = st.one_of(
+    st.floats(allow_nan=False, width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "Infinity", "-0", "1e-5"]),
+)
+_odd = st.sampled_from(["1_0", "", " ", "x", "1970-01-01T00:00:01Z", "1,5", "#"])
+_space = st.sampled_from(["", " ", "\t"])
+_altered = st.one_of(
+    st.tuples(_space, _number, _space).map("".join),           # padded
+    st.one_of(_number, _odd).map(lambda c: f'"{c}"'),          # quoted
+    _odd,
+)
+
+
+@st.composite
+def bar_csv_text(draw):
+    """Bar CSVs: mostly plain numeric rows, with reordered and extra (even
+    duplicated) columns, and padded, quoted, malformed, blank, commented,
+    short and long rows mixed in."""
+    extras = draw(st.lists(st.sampled_from(["note", "x", "open"]), max_size=2))
+    header = draw(st.permutations(_BAR_COLUMNS + extras))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank", "comment", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = draw(st.lists(_number, min_size=len(header), max_size=len(header)))
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_altered)
+        if kind == "comment":
+            cells[0] = "#" + cells[0]
+        elif kind == "short":
+            cells = cells[:draw(st.integers(0, len(cells) - 1))]
+        elif kind == "long":
+            cells.append(draw(_number))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@given(text=bar_csv_text())
+# A quoted comma in an unused column shifts the columns after it for a
+# parser that does not know CSV quoting.
+@example(text='note,x,timestamp,open,high,low,close,volume\n"a,b",7,0,1,2,3,4,5\n')
+@settings(max_examples=300, deadline=None)
+def test_read_bars_matches_strict_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bars.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast, strict = _read(read_bars, path), _read(_read_bars_strict, path)
+    if isinstance(strict, str):
+        assert fast == strict
+        assert re.match(r".*bars\.csv(:\d+)?: ", strict)
+    else:
+        assert not isinstance(fast, str), fast
+        assert len(fast) == len(strict)
+        for col in ("timestamp", "open", "high", "low", "close", "volume"):
+            assert getattr(fast, col).tobytes() == getattr(strict, col).tobytes(), col
+
+
+def test_read_bars_error_names_the_line_after_blank_lines(tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_text("timestamp,open,high,low,close,volume\n0,1,2,0.5,1,3\n\n"
+                    "2,1,2,0.5,oops,3\n")
+    with pytest.raises(InputFormatError, match=r"bars\.csv:4: bad value 'oops'"):
+        read_bars(str(path))
+    path.write_text("timestamp,open,high,low,close,volume\nnoon,1,2,0.5,1,3\n")
+    with pytest.raises(InputFormatError, match=r"bars\.csv:2: unparseable timestamp"):
+        read_bars(str(path))
+
+
+def test_read_bars_iso_timestamps_and_reordered_columns(tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_text("volume,close,note,low,high,open,timestamp\n"
+                    "3,1.5,a,0.5,2,1,1970-01-01T00:00:01Z\n")
+    bars = read_bars(str(path))
+    assert len(bars) == 1
+    assert (bars.timestamp[0], bars.open[0], bars.high[0], bars.low[0],
+            bars.close[0], bars.volume[0]) == (1.0, 1.0, 2.0, 0.5, 1.5, 3.0)
+
+
+def test_simulate_and_curve_do_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize costs most of the package's import time; only the fits,
+    # the optimizer and inverse_spread_volumes need it.
+    code = (
+        "import sys\n"
+        "from spreadwave.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for args in (['simulate', '--steps', '50', '--out', out],\n"
+        "             ['curve', '--bars', out + '/bars.csv', '--min-count', '1',\n"
+        "              '--buckets', '3', '--out', out]):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, None), exc.code\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "curve.csv").exists()
