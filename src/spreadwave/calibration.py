@@ -20,7 +20,10 @@ from .errors import (
     DomainError,
     FitConvergenceError,
     InsufficientDataError,
+    check_finite,
 )
+# The fits look the law kernels up in this module's namespace.
+from .spread_models import bar_spread_model, bidask_spread_model
 
 _DEFAULT_BUCKETS = 25
 _DEFAULT_QUANTILE = 0.90
@@ -83,6 +86,13 @@ class FlowStats:
     V: float
     sigma: float
     mean_price: float
+
+    def __post_init__(self) -> None:
+        check_finite("n", self.n, above=0.0)
+        check_finite("mean_price", self.mean_price, above=0.0)
+        # A constant-price tape measures sigma = 0.
+        check_finite("sigma", self.sigma, at_least=0.0)
+        check_finite("V", self.V, at_least=0.0)
 
 
 @dataclass(frozen=True)
@@ -263,6 +273,7 @@ def build_spread_volume_curve(
     """
     if not (0.0 < quantile_level <= 1.0):
         raise DomainError(f"quantile_level must be in (0, 1], got {quantile_level!r}")
+    check_finite("min_count", min_count, at_least=0)
     spec = bucket_spec if bucket_spec is not None else BucketSpec()
 
     keep = (samples.volumes > 0.0) & np.isfinite(samples.volumes) \
@@ -310,30 +321,6 @@ def build_spread_volume_curve(
 # --------------------------------------------------------------------------
 # model fits
 # --------------------------------------------------------------------------
-
-def bidask_spread_model(
-    V, lam: float, rho: float, sigma: float, n: float, tau0: float,
-):
-    """Dimensionless bid-ask law: sqrt(lam^2 sigma^2 n / V + 2 rho^2 (pi tau0 / n)^2 V^2)."""
-    V = np.asarray(V, dtype=float)
-    return np.sqrt(
-        lam * lam * sigma * sigma * n / V
-        + 2.0 * (rho * math.pi * tau0 / n) ** 2 * V * V
-    )
-
-
-def bar_spread_model(
-    V, lam: float, rho: float, sigma_T: float, n: float, tau0: float, T: float,
-):
-    """Dimensionless bar law with the horizon-volatility floor."""
-    V = np.asarray(V, dtype=float)
-    pi_tau0 = math.pi * tau0
-    return np.sqrt(
-        lam * lam * sigma_T * sigma_T
-        + (rho * pi_tau0 / n) ** 2 * V * V
-        + rho * rho * pi_tau0 ** 2 * T * V ** 3 / n ** 3
-    )
-
 
 def _usable_curve_arrays(curve: SpreadVolumeCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     usable = [b for b in curve.usable() if math.isfinite(b.spread_q)]
@@ -418,20 +405,15 @@ def fit_bid_ask_curve(
     (lambda, rho) are fitted; ``strict_product`` fits the product instead
     and reports it explicitly.  Bucket weights are the trade counts.
     """
-    if not (tau0 > 0.0):
-        raise DomainError(f"tau0 must be > 0, got {tau0!r}")
+    check_finite("tau0", tau0, above=0.0)
     v, y, w = _usable_curve_arrays(curve)
     s = flow.mean_price
+    scale = 1.0 if strict_product else tau0
 
-    if strict_product:
-        def model(V, lam, prod):
-            return s * bidask_spread_model(V, lam, 1.0, flow.sigma, flow.n, prod)
-    else:
-        def model(V, lam, rho):
-            return s * bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
+    def model(V, lam, x):  # x is rho, or the product rho * tau0 when strict
+        return s * bidask_spread_model(V, lam, x, flow.sigma, flow.n, scale)
 
     def basis(V):
-        scale = tau0 if not strict_product else 1.0
         return np.column_stack([
             s * s * flow.sigma ** 2 * flow.n / V,
             s * s * 2.0 * (math.pi * scale / flow.n) ** 2 * V * V,
@@ -452,10 +434,8 @@ def fit_bar_curve(
     ``flow.sigma`` is interpreted at the horizon (sigma_T); the V -> 0
     intercept identifies lambda * sigma_T directly.
     """
-    if not (tau0 > 0.0):
-        raise DomainError(f"tau0 must be > 0, got {tau0!r}")
-    if not (horizon_T > 0.0):
-        raise DomainError(f"horizon_T must be > 0, got {horizon_T!r}")
+    check_finite("tau0", tau0, above=0.0)
+    check_finite("horizon_T", horizon_T, above=0.0)
     v, y, w = _usable_curve_arrays(curve)
     s = flow.mean_price
 

@@ -31,7 +31,7 @@ from .calibration import (
     TradeRecord,
 )
 from .coupled_wave import BarSeries
-from .errors import InputFormatError
+from .errors import InputFormatError, check_finite
 from .optimizer import QuotePolicy
 
 _TRADE_COLUMNS = ("timestamp", "price", "size")
@@ -186,6 +186,7 @@ def read_curve(
     min_count: int = 20,
 ) -> SpreadVolumeCurve:
     """Rebuild a curve from its CSV; flags are recomputed from the counts."""
+    check_finite("min_count", min_count, at_least=0)
     rows = _open_rows(path, _CURVE_COLUMNS)
     if not rows:
         raise InputFormatError(f"{path}: curve has no buckets")

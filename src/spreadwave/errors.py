@@ -1,6 +1,6 @@
 """Exception taxonomy, process exit codes and the shared parameter check."""
 
-import math
+import numpy as np
 
 # Stable CLI exit-code contract.
 EXIT_OK = 0
@@ -37,20 +37,22 @@ class FitConvergenceError(SpreadwaveError):
         self.best_so_far = best_so_far
 
 
-def check_finite(name: str, value: float, *, above: float | None = None,
+def check_finite(name: str, value, *, above: float | None = None,
                  at_least: float | None = None) -> None:
     """Reject a non-finite parameter, or one outside its lower bound.
 
+    ``value`` may be a number or an array, which must hold in every element.
     ``above`` is a strict lower bound and ``at_least`` an inclusive one; NaN
     and infinities always fail, so a bad value cannot slip past a plain
     ``value < bound`` comparison.
     """
-    if above is not None and not value > above:
-        bound = f" and > {above!r}"
-    elif at_least is not None and not value >= at_least:
-        bound = f" and >= {at_least!r}"
-    elif not math.isfinite(value):
-        bound = ""
-    else:
-        return
-    raise DomainError(f"{name} must be finite{bound}, got {value!r}")
+    values = np.asarray(value, dtype=float)
+    ok = np.isfinite(values)
+    bound = ""
+    if above is not None:
+        ok, bound = ok & (values > above), f" and > {above!r}"
+    elif at_least is not None:
+        ok, bound = ok & (values >= at_least), f" and >= {at_least!r}"
+    if not ok.all():
+        bad = float(values[~ok][0]) if values.ndim else value
+        raise DomainError(f"{name} must be finite{bound}, got {bad!r}")

@@ -6,7 +6,9 @@ as a Gaussian in the control level.  Spread P&L per period is
 0.5 * r * v * (delta - alpha) (bought and sold once per round trip, alpha
 is the round-trip commission in spread units).  The optimum balances wider
 margins against lost turnover; when no spread level earns more than the
-commission, quoting should halt.
+commission, quoting should halt.  For the linear family the optimum has a
+closed form (as under the exponential fill law of Avellaneda & Stoikov,
+2008); other laws are optimized numerically.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ def execution_density(model: ExecutionModel, lam: float) -> float:
 class LinearSpreadLaw:
     """One-control spread family: delta(lam; v) = (lam / lambda_ref) * delta_ref(v).
 
-    ``delta_ref`` is the market spread curve (calibrated or analytic) and
-    ``lambda_ref`` the control level it is anchored at; both risk multipliers
-    are assumed to scale together, leaving a single control parameter.
+    ``delta_ref`` is the market spread curve (calibrated or analytic), which
+    must accept arrays, and ``lambda_ref`` the control level it is anchored
+    at; both risk multipliers are assumed to scale together, leaving a
+    single control parameter.
     """
 
     def __init__(self, delta_ref: Callable[[float], float], lambda_ref: float):
@@ -83,6 +86,17 @@ class LinearSpreadLaw:
 
     def ddelta_dlam(self, lam, v):
         return self.delta_ref(v) / self.lambda_ref
+
+    def optimal_lambda(self, v, alpha, lambda0):
+        """P&L-maximizing control level at volumes ``v``, in closed form.
+
+        lam* = (alpha + sqrt(alpha^2 + 2 c^2 lambda0^2)) / (2 c) with
+        c = delta_ref(v) / lambda_ref; NaN where c <= 0 (no closed form).
+        """
+        c = np.broadcast_to(np.divide(self.delta_ref(v), self.lambda_ref), np.shape(v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (alpha + np.hypot(alpha, math.sqrt(2.0) * c * lambda0)) / (2.0 * c)
+        return np.where(c > 0.0, lam, np.nan)[()]
 
 
 def dimensionless_law(a: float, lambda_ref: float) -> LinearSpreadLaw:
@@ -103,22 +117,12 @@ def calibrated_law(
     horizon_T: float | None = None,
 ) -> LinearSpreadLaw:
     """Linear family anchored on a calibrated spread curve (dimensionless)."""
-    if source is CurveSource.BAR:
-        if horizon_T is None:
-            raise DomainError("horizon_T is required for a bar-based law")
-
-        def delta_ref(V):
-            return bar_spread_model(
-                V, result.lambda_hat, result.rho_hat, flow.sigma,
-                flow.n, result.tau0_hat, horizon_T,
-            )
-    else:
-        def delta_ref(V):
-            return bidask_spread_model(
-                V, result.lambda_hat, result.rho_hat, flow.sigma,
-                flow.n, result.tau0_hat,
-            )
-    return LinearSpreadLaw(delta_ref=delta_ref, lambda_ref=lambda_ref)
+    fit = (result.lambda_hat, result.rho_hat, flow.sigma, flow.n, result.tau0_hat)
+    if source is not CurveSource.BAR:
+        return LinearSpreadLaw(lambda V: bidask_spread_model(V, *fit), lambda_ref)
+    if horizon_T is None:
+        raise DomainError("horizon_T is required for a bar-based law")
+    return LinearSpreadLaw(lambda V: bar_spread_model(V, *fit, horizon_T), lambda_ref)
 
 
 @dataclass(frozen=True)
@@ -172,16 +176,6 @@ def spread_pnl(params: PnLParams, model: ExecutionModel, lam: float) -> float:
     return 0.5 * r * params.volume_v * (delta - params.commission_alpha)
 
 
-def _law_delta_grid(law: LinearSpreadLaw, lams: np.ndarray, v: float) -> np.ndarray:
-    try:
-        out = np.asarray(law.delta(lams, v), dtype=float)
-        if out.shape == lams.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(law.delta(l, v)) for l in lams])
-
-
 def _ddelta(law: LinearSpreadLaw, lam: float, v: float) -> float:
     fn = getattr(law, "ddelta_dlam", None)
     if fn is not None:
@@ -205,15 +199,9 @@ def stationarity_residual(
         - dd * model.lambda0 ** 2 / (2.0 * lam)
 
 
-def optimize_spread(
-    params: PnLParams, model: ExecutionModel,
-) -> OptimizeResult:
-    """P&L-maximizing control level for one volume point.
-
-    Localizes the maximum on a log grid, then refines the stationarity
-    condition with a bracketing root-finder; a bounded scalar minimization
-    is the fallback when the optimum sits on a corner of the grid.
-    """
+def _numeric_optimum(params: PnLParams, model: ExecutionModel) -> float:
+    """Grid maximum refined by a root-finder on the stationarity condition,
+    or by a bounded minimization when the maximum sits on a grid corner."""
     # Imported on use: scipy.optimize is most of the package's import time.
     from scipy.optimize import brentq, minimize_scalar
 
@@ -223,7 +211,7 @@ def optimize_spread(
     lam0 = model.lambda0
 
     lams = lam0 * np.geomspace(_GRID_SPAN[0], _GRID_SPAN[1], _GRID_POINTS)
-    deltas = _law_delta_grid(law, lams, v)
+    deltas = np.asarray(law.delta(lams, v), dtype=float)
     rates = np.exp(-((lams / lam0) ** 2))
     pnls = 0.5 * rates * v * (deltas - alpha)
     k = int(np.argmax(pnls))
@@ -237,20 +225,32 @@ def optimize_spread(
         dd = _ddelta(law, lam, v)
         return dd - 2.0 * lam / lam0 ** 2 * (delta - alpha)
 
-    lam_opt = None
     if 0 < k < len(lams) - 1:
         g_lo, g_hi = dpnl(lams[k - 1]), dpnl(lams[k + 1])
         if g_lo > 0.0 > g_hi:
-            lam_opt = float(brentq(dpnl, lams[k - 1], lams[k + 1],
-                                   xtol=1e-15, rtol=8.9e-16))
-    if lam_opt is None:
-        lo = lams[max(k - 1, 0)]
-        hi = lams[min(k + 1, len(lams) - 1)]
-        res = minimize_scalar(neg_pnl, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        lam_opt = float(res.x)
-        if -res.fun < pnls[k]:  # keep the grid point if refinement lost
-            lam_opt = float(lams[k])
+            return float(brentq(dpnl, lams[k - 1], lams[k + 1],
+                                xtol=1e-15, rtol=8.9e-16))
+    lo = lams[max(k - 1, 0)]
+    hi = lams[min(k + 1, len(lams) - 1)]
+    res = minimize_scalar(neg_pnl, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    if -res.fun < pnls[k]:  # keep the grid point if refinement lost
+        return float(lams[k])
+    return float(res.x)
+
+
+def optimize_spread(
+    params: PnLParams, model: ExecutionModel,
+) -> OptimizeResult:
+    """P&L-maximizing control level for one volume point: closed form for a
+    law with ``optimal_lambda`` (the linear family), else a numeric search."""
+    law = params.spread_law
+    v = params.volume_v
+    optimal = getattr(law, "optimal_lambda", None)
+    lam_opt = math.nan if optimal is None \
+        else float(optimal(v, params.commission_alpha, model.lambda0))
+    if not math.isfinite(lam_opt):
+        lam_opt = _numeric_optimum(params, model)
 
     pnl_opt = spread_pnl(params, model, lam_opt)
     return OptimizeResult(
@@ -272,8 +272,12 @@ def policy_curve(
     """Optimal policy over a volume grid, with the quote-at-market baseline.
 
     The naive column quotes at the law's reference level (the market curve
-    itself); per-point optimization failures leave NaN rows and are listed
-    in ``failures`` rather than aborting the curve.
+    itself).  For the linear family lambda_opt is closed form and every
+    column comes from one array pass; with delta_ref(v) > 0,
+    c lam* - alpha = (sqrt(alpha^2 + 2 c^2 lambda0^2) - alpha) / 2 > 0, so
+    those points do not halt (unless the fill rate underflows to 0).  Other
+    laws, and points with delta_ref(v) <= 0, go through ``optimize_spread``;
+    its failures leave NaN rows, listed in ``failures``.
     """
     v_arr = np.asarray(list(volume_grid), dtype=float)
     if v_arr.size == 0:
@@ -291,16 +295,35 @@ def policy_curve(
         pnl_naive=np.full(n, np.nan),
         halt=np.zeros(n, dtype=bool),
     )
-    failures: list[int] = []
     lam_ref = law.lambda_ref
-    for i, v in enumerate(v_arr):
+    pending = np.arange(n)
+    optimal = getattr(law, "optimal_lambda", None)
+    if optimal is not None:
+        lam = optimal(v_arr, commission_alpha, model.lambda0)
+        closed = np.isfinite(lam)
+        v, lam = v_arr[closed], lam[closed]
+        with np.errstate(over="ignore"):  # a fill rate of exactly 0 is right
+            rate = np.exp(-(lam / model.lambda0) ** 2)
+        spread = law.delta(lam, v)
+        pnl = 0.5 * rate * v * (spread - commission_alpha)
+        out.lambda_opt[closed] = lam
+        out.spread_opt[closed] = spread
+        out.exec_rate[closed] = rate
+        out.pnl_opt[closed] = pnl
+        out.pnl_naive[closed] = 0.5 * execution_rate(model, lam_ref) * v \
+            * (law.delta(lam_ref, v) - commission_alpha)
+        out.halt[closed] = pnl <= 0.0
+        pending = np.flatnonzero(~closed)
+
+    failures: list[int] = []
+    for i in pending:
         params = PnLParams(commission_alpha=commission_alpha,
-                           volume_v=float(v), spread_law=law)
+                           volume_v=float(v_arr[i]), spread_law=law)
         out.pnl_naive[i] = spread_pnl(params, model, lam_ref)
         try:
             res = optimize_spread(params, model)
         except (DomainError, ValueError):  # pragma: no cover - defensive
-            failures.append(i)
+            failures.append(int(i))
             out.halt[i] = True
             continue
         out.lambda_opt[i] = res.lambda_opt

@@ -4,7 +4,8 @@ A spread quoted for one holding horizon can be rescaled to another: the
 initial bar contributes a floor that does not grow with time, while the
 volatility part accumulates diffusively.  For large horizon ratios the
 classical square-root law is recovered.  The bar law as a function of both
-volume and horizon gives the spread surface.
+volume and horizon gives the spread surface; it is evaluated by the array
+kernel ``spread_models.bar_spread_model``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_finite
+from .spread_models import bar_spread_model
 
 
 class PiecewiseConstantTable:
@@ -32,12 +34,13 @@ class PiecewiseConstantTable:
         if np.any(np.diff(self.t_edges) <= 0) or np.any(np.diff(self.v_edges) <= 0):
             raise DomainError("bucket edges must be strictly ascending")
 
-    def value(self, T: float, V: float) -> float:
-        i = int(np.clip(np.searchsorted(self.t_edges, T, side="right") - 1,
-                        0, len(self.t_edges) - 2))
-        j = int(np.clip(np.searchsorted(self.v_edges, V, side="right") - 1,
-                        0, len(self.v_edges) - 2))
-        return float(self.values[i, j])
+    def value(self, T, V):
+        """Bucket value at (T, V); broadcasts over array arguments."""
+        i = np.clip(np.searchsorted(self.t_edges, T, side="right") - 1,
+                    0, len(self.t_edges) - 2)
+        j = np.clip(np.searchsorted(self.v_edges, V, side="right") - 1,
+                    0, len(self.v_edges) - 2)
+        return self.values[i, j]
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,11 @@ class SpreadSurfaceParams:
         for name in ("lambda_risk", "rho_risk", "sigma_tau", "n", "tau0"):
             check_finite(name, getattr(self, name), above=0.0)
 
-    def lambda_at(self, T: float, V: float) -> float:
-        if self.lambda_table is None:
-            return self.lambda_risk
-        return self.lambda_table.value(T, V)
+    def lambda_at(self, T, V):
+        return self.lambda_risk if self.lambda_table is None else self.lambda_table.value(T, V)
 
-    def rho_at(self, T: float, V: float) -> float:
-        if self.rho_table is None:
-            return self.rho_risk
-        return self.rho_table.value(T, V)
+    def rho_at(self, T, V):
+        return self.rho_risk if self.rho_table is None else self.rho_table.value(T, V)
 
 
 # --------------------------------------------------------------------------
@@ -90,22 +89,20 @@ def scale_spread_time(
     (T2/T1 - 1)).  The floor contributed by the initial bar does not scale;
     only the volatility part accumulates with the horizon.
     """
-    if not (T1 > 0.0) or T2 < T1:
-        raise DomainError(f"need T2 >= T1 > 0, got T1={T1!r}, T2={T2!r}")
-    if not (spread_T1 > 0.0):
-        raise DomainError(f"spread_T1 must be > 0, got {spread_T1!r}")
-    if eta_T1 < 0.0 or lambda_risk < 0.0:
-        raise DomainError("eta_T1 and lambda_risk must be >= 0")
+    check_finite("spread_T1", spread_T1, above=0.0)
+    check_finite("eta_T1", eta_T1, at_least=0.0)
+    check_finite("lambda_risk", lambda_risk, at_least=0.0)
+    check_finite("T1", T1, above=0.0)
+    check_finite("T2", T2, at_least=T1)
     ratio = lambda_risk * eta_T1 / spread_T1
     return spread_T1 * math.sqrt(1.0 + ratio * ratio * (T2 / T1 - 1.0))
 
 
 def classical_scale(spread_T1: float, T1: float, T2: float) -> float:
     """Classical square-root-of-time baseline: sqrt(T2/T1) * spread."""
-    if not (T1 > 0.0 and T2 > 0.0):
-        raise DomainError(f"horizons must be > 0, got T1={T1!r}, T2={T2!r}")
-    if spread_T1 < 0.0:
-        raise DomainError(f"spread_T1 must be >= 0, got {spread_T1!r}")
+    check_finite("spread_T1", spread_T1, at_least=0.0)
+    check_finite("T1", T1, above=0.0)
+    check_finite("T2", T2, above=0.0)
     return math.sqrt(T2 / T1) * spread_T1
 
 
@@ -113,52 +110,38 @@ def classical_scale(spread_T1: float, T1: float, T2: float) -> float:
 # volume-inclusive bar law
 # --------------------------------------------------------------------------
 
-def bar_spread_with_volume(
-    params: SpreadSurfaceParams,
-    s: float,
-    V: float,
-    T: float,
-) -> float:
-    """High-low bar size at horizon T and volume V.
+def bar_spread_with_volume(params: SpreadSurfaceParams, s: float, V, T):
+    """High-low bar size at horizon T and volume V; broadcasts over V and T.
 
     Delta_T(V) = s * sqrt(lambda^2 sigma_T^2 + rho^2 (pi tau0 / n)^2 V^2
     + rho^2 (pi tau0)^2 T V^3 / n^3), with sigma_T = sigma_tau * sqrt(T).
     Unlike the bid-ask law this starts at a positive floor at V = 0 and is
     strictly increasing in volume.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if not (T > 0.0):
-        raise DomainError(f"T must be > 0, got {T!r}")
-    if V < 0.0:
-        raise DomainError(f"V must be >= 0, got {V!r}")
-    lam = params.lambda_at(T, V)
-    rho = params.rho_at(T, V)
-    sigma_T_sq = params.sigma_tau ** 2 * T
-    pi_tau0 = math.pi * params.tau0
-    term_floor = lam * lam * sigma_T_sq
-    term_v2 = (rho * pi_tau0 / params.n) ** 2 * V * V
-    term_v3 = (rho * pi_tau0) ** 2 * T * V ** 3 / params.n ** 3
-    return s * math.sqrt(term_floor + term_v2 + term_v3)
+    check_finite("s", s, above=0.0)
+    check_finite("T", T, above=0.0)
+    check_finite("V", V, at_least=0.0)
+    shape = np.broadcast_shapes(np.shape(V), np.shape(T))
+    # A point is evaluated as a one-element array, like a grid: on numpy
+    # scalars ``x ** 2`` calls C pow, which rounds differently from the
+    # array square, so a point would not equal its cell of the surface.
+    V = np.atleast_1d(np.asarray(V, dtype=float))
+    T = np.atleast_1d(np.asarray(T, dtype=float))
+    delta = s * bar_spread_model(
+        V, params.lambda_at(T, V), params.rho_at(T, V),
+        params.sigma_tau * np.sqrt(T), params.n, params.tau0, T)
+    return delta.reshape(shape)[()]
 
 
-def bar_spread_dimensionless(v: float, T: float, params: SpreadSurfaceParams) -> float:
+def bar_spread_dimensionless(v, T, params: SpreadSurfaceParams):
     """Dimensionless bar law delta_T(v) matching the dimensional form.
 
     delta_T(v) = sqrt(lambda^2 sigma_T^2 + v^2 / 2 + T v^3 / (2^(3/2) rho
-    pi tau0)), with v = V / V0 and V0 = n / (sqrt(2) rho pi tau0).
+    pi tau0)), with v = V / V0 and V0 = n / (sqrt(2) rho pi tau0): the bar
+    law at s = 1 and V = v * V0.
     """
-    if not (T > 0.0):
-        raise DomainError(f"T must be > 0, got {T!r}")
-    if v < 0.0:
-        raise DomainError(f"v must be >= 0, got {v!r}")
     v0 = params.n / (math.sqrt(2.0) * params.rho_risk * math.pi * params.tau0)
-    V = v * v0
-    lam = params.lambda_at(T, V)
-    rho = params.rho_at(T, V)
-    sigma_T_sq = params.sigma_tau ** 2 * T
-    term_v3 = T * v ** 3 / (2.0 ** 1.5 * rho * math.pi * params.tau0)
-    return math.sqrt(lam * lam * sigma_T_sq + 0.5 * v * v + term_v3)
+    return bar_spread_with_volume(params, 1.0, v * v0, T)
 
 
 def spread_surface(
@@ -170,19 +153,16 @@ def spread_surface(
     """Bar-size surface over a (horizon, volume) grid.
 
     Returns a (len(T_grid), len(v_grid)) matrix with horizons along rows;
-    serialization iterates horizons in the outer loop.
+    serialization iterates horizons in the outer loop.  Each cell equals
+    ``bar_spread_with_volume`` at that (V, T) bit for bit.
     """
     v_grid = np.asarray(v_grid, dtype=float)
     T_grid = np.asarray(T_grid, dtype=float)
     if v_grid.size == 0 or T_grid.size == 0:
         raise DomainError("surface grids must be non-empty")
-    if np.any(np.diff(v_grid) <= 0) or np.any(np.diff(T_grid) <= 0):
+    if not (np.all(np.diff(v_grid) > 0) and np.all(np.diff(T_grid) > 0)):
         raise DomainError("surface grids must be strictly ascending")
-    out = np.empty((T_grid.size, v_grid.size))
-    for i, T in enumerate(T_grid):
-        for j, V in enumerate(v_grid):
-            out[i, j] = bar_spread_with_volume(params, s, float(V), float(T))
-    return out
+    return bar_spread_with_volume(params, s, v_grid[None, :], T_grid[:, None])
 
 
 def default_surface_grids(
@@ -190,6 +170,7 @@ def default_surface_grids(
     n_v: int = 50, n_T: int = 20,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Default log-spaced surface grids (50 volumes x 20 horizons)."""
-    if not (0.0 < v_lo < v_hi and 0.0 < T_lo < T_hi):
-        raise DomainError("need 0 < lo < hi for both grid ranges")
+    for name, lo, hi in (("v", v_lo, v_hi), ("T", T_lo, T_hi)):
+        check_finite(f"{name}_lo", lo, above=0.0)
+        check_finite(f"{name}_hi", hi, above=lo)
     return (np.geomspace(v_lo, v_hi, n_v), np.geomspace(T_lo, T_hi, n_T))

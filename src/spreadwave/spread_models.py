@@ -8,6 +8,8 @@ liquidity component alone gives the basic square-root law; adding the impact
 component gives the general law, which is U-shaped in volume and admits an
 analytic minimum.
 
+Each law is written once, as an array kernel (``bidask_spread_model`` and
+``bar_spread_model``); the public scalar names are thin wrappers over them.
 All functions here are pure and safe to call concurrently.  Volatility
 ``sigma`` and volume ``V`` must always refer to the same reference time unit;
 the library performs no unit conversion.
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoSolutionError, check_finite
 
@@ -86,12 +90,6 @@ class SpreadMinimum:
     delta_min: float
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not 0.0 < value < math.inf:  # inline: this guards per-point hot paths
-            check_finite(name, value, above=0.0)
-
-
 def _liquidity_spread(lam: float, s: float, sigma: float, tau: float) -> float:
     # Single shared multiplication path: keeps the straddle law bit-identical
     # to the basic law at lam = STRADDLE_LAMBDA.
@@ -112,7 +110,8 @@ def transaction_time(n: float, V: float) -> float:
     Returns:
         Transaction time in reference time units.
     """
-    _require_positive(n=n, V=V)
+    check_finite("n", n, above=0.0)
+    check_finite("V", V, above=0.0)
     return n / V
 
 
@@ -121,7 +120,7 @@ def basic_spread(params: SpreadModelParams, V: float) -> float:
 
     Monotone increasing in volatility and decreasing in volume.
     """
-    _require_positive(V=V)
+    check_finite("V", V, above=0.0)
     tau = params.avg_trade_size_n / V
     return _liquidity_spread(params.lambda_risk, params.price_s, params.sigma, tau)
 
@@ -132,38 +131,62 @@ def straddle_spread(s: float, sigma: float, tau: float) -> float:
     Equals the basic law with the implied multiplier sqrt(8/pi) ~ 1.6.
     ``tau`` may be zero (zero-horizon limit yields a zero spread).
     """
-    _require_positive(s=s, sigma=sigma)
+    check_finite("s", s, above=0.0)
+    check_finite("sigma", sigma, above=0.0)
     check_finite("tau", tau, at_least=0.0)
     return _liquidity_spread(STRADDLE_LAMBDA, s, sigma, tau)
+
+
+# --------------------------------------------------------------------------
+# law kernels (array-native; broadcast over every argument)
+# --------------------------------------------------------------------------
+
+def bidask_spread_model(V, lam, rho, sigma, n, tau0):
+    """Dimensionless bid-ask law: sqrt(lam^2 sigma^2 n / V + 2 rho^2 (pi tau0 / n)^2 V^2)."""
+    V = np.asarray(V, dtype=float)
+    return np.sqrt(
+        lam * lam * sigma * sigma * n / V
+        + 2.0 * (rho * math.pi * tau0 / n) ** 2 * V * V
+    )
+
+
+def bar_spread_model(V, lam, rho, sigma_T, n, tau0, T):
+    """Dimensionless bar law with the horizon-volatility floor."""
+    V = np.asarray(V, dtype=float)
+    pi_tau0 = math.pi * tau0
+    return np.sqrt(
+        lam * lam * sigma_T * sigma_T
+        + (rho * pi_tau0 / n) ** 2 * V * V
+        + rho * rho * pi_tau0 ** 2 * T * V ** 3 / n ** 3
+    )
 
 
 # --------------------------------------------------------------------------
 # general law (liquidity + impact)
 # --------------------------------------------------------------------------
 
-def general_spread(params: SpreadModelParams, V: float) -> float:
+def general_spread(params: SpreadModelParams, V):
     """Full spread law combining liquidity and impact components.
 
     Delta(V) = sqrt(lambda^2 s^2 sigma^2 n / V + 2 rho^2 (pi s tau0 / n)^2 V^2).
     Agrees with price_s * general_spread_dimensionless(a, V / V0) to
     relative 1e-12.
     """
-    _require_positive(V=V)
-    liquidity_sq = (params.lambda_risk * params.price_s * params.sigma) ** 2 \
-        * params.avg_trade_size_n / V
-    impact_lin = params.rho_risk * math.pi * params.price_s * params.tau0 \
-        / params.avg_trade_size_n * V
-    return math.sqrt(liquidity_sq + 2.0 * impact_lin ** 2)
+    check_finite("V", V, above=0.0)
+    return params.price_s * bidask_spread_model(
+        V, params.lambda_risk, params.rho_risk, params.sigma,
+        params.avg_trade_size_n, params.tau0)
 
 
-def general_spread_dimensionless(a: float, v: float) -> float:
-    """Dimensionless spread delta(v) = sqrt(a / v + v^2).
+def general_spread_dimensionless(a: float, v):
+    """Dimensionless spread delta(v) = sqrt(a / v + v^2); ``v`` may be an array.
 
     Behaves as sqrt(a/v) for small v (liquidity regime) and as v for large v
     (impact regime).
     """
-    _require_positive(a=a, v=v)
-    return math.sqrt(a / v + v * v)
+    check_finite("a", a, above=0.0)
+    check_finite("v", v, above=0.0)
+    return np.sqrt(a / v + v * v)
 
 
 def spread_minimum(a: float) -> SpreadMinimum:
@@ -172,7 +195,7 @@ def spread_minimum(a: float) -> SpreadMinimum:
     The curve sqrt(a/v + v^2) has a single interior minimum at
     v_min = (a/2)^(1/3) with value delta_min = sqrt(3) * v_min.
     """
-    _require_positive(a=a)
+    check_finite("a", a, above=0.0)
     v_min = (a / 2.0) ** (1.0 / 3.0)
     return SpreadMinimum(v_min=v_min, delta_min=math.sqrt(3.0) * v_min)
 
@@ -182,6 +205,10 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
 
     The spread curve is strictly decreasing below its minimum and strictly
     increasing above it, so every level above the minimum is attained twice.
+    Both are positive roots of v^3 - delta^2 v + a = 0: the larger comes from
+    the trigonometric solution of the cubic, the smaller from Vieta's
+    formulas (the three roots sum to 0 and multiply to -a), which avoids the
+    cancellation of the trigonometric form near v = 0.
 
     Args:
         a: Dimensionless spread-law coefficient.
@@ -193,10 +220,8 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
     Raises:
         NoSolutionError: If delta is below the curve minimum.
     """
-    # Imported on use: scipy.optimize is most of the package's import time.
-    from scipy.optimize import brentq
-
-    _require_positive(a=a, delta=delta)
+    check_finite("a", a, above=0.0)
+    check_finite("delta", delta, above=0.0)
     minimum = spread_minimum(a)
     if delta < minimum.delta_min - _MIN_SPREAD_TIE_TOL:
         raise NoSolutionError(
@@ -205,18 +230,9 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
     if delta <= minimum.delta_min + _MIN_SPREAD_TIE_TOL:
         return (minimum.v_min, minimum.v_min)
 
-    def objective(v: float) -> float:
-        return general_spread_dimensionless(a, v) - delta
-
-    # Left branch: delta(v) -> inf as v -> 0+, so a bracket always exists.
-    lo = minimum.v_min
-    while objective(lo) < 0.0:
-        lo *= 0.5
-        if lo < 1e-300:  # pragma: no cover - delta checked above
-            raise NoSolutionError("failed to bracket the left root")
-    v_low = brentq(objective, lo, minimum.v_min, xtol=1e-14, rtol=1e-14)
-
-    # Right branch: delta(v) > v for all v, so v = 2*delta is past the root.
-    hi = max(2.0 * delta, 10.0 * minimum.v_min)
-    v_high = brentq(objective, minimum.v_min, hi, xtol=1e-14, rtol=1e-14)
-    return (float(v_low), float(v_high))
+    # Written so that no intermediate overflows where the roots do not.
+    cos_arg = max(-1.0, -1.5 * math.sqrt(3.0) * (a / delta) / (delta * delta))
+    v_high = 2.0 * delta / math.sqrt(3.0) * math.cos(math.acos(cos_arg) / 3.0)
+    q = a / v_high
+    v_low = 2.0 * q / (v_high + math.hypot(v_high, 2.0 * math.sqrt(q)))
+    return (v_low, v_high)

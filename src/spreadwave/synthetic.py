@@ -1,13 +1,11 @@
 """Synthetic data generators for tests, demos, and round-trip checks.
 
-Three layers of realism:
+Two layers of realism:
 
 * bucket-level spread curves drawn straight from a spread law plus
   multiplicative noise (fast, used for fit round-trips),
 * trade tapes with exponential arrival times and a multiplicative
-  random-walk price,
-* quote tapes whose spread follows the bid-ask law evaluated on the
-  trailing traded volume, so the resulting spread-volume curve is U-shaped.
+  random-walk price.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .calibration import (
     CurveBucket,
     CurveSource,
     FlowStats,
-    QuoteRecord,
     SpreadVolumeCurve,
     TradeRecord,
     bar_spread_model,
@@ -110,47 +107,3 @@ def synthetic_trades(
         TradeRecord(timestamp=float(t), price=float(p), size=float(q))
         for t, p, q in zip(times, prices, sizes)
     ]
-
-
-def synthetic_quotes(
-    trades: Sequence[TradeRecord],
-    window: float,
-    lam: float,
-    rho: float,
-    sigma: float,
-    n: float,
-    tau0: float,
-    noise_rel: float = 0.05,
-    seed: int = 0,
-) -> list[QuoteRecord]:
-    """Quotes whose half-spread tracks the bid-ask law on trailing volume.
-
-    One quote is placed at each trade time once the trailing window holds
-    at least one trade; its spread is price * delta(V_trailing) with
-    multiplicative noise.  Feeding these quotes back through the curve
-    builder reproduces the U shape of the generating law.
-    """
-    if window <= 0.0:
-        raise DomainError(f"window must be > 0, got {window!r}")
-    rng = _rng(seed, 1)
-    times = np.array([t.timestamp for t in trades])
-    sizes = np.array([t.size for t in trades])
-    prices = np.array([t.price for t in trades])
-    cum = np.concatenate([[0.0], np.cumsum(sizes)])
-
-    quotes: list[QuoteRecord] = []
-    for i, t in enumerate(times):
-        j = int(np.searchsorted(times, t - window, side="right"))
-        vol = (cum[i + 1] - cum[j]) / window
-        if vol <= 0.0:
-            continue
-        delta = bidask_spread_model(vol, lam, rho, sigma, n, tau0)
-        spread = prices[i] * delta * (1.0 + noise_rel * rng.standard_normal())
-        if spread <= 0.0:
-            continue
-        half = 0.5 * spread
-        quotes.append(QuoteRecord(
-            timestamp=float(t), bid=float(prices[i] - half),
-            ask=float(prices[i] + half),
-        ))
-    return quotes

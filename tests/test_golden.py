@@ -8,13 +8,16 @@ documented size (5000 bars) and pins every output; it was recorded under
 stream layout 2 and may change only with a deliberate change of output
 bytes, recorded in CHANGES.md with its cause.  Random streams and the fit
 depend on numpy and scipy, so that golden holds for one environment
-(recorded with numpy 2.4 and scipy 1.17).
+(recorded with numpy 2.4 and scipy 1.17).  The ``scale`` goldens run the
+README's two ``scale`` invocations; like the pipeline golden they may
+change only deliberately, with the cause in CHANGES.md.
 """
 
 import hashlib
 import os
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from spreadwave import BarSeries
@@ -96,7 +99,7 @@ _README_DIGESTS = {
     "curve_report.json": "02c89b6d3964018e92a06c01c8bbefecbfe1e9b96ee63a007ffbf485facb55ae",
     "calibration.json": "dda1d8f5d454a95a02245850e5963331a531e8f1e17c36a5d14268da01e898d9",
     "overlay.csv": "1e573772a4b43e2862c5b38d7bc0c6c48999d09af2116c4a7c80358aec5a4667",
-    "policy.csv": "1c49be4544598c729ba8b3eeb1f6dd6609d8cb0e62091b18d0e02fc3f4b3ceeb",
+    "policy.csv": "4eabd6fc4cac0682dc77f860738c272dd8c0e0b855826bde65c8c35a044f1ee0",
     "optimize_report.json": "3d485c659895c95b77e361e07f0dd4499af29ebb3594b9e1339597b7e3beb777",
 }
 
@@ -109,3 +112,29 @@ def test_readme_pipeline_golden(tmp_path, monkeypatch):
         res = CliRunner().invoke(main, command, catch_exceptions=False)
         assert res.exit_code == 0, f"{command[0]}: {res.output}"
     assert {name: _digest(name) for name in _README_DIGESTS} == _README_DIGESTS
+
+
+_README_SCALE = {
+    "table": (["scale", "--base-spread", "2.0", "--eta", "0.8", "--lam", "1.6",
+               "--t2-max", "1e6"], {
+        "scale.csv": "2df8632ac89a8f3c75d1fc6b08465abdc6fe67e65a1b82f0f4ca74a7463fe5a2",
+        "scale_report.json": "91c6de9d12346c10e8ffc1547c915d02c4c4452b1bf993044604f4fbf984af14",
+    }),
+    "surface": (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1.0",
+                 "--sigma-tau", "0.02", "--n", "100", "--tau0", "0.01",
+                 "--v-lo", "1", "--v-hi", "100", "--t-lo", "1", "--t-hi", "10"], {
+        "surface.csv": "1be49fe6a58827f59ea3abb110acac58322b090d7875b3bc6cc3061ee674cfcd",
+        "scale_report.json": "1f2a68e88bbe9ba25347fd9f42c1ee5f14a628603cb3530ea9ee498657c086f5",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_README_SCALE))
+def test_readme_scale_golden(tmp_path, monkeypatch, case):
+    for key in [k for k in os.environ if k.startswith("SPREADWAVE_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    command, digests = _README_SCALE[case]
+    res = CliRunner().invoke(main, command, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert {name: _digest(name) for name in digests} == digests

@@ -403,6 +403,16 @@ def stderr_lines(result):
       "--t2-max", "10", "--t-steps", "0"], "t_steps"),
     (["optimize", "--a-coeff", "10", "--lambda0", "3", "--v-points", "-1"],
      "v_points"),
+    (["scale", "--base-spread", "2", "--eta", "nan", "--lam", "1.6",
+      "--t2-max", "10"], "eta_T1"),
+    (["scale", "--base-spread", "2", "--eta", "0.8", "--lam", "1.6",
+      "--t2-max", "inf"], "t2_max"),
+    (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+      "--sigma-tau", "0.02", "--n", "100", "--v-lo", "nan", "--v-hi", "100",
+      "--t-lo", "1", "--t-hi", "10"], "v_lo"),
+    (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+      "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "inf",
+      "--t-lo", "1", "--t-hi", "10"], "v_hi"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
@@ -411,6 +421,64 @@ def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
     assert not (tmp_path / "bars.csv").exists()
     assert not (tmp_path / "policy.csv").exists()
+    assert not (tmp_path / "scale.csv").exists()
+    assert not (tmp_path / "surface.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["scale", "--base-spread", "1e300", "--eta", "0.8", "--lam", "1.6",
+     "--horizon", "1e-300", "--t2-max", "1e6"],
+    ["optimize", "--a-coeff", "1e300", "--alpha", "3", "--lambda0", "3",
+     "--lambda-ref", "1e-300"],
+])
+def test_overflowing_output_exit_4_one_line(tmp_path, args):
+    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: numerical failure")
+    assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+@pytest.fixture
+def curve_csv(tmp_path):
+    from spreadwave import FlowStats
+    from spreadwave.synthetic import synthetic_spread_curve
+    flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=50.0)
+    curve = synthetic_spread_curve(flow, 3.5, 1.2, 0.01, np.geomspace(10, 1000, 8),
+                                   noise_rel=0.0, seed=0)
+    path = str(tmp_path / "input_curve.csv")
+    write_curve_csv(path, curve)
+    return path
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--n", "nan"], "n must"),
+    (["--sigma", "inf"], "sigma"),
+    (["--price", "-1"], "mean_price"),
+    (["--min-count", "-5"], "min_count"),
+])
+def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, name):
+    base = {"--n": "100", "--sigma": "0.02", "--price": "50"}
+    for key, value in zip(flags[::2], flags[1::2]):
+        base[key] = value
+    args = [x for item in base.items() for x in item]
+    res = CliRunner().invoke(main, ["calibrate", "--curve", curve_csv, *args,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def test_curve_negative_min_count_exit_3_one_line(tmp_path):
+    bars = tmp_path / "bars.csv"
+    bars.write_text("timestamp,open,high,low,close,volume\n0,1,2,0.5,1.5,3\n")
+    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), "--min-count", "-5",
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "min_count" in lines[0]
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_simulate_report_diagnostics(tmp_path):

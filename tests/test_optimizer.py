@@ -1,6 +1,9 @@
 """Execution model, P&L objective, and optimal quoting policy."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,3 +182,86 @@ def test_validation():
         PnLParams(commission_alpha=-1.0, volume_v=1.0, spread_law=law)
     with pytest.raises(DomainError):
         policy_curve([2.0, 1.0], ExecutionModel(lambda0=1.0), law, 0.0)
+
+
+# --------------------------------------------------------------------------
+# closed-form optimum against the numeric search
+# --------------------------------------------------------------------------
+
+class NumericOnly:
+    """The same law without ``optimal_lambda``: the optimizer searches numerically."""
+
+    def __init__(self, law):
+        self.lambda_ref = law.lambda_ref
+        self.delta = law.delta
+        self.ddelta_dlam = law.ddelta_dlam
+
+
+def _bar_law():
+    result = CalibrationResult(
+        lambda_hat=1.5, rho_hat=1.0, tau0_hat=1.0, residual_norm=0.0,
+        n_used=100.0, sigma_used=0.02, covariance_diag=(0.0, 0.0),
+    )
+    flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=100.0)
+    return calibrated_law(result, flow, CurveSource.BAR, lambda_ref=1.2, horizon_T=1.0)
+
+
+def _assert_closed_matches_numeric(closed_lam, closed_pnl, numeric_lam, numeric_pnl):
+    np.testing.assert_allclose(closed_lam, numeric_lam, rtol=1e-12, atol=0.0)
+    assert np.all(closed_pnl >= numeric_pnl - 1e-12 * np.abs(numeric_pnl))
+
+
+def test_closed_form_optimum_matches_numeric_path(rng):
+    for _ in range(40):
+        c, alpha, lam0 = rng.uniform(0.3, 5.0), rng.uniform(0.0, 4.0), rng.uniform(0.5, 4.0)
+        law = LinearSpreadLaw(delta_ref=lambda v, c=c: c, lambda_ref=1.0)
+        model = ExecutionModel(lambda0=lam0)
+        closed = optimize_spread(PnLParams(alpha, 1.0, law), model)
+        numeric = optimize_spread(PnLParams(alpha, 1.0, NumericOnly(law)), model)
+        _assert_closed_matches_numeric(closed.lambda_opt, closed.pnl_opt,
+                                       numeric.lambda_opt, numeric.pnl_opt)
+        assert not closed.halt and abs(closed.stationarity_residual) < 1e-12
+
+
+@pytest.mark.parametrize("law, grid, alpha", [
+    (dimensionless_law(10.0, lambda_ref=1.2), np.geomspace(0.4, 6.8, 41), 3.0),
+    (_bar_law(), np.geomspace(0.05, 50.0, 41), 0.01),
+])
+def test_closed_form_policy_matches_numeric_path(law, grid, alpha):
+    model = ExecutionModel(lambda0=3.0)
+    closed = policy_curve(grid, model, law, alpha)
+    numeric = policy_curve(grid, model, NumericOnly(law), alpha)
+    _assert_closed_matches_numeric(closed.lambda_opt, closed.pnl_opt,
+                                   numeric.lambda_opt, numeric.pnl_opt)
+    np.testing.assert_allclose(closed.pnl_naive, numeric.pnl_naive, rtol=1e-15)
+    assert np.array_equal(closed.halt, numeric.halt) and not closed.halt.any()
+    for v, lam in zip(grid[::10], closed.lambda_opt[::10]):
+        one = optimize_spread(PnLParams(alpha, float(v), law), model)
+        assert one.lambda_opt == pytest.approx(lam, rel=1e-15)
+
+
+def test_closed_form_falls_back_where_reference_is_not_positive():
+    # delta_ref <= 0 below v = 1: every quote there loses the commission
+    law = LinearSpreadLaw(delta_ref=lambda v: v - 1.0, lambda_ref=1.0)
+    grid = np.array([0.5, 1.0, 2.0, 3.0])
+    policy = policy_curve(grid, ExecutionModel(lambda0=1.0), law, commission_alpha=0.1)
+    assert policy.failures == ()
+    assert policy.halt.tolist() == [True, True, False, False]
+    expected = [optimize_spread(PnLParams(0.1, float(v), NumericOnly(law)),
+                                ExecutionModel(lambda0=1.0)).lambda_opt for v in grid[:2]]
+    assert policy.lambda_opt[:2].tolist() == expected
+
+
+def test_linear_policy_does_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from spreadwave import ExecutionModel, dimensionless_law, policy_curve\n"
+        "policy_curve(np.geomspace(0.4, 6.8, 41), ExecutionModel(lambda0=3.0),\n"
+        "             dimensionless_law(10.0, 1.2), 3.0)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

@@ -137,3 +137,73 @@ def test_surface_params_with_tables():
     assert p.lambda_at(3.0, 7.0) == 2.5
     q = surface_params()
     assert q.lambda_at(3.0, 7.0) == q.lambda_risk
+
+
+# --------------------------------------------------------------------------
+# the surface is one broadcast of the scalar law
+# --------------------------------------------------------------------------
+
+def _random_table(rng, values=None):
+    return PiecewiseConstantTable(
+        np.geomspace(1.0, 10.0, 6), np.geomspace(1.0, 100.0, 11),
+        rng.uniform(0.5, 2.0, (5, 10)) if values is None else values)
+
+
+def _assert_surface_is_scalar_law(p, s=100.0, n=40):
+    v_grid = np.geomspace(1.0, 100.0, n)
+    t_grid = np.geomspace(1.0, 10.0, n)
+    surf = spread_surface(p, s, v_grid, t_grid)
+    cells = [[bar_spread_with_volume(p, s, float(v), float(t)) for v in v_grid]
+             for t in t_grid]
+    assert np.array_equal(surf, np.array(cells))
+
+
+def test_surface_equals_scalar_law_bit_for_bit(rng):
+    _assert_surface_is_scalar_law(surface_params())
+    _assert_surface_is_scalar_law(surface_params(
+        lambda_table=_random_table(rng), rho_table=_random_table(rng)))
+    # with this rho, C pow(q, 2) and the array square of
+    # q = rho * pi * tau0 / n round differently on glibc
+    _assert_surface_is_scalar_law(surface_params(
+        rho_table=_random_table(rng, np.full((5, 10), 1.9863151335765936))))
+
+
+def test_table_lookup_on_arrays_equals_per_point(rng):
+    table = _random_table(rng)
+    T = rng.uniform(0.1, 20.0, 50)[:, None]
+    V = rng.uniform(0.1, 200.0, 30)[None, :]
+    looked_up = table.value(T, V)
+    assert looked_up.shape == (50, 30)
+    assert looked_up.tolist() == [[table.value(float(t), float(v)) for v in V[0]]
+                                  for t in T[:, 0]]
+
+
+def test_bar_law_rejects_non_finite_arguments():
+    p = surface_params()
+    for V, T in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            bar_spread_with_volume(p, 1.0, V, T)
+    with pytest.raises(DomainError):
+        spread_surface(p, 1.0, np.array([1.0, np.nan]), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        spread_surface(p, 1.0, np.array([1.0, 2.0]), np.array([0.0, 2.0]))
+
+
+def test_horizon_scaling_rejects_non_finite_arguments():
+    for args in ((2.0, math.nan, 1.6, 1.0, 2.0), (2.0, 0.8, 1.6, 1.0, math.inf),
+                 (math.inf, 0.8, 1.6, 1.0, 2.0), (2.0, 0.8, math.nan, 1.0, 2.0)):
+        with pytest.raises(DomainError):
+            scale_spread_time(*args)
+    for args in ((math.nan, 1.0, 2.0), (2.0, 1.0, math.inf), (2.0, math.nan, 2.0)):
+        with pytest.raises(DomainError):
+            classical_scale(*args)
+
+
+def test_bar_law_uses_table_multipliers():
+    def flat(value):
+        return PiecewiseConstantTable([0.0, 1e9], [0.0, 1e9], [[value]])
+    tabled = surface_params(lambda_table=flat(2.5), rho_table=flat(0.7))
+    plain = surface_params(lambda_risk=2.5, rho_risk=0.7)
+    v_grid, t_grid = np.geomspace(1.0, 1e3, 7), np.geomspace(1.0, 50.0, 5)
+    assert np.array_equal(spread_surface(tabled, 3.0, v_grid, t_grid),
+                          spread_surface(plain, 3.0, v_grid, t_grid))

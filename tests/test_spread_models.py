@@ -21,6 +21,7 @@ from spreadwave import (
     straddle_spread,
     transaction_time,
 )
+from spreadwave.spread_models import _MIN_SPREAD_TIE_TOL
 
 positive = st.floats(min_value=1e-3, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
@@ -160,3 +161,53 @@ def test_params_validation():
         make_params(sigma=0.0)
     with pytest.raises(DomainError):
         make_params(tau0=0.0)
+
+
+# --------------------------------------------------------------------------
+# array kernels and the closed-form inverse
+# --------------------------------------------------------------------------
+
+def test_scalar_laws_are_the_array_kernels():
+    from spreadwave import bidask_spread_model
+    p = make_params()
+    V = np.geomspace(1.0, 1e4, 9)
+    kernel = p.price_s * bidask_spread_model(V, p.lambda_risk, p.rho_risk, p.sigma,
+                                             p.avg_trade_size_n, p.tau0)
+    assert np.array_equal(general_spread(p, V), kernel)
+    assert [general_spread(p, float(x)) for x in V] == kernel.tolist()
+    v = np.geomspace(0.01, 100.0, 9)
+    assert np.array_equal(general_spread_dimensionless(3.0, v), np.sqrt(3.0 / v + v * v))
+    assert [general_spread_dimensionless(3.0, float(x)) for x in v] \
+        == general_spread_dimensionless(3.0, v).tolist()
+    with pytest.raises(DomainError):
+        general_spread_dimensionless(3.0, np.array([1.0, np.nan]))
+
+
+def _inverse_residuals(a, delta):
+    v_lo, v_hi = inverse_spread_volumes(a, delta)
+    return [abs(math.sqrt(a / v + v * v) - delta) for v in (v_lo, v_hi)], v_lo, v_hi
+
+
+def test_inverse_small_left_root():
+    # A bracketing search with an absolute tolerance missed this root.
+    residuals, v_lo, _ = _inverse_residuals(1e-6, 1000.0)
+    assert max(residuals) <= 1e-14 * 1000.0
+    assert v_lo == pytest.approx(1e-12, rel=1e-9)
+    # delta^3 and v_high^2 overflow here, the roots do not
+    residuals, v_lo, v_hi = _inverse_residuals(1e200, 1e150)
+    assert max(residuals) <= 1e-14 * 1e150
+    assert v_lo == pytest.approx(1e-100, rel=1e-12)
+
+
+def test_inverse_residual_over_wide_range(rng):
+    for _ in range(3000):
+        a = 10.0 ** rng.uniform(-8.0, 8.0)
+        m = spread_minimum(a)
+        delta = m.delta_min * (1.0 + 10.0 ** rng.uniform(-9.0, 5.0))
+        residuals, v_lo, v_hi = _inverse_residuals(a, delta)
+        if delta <= m.delta_min + _MIN_SPREAD_TIE_TOL:
+            # inside the tie tolerance the double root is returned
+            assert v_lo == v_hi == m.v_min
+            continue
+        assert max(residuals) <= 1e-14 * delta, (a, delta)
+        assert v_lo <= m.v_min <= v_hi
