@@ -3,9 +3,11 @@
 The workflow mirrors how the curves are measured in practice: pair each
 spread observation with a concurrent volume, split the scatter into volume
 buckets, take a high quantile of the spread per bucket, then fit the
-closed-form law to the bucketed curve by weighted least squares.  Flow
-statistics (average trade size, volume rate, volatility) come straight from
-the trade tape.
+closed-form law to the bucketed curve by weighted least squares: a closed-
+form two-column non-negative least-squares start on the squared spreads,
+refined by a Levenberg-Marquardt iteration in numpy.  Flow statistics
+(average trade size, volume rate, volatility) come straight from the trade
+tape.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ _DEFAULT_BUCKETS = 25
 _DEFAULT_QUANTILE = 0.90
 _DEFAULT_MIN_COUNT = 20
 _MAX_FIT_EVALS = 500
+_FIT_TOL = 1e-12               # relative tolerance on the cost and the step
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 # --------------------------------------------------------------------------
@@ -334,44 +339,97 @@ def _usable_curve_arrays(curve: SpreadVolumeCurve) -> tuple[np.ndarray, np.ndarr
     return v, y, w
 
 
+def _nnls2(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||m x - b|| over x >= 0 for a two-column ``m``, in closed form.
+
+    The solution is the unconstrained least-squares solution on one of the
+    four supports {}, {0}, {1}, {0, 1}: the best of those that are feasible.
+    """
+    g, c = m.T @ m, m.T @ b
+    candidates = [np.zeros(2)]
+    for j in (0, 1):
+        if g[j, j] > 0.0:
+            x = np.zeros(2)
+            x[j] = max(c[j] / g[j, j], 0.0)
+            candidates.append(x)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if det > 0.0:
+        x = np.array([g[1, 1] * c[0] - g[0, 1] * c[1],
+                      g[0, 0] * c[1] - g[1, 0] * c[0]]) / det
+        if np.all(x >= 0.0):
+            candidates.append(x)
+    return min(candidates, key=lambda x: float(np.sum((m @ x - b) ** 2)))
+
+
 def _run_spread_fit(
     v: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    model,                      # model(V, lam, rho) -> spread (same units as y)
-    basis,                      # basis(V) -> columns for lam^2, rho^2 init
+    model,                      # model(V, lam, x) -> spread (same units as y)
     flow: FlowStats,
     tau0: float,
     strict_product: bool,
 ) -> CalibrationResult:
-    # Imported on use: scipy.optimize is most of the package's import time.
-    from scipy.optimize import least_squares, nnls
+    """Weighted least squares of ``model`` on (lam, x) >= 0.
 
-    a_cols = basis(v)
-    a_weighted = a_cols * w[:, None]
-    init_sq, _ = nnls(a_weighted, (y * y) * w)
-    x0 = np.sqrt(np.maximum(init_sq, 1e-16))
+    Both laws have the form f = sqrt(lam^2 A(V) + x^2 B(V)), with
+    A = model(V, 1, 0)^2 and B = model(V, 0, 1)^2.  The start value is the
+    non-negative least-squares fit of (lam^2, x^2) to y^2; a Levenberg-
+    Marquardt iteration (More, 1978) refines it with the analytic Jacobian
+    (lam A, x B) / f.  f is even in each parameter, so |x| projects a step
+    onto the bounds without changing the objective.
+    """
+    basis = np.column_stack([model(v, 1.0, 0.0), model(v, 0.0, 1.0)]) ** 2
+    x = np.sqrt(np.maximum(_nnls2(basis * w[:, None], (y * y) * w), 1e-16))
 
-    def residuals(x):
-        return w * (model(v, x[0], x[1]) - y)
+    def evaluate(p):
+        f = model(v, p[0], p[1])
+        return f, w * (f - y)
 
-    result = least_squares(
-        residuals, x0, bounds=([0.0, 0.0], [np.inf, np.inf]),
-        method="trf", xtol=1e-12, ftol=1e-12, gtol=1e-12,
-        max_nfev=_MAX_FIT_EVALS,
-    )
-    lam_hat, rho_like = float(result.x[0]), float(result.x[1])
-    res_norm = float(np.linalg.norm(result.fun))
+    def jacobian(p, f):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac = (w / f)[:, None] * (basis * p)
+        return np.where(np.isfinite(jac), jac, 0.0)
 
+    f, res = evaluate(x)
+    cost = float(res @ res)
+    nfev, nu, mu = 1, 2.0, 1e-3
+    converged = cost == 0.0
+    while not converged and nfev < _MAX_FIT_EVALS and math.isfinite(cost):
+        jac = jacobian(x, f)
+        grad, hess = jac.T @ res, jac.T @ jac
+        # Marquardt's scaling; a dead column (e.g. sigma = 0) keeps a floor.
+        scale = np.maximum(np.diag(hess), _EPS * max(hess[0, 0], hess[1, 1], _TINY))
+        step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
+        x_new = np.abs(x + step)
+        f_new, res_new = evaluate(x_new)
+        nfev += 1
+        cost_new = float(res_new @ res_new)
+        # cost - |res + jac step|^2 for the damped step, without cancellation.
+        predicted = float(step @ (mu * scale * step - grad))
+        gain = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+        small_step = np.linalg.norm(step) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(x))
+        if gain > 0.0:
+            converged = (cost - cost_new <= _FIT_TOL * cost and gain > 0.25) or small_step
+            x, f, res, cost = x_new, f_new, res_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            converged = small_step
+            mu *= nu
+            nu *= 2.0
+
+    lam_hat, rho_like = float(x[0]), float(x[1])
+    res_norm = math.sqrt(cost)
     dof = max(len(v) - 2, 1)
-    res_var = float(np.sum(result.fun ** 2)) / dof
-    jtj = result.jac.T @ result.jac
-    cov = res_var * np.linalg.pinv(jtj)
+    jac = jacobian(x, f)
+    cov = cost / dof * np.linalg.pinv(jac.T @ jac)
     cov_diag = (float(cov[0, 0]), float(cov[1, 1]))
 
-    if not result.success:
+    if not converged:
+        why = "" if math.isfinite(cost) else " (non-finite residuals)"
         raise FitConvergenceError(
-            f"spread fit did not converge: {result.message}",
+            f"spread fit did not converge in {nfev} evaluations{why}",
             best_so_far=CalibrationResult(
                 lambda_hat=lam_hat, rho_hat=rho_like, tau0_hat=tau0,
                 residual_norm=res_norm, n_used=flow.n, sigma_used=flow.sigma,
@@ -413,13 +471,7 @@ def fit_bid_ask_curve(
     def model(V, lam, x):  # x is rho, or the product rho * tau0 when strict
         return s * bidask_spread_model(V, lam, x, flow.sigma, flow.n, scale)
 
-    def basis(V):
-        return np.column_stack([
-            s * s * flow.sigma ** 2 * flow.n / V,
-            s * s * 2.0 * (math.pi * scale / flow.n) ** 2 * V * V,
-        ])
-
-    return _run_spread_fit(v, y, w, model, basis, flow, tau0, strict_product)
+    return _run_spread_fit(v, y, w, model, flow, tau0, strict_product)
 
 
 def fit_bar_curve(
@@ -446,16 +498,7 @@ def fit_bar_curve(
         def model(V, lam, rho):
             return s * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, horizon_T)
 
-    def basis(V):
-        scale = tau0 if not strict_product else 1.0
-        pi_scale = math.pi * scale
-        return np.column_stack([
-            np.full_like(V, s * s * flow.sigma ** 2),
-            s * s * ((pi_scale / flow.n) ** 2 * V * V
-                     + pi_scale ** 2 * horizon_T * V ** 3 / flow.n ** 3),
-        ])
-
-    return _run_spread_fit(v, y, w, model, basis, flow, tau0, strict_product)
+    return _run_spread_fit(v, y, w, model, flow, tau0, strict_product)
 
 
 def fit_execution_scale(spreads) -> float:

@@ -21,7 +21,6 @@ from typing import Callable
 
 import click
 import numpy as np
-import yaml
 
 from . import __version__
 from .calibration import (
@@ -195,6 +194,8 @@ def _coerce(key: str, value, typ: type):
 
 
 def _load_config_file(path: str) -> dict:
+    import yaml  # imported on use: only a --config file needs it
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith((".yaml", ".yml")):
@@ -282,7 +283,7 @@ def _out_path(resolved: dict, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _run_body(body: Callable[[], None]) -> None:
+def _run_body(command: str, body: Callable[[], None]) -> None:
     # Floating-point warnings stay off stderr: an overflow that reaches an
     # output is refused by ``_require_finite`` with one error line instead.
     # A warnings filter rather than np.errstate: errstate raised simulate's
@@ -300,6 +301,11 @@ def _run_body(body: Callable[[], None]) -> None:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_IO)
+    except OverflowError:
+        # Python-float arithmetic on an extreme parameter (e.g. x ** 2).
+        click.echo(f"error: numerical failure: {command}: a parameter overflowed "
+                   "double precision", err=True)
+        raise SystemExit(EXIT_NUMERICAL)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         click.echo(f"error: numerical failure: {exc}", err=True)
         raise SystemExit(EXIT_NUMERICAL)
@@ -400,7 +406,7 @@ def cmd_simulate(config_path, **kwargs) -> None:
         write_json_report(_out_path(cfg, "simulate_report.json"), report)
         click.echo(f"wrote {bars_path} ({len(series)} bars)")
 
-    _run_body(body)
+    _run_body("simulate", body)
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def cmd_curve(config_path, **kwargs) -> None:
         write_json_report(_out_path(cfg, "curve_report.json"), report)
         click.echo(f"wrote {curve_path} ({len(curve.usable())} usable buckets)")
 
-    _run_body(body)
+    _run_body("curve", body)
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +569,7 @@ def cmd_calibrate(config_path, curve_path, **kwargs) -> None:
             f"residual={result.residual_norm:.6g}"
         )
 
-    _run_body(body)
+    _run_body("calibrate", body)
 
 
 # --------------------------------------------------------------------------
@@ -623,7 +629,9 @@ def cmd_scale(config_path, **kwargs) -> None:
             t1 = cfg["horizon"]
             check_finite("horizon", t1, above=0.0)
             check_finite("t2_max", cfg["t2_max"], at_least=t1)
-            t_grid = np.geomspace(t1, cfg["t2_max"], cfg["t_steps"])
+            # geomspace can round interior points an ulp outside [t1, t2_max].
+            t_grid = np.clip(np.geomspace(t1, cfg["t2_max"], cfg["t_steps"]),
+                             t1, cfg["t2_max"])
             rows = [
                 (
                     float(t2),
@@ -649,7 +657,7 @@ def cmd_scale(config_path, **kwargs) -> None:
         write_json_report(_out_path(cfg, "scale_report.json"), report)
         click.echo(f"wrote {out_path}")
 
-    _run_body(body)
+    _run_body("scale", body)
 
 
 # --------------------------------------------------------------------------
@@ -700,34 +708,38 @@ def cmd_optimize(config_path, **kwargs) -> None:
             rep = read_json_report(cfg["calibration"])
             try:
                 res = rep["result"]
-                flow_rep = rep["flow"]
-                result = CalibrationResult(
-                    lambda_hat=float(res["lambda_hat"]),
-                    rho_hat=float(res["rho_hat"]),
-                    tau0_hat=float(res["tau0_hat"]),
-                    residual_norm=float(res["residual_norm"]),
-                    n_used=float(flow_rep["n"]),
-                    sigma_used=float(flow_rep["sigma"]),
-                    covariance_diag=(0.0, 0.0),
-                )
-                flow = FlowStats(n=float(flow_rep["n"]), V=float(flow_rep["volume"]),
-                                 sigma=float(flow_rep["sigma"]),
-                                 mean_price=float(flow_rep["price"]))
+                fit = {key: float(res[key]) for key in
+                       ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")}
+                measured = {key: float(rep["flow"][key])
+                            for key in ("n", "volume", "sigma", "price")}
                 kind = rep["kind"]
-                v_range = rep["v_range"]
+                v_range = {key: float(rep["v_range"][key]) for key in ("lo", "hi")}
+                horizon = rep.get("horizon")
+                horizon = None if horizon is None else float(horizon)
             except KeyError as exc:
                 raise InputFormatError(
                     f"{cfg['calibration']}: missing key {exc} "
                     "(not a calibration report?)"
                 ) from exc
+            except (TypeError, ValueError) as exc:
+                raise InputFormatError(
+                    f"{cfg['calibration']}: a field is not a number: {exc}"
+                ) from exc
+            flow = FlowStats(n=measured["n"], V=measured["volume"],
+                             sigma=measured["sigma"], mean_price=measured["price"])
+            result = CalibrationResult(**fit, n_used=flow.n, sigma_used=flow.sigma,
+                                       covariance_diag=(0.0, 0.0))
+            check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
+            check_finite("rho_hat", result.rho_hat, at_least=0.0)
+            check_finite("tau0_hat", result.tau0_hat, above=0.0)
             source = CurveSource.BAR if kind == "bar" else CurveSource.BID_ASK
-            horizon = rep.get("horizon")
-            if source is CurveSource.BAR and horizon is None:
-                horizon = cfg["horizon"]
+            if source is CurveSource.BAR:
+                horizon = cfg["horizon"] if horizon is None else horizon
+                check_finite("horizon", horizon, above=0.0)
             law = calibrated_law(result, flow, source, lambda_ref,
                                  horizon_T=horizon)
-            v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else float(v_range["lo"])
-            v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else float(v_range["hi"])
+            v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_range["lo"]
+            v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else v_range["hi"]
 
         check_finite("v_lo", v_lo, above=0.0)
         check_finite("v_hi", v_hi, above=v_lo)
@@ -759,7 +771,7 @@ def cmd_optimize(config_path, **kwargs) -> None:
         write_json_report(_out_path(cfg, "optimize_report.json"), report)
         click.echo(f"wrote {policy_path} ({len(grid)} volume points)")
 
-    _run_body(body)
+    _run_body("optimize", body)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ is the round-trip commission in spread units).  The optimum balances wider
 margins against lost turnover; when no spread level earns more than the
 commission, quoting should halt.  For the linear family the optimum has a
 closed form (as under the exponential fill law of Avellaneda & Stoikov,
-2008); other laws are optimized numerically.
+2008); other laws are optimized numerically, every volume point at once: a
+lambda grid, then a bisection on the stationarity condition or a bounded
+golden-section search, all in numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ DEFAULT_LAMBDA_REF_FRACTION = 0.4
 
 _GRID_POINTS = 4001
 _GRID_SPAN = (1e-6, 50.0)       # in units of lambda0
+_BLOCK_POINTS = 32              # volume points per grid block: ~1 MB per float array
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps that shrink a two-cell grid bracket to about one ulp.
+_GOLDEN_STEPS = math.ceil(
+    math.log(((_GRID_SPAN[1] / _GRID_SPAN[0]) ** (2.0 / (_GRID_POINTS - 1)) - 1.0)
+             / np.finfo(float).eps) / -math.log(_INV_PHI))
 
 
 @dataclass(frozen=True)
@@ -176,12 +184,12 @@ def spread_pnl(params: PnLParams, model: ExecutionModel, lam: float) -> float:
     return 0.5 * r * params.volume_v * (delta - params.commission_alpha)
 
 
-def _ddelta(law: LinearSpreadLaw, lam: float, v: float) -> float:
+def _ddelta(law: LinearSpreadLaw, lam, v):
     fn = getattr(law, "ddelta_dlam", None)
     if fn is not None:
-        return float(fn(lam, v))
-    step = 1e-6 * max(lam, 1.0)
-    return float((law.delta(lam + step, v) - law.delta(lam - step, v)) / (2.0 * step))
+        return fn(lam, v)
+    step = 1e-6 * np.maximum(lam, 1.0)
+    return (law.delta(lam + step, v) - law.delta(lam - step, v)) / (2.0 * step)
 
 
 def stationarity_residual(
@@ -194,49 +202,92 @@ def stationarity_residual(
     delta - alpha - delta'(lam) * lambda0^2 / (2 lam).
     """
     delta = float(params.spread_law.delta(lam, params.volume_v))
-    dd = _ddelta(params.spread_law, lam, params.volume_v)
+    dd = float(_ddelta(params.spread_law, lam, params.volume_v))
     return delta - params.commission_alpha \
         - dd * model.lambda0 ** 2 / (2.0 * lam)
 
 
-def _numeric_optimum(params: PnLParams, model: ExecutionModel) -> float:
-    """Grid maximum refined by a root-finder on the stationarity condition,
-    or by a bounded minimization when the maximum sits on a grid corner."""
-    # Imported on use: scipy.optimize is most of the package's import time.
-    from scipy.optimize import brentq, minimize_scalar
+def _bisect(fn, lo, hi, v):
+    """Root of fn(., v) in each [lo, hi] with fn(lo) > 0 > fn(hi), to the
+    bracket's ulp (until lo and hi are adjacent floats)."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if live.size == 0:
+            return mid
+        rising = fn(mid[live], v[live]) > 0.0
+        lo[live[rising]] = mid[live[rising]]
+        hi[live[~rising]] = mid[live[~rising]]
 
-    v = params.volume_v
-    alpha = params.commission_alpha
-    law = params.spread_law
-    lam0 = model.lambda0
+
+def _golden_max(fn, lo, hi, v):
+    """Golden-section maximum of fn(., v) on each [lo, hi]: the best probe."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = fn(x1, v), fn(x2, v)
+    for _ in range(_GOLDEN_STEPS):
+        left = f1 >= f2             # the maximum lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        f_probe = fn(probe, v)
+        x1, x2 = np.where(left, probe, x2), np.where(left, x1, probe)
+        f1, f2 = np.where(left, f_probe, f2), np.where(left, f1, f_probe)
+    return np.where(f1 >= f2, x1, x2)
+
+
+def _numeric_optimum(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarray:
+    """P&L-maximizing control level at every volume in ``v``, numerically.
+
+    A geometric lambda grid locates each maximum.  Where the P&L slope
+    changes sign across the two cells around it, a bisection on the
+    stationarity condition refines it; elsewhere (a maximum on a grid
+    corner, or no sign change) a golden-section search over those cells
+    does, and the grid point is kept if refinement lost.  The grid is
+    evaluated in blocks of points so the working set stays near 1 MB.
+    """
+    def pnl(lam, vv):
+        return 0.5 * np.exp(-((lam / lam0) ** 2)) * vv * (law.delta(lam, vv) - alpha)
+
+    def slope(lam, vv):
+        # d(P/L)/dlam up to the positive factor 0.5 * v * r(lam).
+        return _ddelta(law, lam, vv) - 2.0 * lam / lam0 ** 2 * (law.delta(lam, vv) - alpha)
 
     lams = lam0 * np.geomspace(_GRID_SPAN[0], _GRID_SPAN[1], _GRID_POINTS)
-    deltas = np.asarray(law.delta(lams, v), dtype=float)
     rates = np.exp(-((lams / lam0) ** 2))
-    pnls = 0.5 * rates * v * (deltas - alpha)
-    k = int(np.argmax(pnls))
+    k = np.empty(v.size, dtype=np.intp)
+    for start in range(0, v.size, _BLOCK_POINTS):
+        rows = slice(start, start + _BLOCK_POINTS)
+        # The P&L up to the positive factor 0.5 * v; one lambda row serves
+        # the block, so a law separable in (lambda, v) works per row, not cell.
+        score = law.delta(lams[None, :], v[rows, None]) - alpha
+        score *= rates
+        k[rows] = np.argmax(score, axis=1)
 
-    def neg_pnl(lam: float) -> float:
-        return -spread_pnl(params, model, lam)
+    lam = lams[k]
+    lo = lams[np.maximum(k - 1, 0)]
+    hi = lams[np.minimum(k + 1, lams.size - 1)]
+    root = np.flatnonzero((0 < k) & (k < lams.size - 1))
+    root = root[(slope(lo[root], v[root]) > 0.0) & (slope(hi[root], v[root]) < 0.0)]
+    rest = np.setdiff1d(np.arange(v.size), root)
+    if root.size:
+        lam[root] = _bisect(slope, lo[root], hi[root], v[root])
+    if rest.size:
+        refined = _golden_max(pnl, lo[rest], hi[rest], v[rest])
+        lost = pnl(refined, v[rest]) < pnl(lam[rest], v[rest])
+        lam[rest] = np.where(lost, lam[rest], refined)
+    return lam
 
-    def dpnl(lam: float) -> float:
-        # d(P/L)/dlam up to the positive factor 0.5 * v * r(lam).
-        delta = float(law.delta(lam, v))
-        dd = _ddelta(law, lam, v)
-        return dd - 2.0 * lam / lam0 ** 2 * (delta - alpha)
 
-    if 0 < k < len(lams) - 1:
-        g_lo, g_hi = dpnl(lams[k - 1]), dpnl(lams[k + 1])
-        if g_lo > 0.0 > g_hi:
-            return float(brentq(dpnl, lams[k - 1], lams[k + 1],
-                                xtol=1e-15, rtol=8.9e-16))
-    lo = lams[max(k - 1, 0)]
-    hi = lams[min(k + 1, len(lams) - 1)]
-    res = minimize_scalar(neg_pnl, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    if -res.fun < pnls[k]:  # keep the grid point if refinement lost
-        return float(lams[k])
-    return float(res.x)
+def _optimal_lambdas(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarray:
+    """Closed form where the law has ``optimal_lambda`` and it is finite,
+    numeric search at every other volume."""
+    optimal = getattr(law, "optimal_lambda", None)
+    lam = np.full(v.size, np.nan) if optimal is None \
+        else np.array(optimal(v, alpha, lam0), dtype=float)
+    pending = ~np.isfinite(lam)
+    if pending.any():
+        lam[pending] = _numeric_optimum(law, v[pending], alpha, lam0)
+    return lam
 
 
 def optimize_spread(
@@ -246,12 +297,8 @@ def optimize_spread(
     law with ``optimal_lambda`` (the linear family), else a numeric search."""
     law = params.spread_law
     v = params.volume_v
-    optimal = getattr(law, "optimal_lambda", None)
-    lam_opt = math.nan if optimal is None \
-        else float(optimal(v, params.commission_alpha, model.lambda0))
-    if not math.isfinite(lam_opt):
-        lam_opt = _numeric_optimum(params, model)
-
+    lam_opt = float(_optimal_lambdas(law, np.array([v]), params.commission_alpha,
+                                     model.lambda0)[0])
     pnl_opt = spread_pnl(params, model, lam_opt)
     return OptimizeResult(
         lambda_opt=lam_opt,
@@ -276,60 +323,28 @@ def policy_curve(
     column comes from one array pass; with delta_ref(v) > 0,
     c lam* - alpha = (sqrt(alpha^2 + 2 c^2 lambda0^2) - alpha) / 2 > 0, so
     those points do not halt (unless the fill rate underflows to 0).  Other
-    laws, and points with delta_ref(v) <= 0, go through ``optimize_spread``;
-    its failures leave NaN rows, listed in ``failures``.
+    laws, and points with delta_ref(v) <= 0, go through one numeric search
+    over all of them; a point where no grid level has a finite P&L is left
+    as a NaN row that halts, listed in ``failures``.
     """
     v_arr = np.asarray(list(volume_grid), dtype=float)
     if v_arr.size == 0:
         raise DomainError("volume grid must be non-empty")
     if np.any(np.diff(v_arr) <= 0.0):
         raise DomainError("volume grid must be strictly ascending")
+    check_finite("volume_v", v_arr, above=0.0)
+    check_finite("commission_alpha", commission_alpha, at_least=0.0)
 
-    n = v_arr.size
-    out = QuotePolicy(
-        v=v_arr,
-        lambda_opt=np.full(n, np.nan),
-        spread_opt=np.full(n, np.nan),
-        exec_rate=np.full(n, np.nan),
-        pnl_opt=np.full(n, np.nan),
-        pnl_naive=np.full(n, np.nan),
-        halt=np.zeros(n, dtype=bool),
+    lam = _optimal_lambdas(law, v_arr, commission_alpha, model.lambda0)
+    with np.errstate(over="ignore"):  # a fill rate of exactly 0 is right
+        rate = np.exp(-(lam / model.lambda0) ** 2)
+    spread = law.delta(lam, v_arr)
+    pnl = 0.5 * rate * v_arr * (spread - commission_alpha)
+    pnl_naive = 0.5 * execution_rate(model, law.lambda_ref) * v_arr \
+        * (law.delta(law.lambda_ref, v_arr) - commission_alpha)
+    failed = ~np.isfinite(lam)
+    return QuotePolicy(
+        v=v_arr, lambda_opt=lam, spread_opt=spread, exec_rate=rate, pnl_opt=pnl,
+        pnl_naive=pnl_naive, halt=(pnl <= 0.0) | failed,
+        failures=tuple(np.flatnonzero(failed).tolist()),
     )
-    lam_ref = law.lambda_ref
-    pending = np.arange(n)
-    optimal = getattr(law, "optimal_lambda", None)
-    if optimal is not None:
-        lam = optimal(v_arr, commission_alpha, model.lambda0)
-        closed = np.isfinite(lam)
-        v, lam = v_arr[closed], lam[closed]
-        with np.errstate(over="ignore"):  # a fill rate of exactly 0 is right
-            rate = np.exp(-(lam / model.lambda0) ** 2)
-        spread = law.delta(lam, v)
-        pnl = 0.5 * rate * v * (spread - commission_alpha)
-        out.lambda_opt[closed] = lam
-        out.spread_opt[closed] = spread
-        out.exec_rate[closed] = rate
-        out.pnl_opt[closed] = pnl
-        out.pnl_naive[closed] = 0.5 * execution_rate(model, lam_ref) * v \
-            * (law.delta(lam_ref, v) - commission_alpha)
-        out.halt[closed] = pnl <= 0.0
-        pending = np.flatnonzero(~closed)
-
-    failures: list[int] = []
-    for i in pending:
-        params = PnLParams(commission_alpha=commission_alpha,
-                           volume_v=float(v_arr[i]), spread_law=law)
-        out.pnl_naive[i] = spread_pnl(params, model, lam_ref)
-        try:
-            res = optimize_spread(params, model)
-        except (DomainError, ValueError):  # pragma: no cover - defensive
-            failures.append(int(i))
-            out.halt[i] = True
-            continue
-        out.lambda_opt[i] = res.lambda_opt
-        out.spread_opt[i] = res.spread_opt
-        out.exec_rate[i] = res.exec_rate
-        out.pnl_opt[i] = res.pnl_opt
-        out.halt[i] = res.halt
-    out.failures = tuple(failures)
-    return out

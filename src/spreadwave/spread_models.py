@@ -27,8 +27,9 @@ from .errors import NoSolutionError, check_finite
 # Implied risk-aversion multiplier of the straddle-replication argument.
 STRADDLE_LAMBDA = math.sqrt(8.0 / math.pi)
 
-# Tolerance below which an inverse query at the minimum returns the double root.
-_MIN_SPREAD_TIE_TOL = 1e-9
+# Relative distance from the minimum within which an inverse query returns
+# the double root (delta_min scales as a^(1/3), so the band must too).
+_MIN_SPREAD_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
         delta: Target dimensionless spread level.
 
     Returns:
-        (v_low, v_high) with v_low <= v_min <= v_high.
+        (v_low, v_high) with v_low <= v_min <= v_high; (v_min, v_min) for a
+        level within a relative 1e-9 of the minimum.
 
     Raises:
         NoSolutionError: If delta is below the curve minimum.
@@ -223,11 +225,12 @@ def inverse_spread_volumes(a: float, delta: float) -> tuple[float, float]:
     check_finite("a", a, above=0.0)
     check_finite("delta", delta, above=0.0)
     minimum = spread_minimum(a)
-    if delta < minimum.delta_min - _MIN_SPREAD_TIE_TOL:
+    tie = _MIN_SPREAD_TIE_RTOL * minimum.delta_min
+    if delta < minimum.delta_min - tie:
         raise NoSolutionError(
             f"spread {delta!r} is below the minimum {minimum.delta_min!r}"
         )
-    if delta <= minimum.delta_min + _MIN_SPREAD_TIE_TOL:
+    if delta <= minimum.delta_min + tie:
         return (minimum.v_min, minimum.v_min)
 
     # Written so that no intermediate overflows where the roots do not.

@@ -1,15 +1,18 @@
 """Flow statistics, percentile curves, and spread-law fitting."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from spreadwave import (
     BarColumns,
     BucketSpec,
     CurveSource,
     DomainError,
+    FitConvergenceError,
     FlowStats,
     InsufficientDataError,
     QuoteRecord,
@@ -25,6 +28,9 @@ from spreadwave import (
     measure_flow_stats,
     quotes_to_samples,
 )
+from spreadwave import calibration
+from spreadwave.cli import main
+from spreadwave.data_io import read_curve, read_json_report, write_curve_csv
 from spreadwave.synthetic import synthetic_spread_curve, synthetic_trades
 
 
@@ -256,3 +262,115 @@ def test_execution_scale_validation():
         fit_execution_scale(np.ones(10))
     with pytest.raises(DomainError):
         fit_execution_scale(np.concatenate([np.ones(150), [-1.0]]))
+
+
+# --------------------------------------------------------------------------
+# the Levenberg-Marquardt fit: oracle and failure path
+# --------------------------------------------------------------------------
+
+def _weighted_sse(curve, spread):
+    usable = [b for b in curve.usable() if math.isfinite(b.spread_q)]
+    v = np.array([b.v_mid for b in usable])
+    y = np.array([b.spread_q for b in usable])
+    w = np.sqrt(np.array([b.count for b in usable], dtype=float))
+    return float(np.sum((w * (spread(v) - y)) ** 2))
+
+
+@pytest.fixture(scope="module")
+def readme_curve(tmp_path_factory):
+    """The README pipeline's curve (5000 simulated bars)."""
+    out = str(tmp_path_factory.mktemp("readme"))
+    for args in (["simulate", "--steps", "5000", "--seed", "42", "--sigma-step", "0.0002",
+                  "--xi-std", "0.05", "--kappa-std", "0.05", "--s0", "100"],
+                 ["curve", "--bars", os.path.join(out, "bars.csv"), "--quantile", "0.9"]):
+        assert CliRunner().invoke(main, [*args, "--out", out]).exit_code == 0
+    return read_curve(os.path.join(out, "curve.csv"), quantile_level=0.9,
+                      source=CurveSource.BAR, min_count=20)
+
+
+# name: (synthetic curve noise and seed, or None for the README curve; bar
+# horizon T, or None for the bid-ask law; tau0; (lambda_hat, rho_hat) that
+# the scipy least_squares fit this one replaced found).
+_SCIPY_FITS = {
+    "bidask": ((0.0, 0), None, 0.01, (3.5, 1.2000000000000002)),
+    "bidask_tau0_0.02": ((0.0, 0), None, 0.02, (3.5, 0.6000000000000001)),
+    "bar": ((0.0, 0), 2.0, 0.01, (3.4999999999999996, 1.2)),
+    "bidask_noisy": ((0.05, 3), None, 0.01, (3.4687414774503282, 1.212859976081089)),
+    "bar_noisy": ((0.05, 4), 2.0, 0.01, (3.4999271499427036, 1.191520617510603)),
+    "readme": (None, 1.0, 1.0, (0.0029348413652530896, 2.071398431373877)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCIPY_FITS))
+def test_fit_objective_no_worse_than_scipy(name, readme_curve):
+    noise, T, tau0, recorded = _SCIPY_FITS[name]
+    if noise is None:
+        curve, flow = readme_curve, FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=100.0)
+    else:
+        source = CurveSource.BID_ASK if T is None else CurveSource.BAR
+        curve, flow = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=noise[0],
+                                             seed=noise[1], source=source, horizon_T=T), FLOW
+    if T is None:
+        result = fit_bid_ask_curve(curve, flow, tau0=tau0)
+        law = lambda V, lam, rho: bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
+    else:
+        result = fit_bar_curve(curve, horizon_T=T, flow=flow, tau0=tau0)
+        law = lambda V, lam, rho: bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, T)
+    assert result.converged
+    ours = _weighted_sse(curve, lambda V: flow.mean_price * law(V, result.lambda_hat,
+                                                                result.rho_hat))
+    theirs = _weighted_sse(curve, lambda V: flow.mean_price * law(V, *recorded))
+    assert ours <= (1.0 + 1e-12) * theirs
+    assert result.residual_norm == pytest.approx(math.sqrt(ours), rel=1e-12, abs=1e-300)
+
+
+def test_fit_covariance_is_the_gauss_newton_estimate():
+    # res_var * (J^T J)^-1 with J from central differences of the law.
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    result = fit_bid_ask_curve(curve, FLOW, tau0=0.01)
+    usable = curve.usable()
+    v = np.array([b.v_mid for b in usable])
+    y = np.array([b.spread_q for b in usable])
+    w = np.sqrt(np.array([b.count for b in usable], dtype=float))
+
+    def residuals(lam, rho):
+        return w * (FLOW.mean_price * bidask_spread_model(v, lam, rho, FLOW.sigma,
+                                                          FLOW.n, 0.01) - y)
+
+    lam, rho = result.lambda_hat, result.rho_hat
+    h_lam, h_rho = 1e-6 * lam, 1e-6 * rho
+    jac = np.column_stack([
+        (residuals(lam + h_lam, rho) - residuals(lam - h_lam, rho)) / (2.0 * h_lam),
+        (residuals(lam, rho + h_rho) - residuals(lam, rho - h_rho)) / (2.0 * h_rho),
+    ])
+    res = residuals(lam, rho)
+    cov = res @ res / (len(v) - 2) * np.linalg.inv(jac.T @ jac)
+    assert result.covariance_diag == pytest.approx(np.diag(cov), rel=1e-6)
+
+
+def test_fit_evaluation_cap_raises_with_best_so_far(monkeypatch):
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    monkeypatch.setattr(calibration, "_MAX_FIT_EVALS", 1)
+    with pytest.raises(FitConvergenceError) as info:
+        fit_bid_ask_curve(curve, FLOW, tau0=0.01)
+    best = info.value.best_so_far
+    assert best is not None and not best.converged
+    assert math.isfinite(best.lambda_hat) and math.isfinite(best.rho_hat)
+    assert best.lambda_hat > 0.0 and best.rho_hat > 0.0
+
+
+def test_fit_evaluation_cap_via_cli(tmp_path, monkeypatch):
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    path = str(tmp_path / "curve.csv")
+    write_curve_csv(path, curve)
+    monkeypatch.setattr(calibration, "_MAX_FIT_EVALS", 1)
+    res = CliRunner().invoke(main, ["calibrate", "--curve", path, "--n", "100",
+                                    "--sigma", "0.02", "--price", "50", "--tau0", "0.01",
+                                    "--min-count", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical failure")
+    report = read_json_report(str(tmp_path / "calibration.json"))
+    assert "did not converge" in report["error"]
+    assert report["result"]["converged"] is False
+    assert not (tmp_path / "overlay.csv").exists()

@@ -1,4 +1,5 @@
-"""Property tests of the command-line contract under hostile float flags.
+"""Property tests of the command-line contract under hostile float flags
+and hostile calibration reports.
 
 Every invocation must end in exit 0, 2, 3 or 4 without a traceback, and an
 exit 0 must leave no NaN or infinity in any file it wrote.
@@ -120,3 +121,52 @@ def test_calibrate_fuzz(curve_dir, kind, flags):
     run_hostile(["calibrate", "--curve", os.path.join(curve_dir, "input.csv"),
                  "--kind", kind, *flags, "--min-count", "1"],
                 curve_dir, keep=("input.csv",))
+
+
+_CAL_FIELDS = ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm",
+               "n", "sigma", "price", "volume", "v_lo", "v_hi", "horizon")
+_CAL_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300,
+                                         1e300, "nan", "inf", "x", None, [], {}]),
+                        st.floats(1e-3, 1e3))
+
+
+@pytest.fixture(scope="module")
+def calibration_report(curve_dir):
+    """A directory, and the calibration.json ``calibrate --kind bar`` wrote on the
+    fixed curve."""
+    with tempfile.TemporaryDirectory() as path:
+        res = CliRunner().invoke(main, [
+            "calibrate", "--curve", os.path.join(curve_dir, "input.csv"), "--kind", "bar",
+            *[x for item in _CALIBRATE.items() for x in item], "--min-count", "1",
+            "--out", path])
+        assert res.exit_code == 0, res.output
+        with open(os.path.join(path, "calibration.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        os.makedirs(os.path.join(path, "out"))
+        yield path, report
+
+
+def _set_field(report: dict, field: str, value) -> None:
+    if field in ("n", "sigma", "price", "volume"):
+        report["flow"][field] = value
+    elif field in ("v_lo", "v_hi"):
+        report["v_range"][field[2:]] = value
+    elif field == "horizon":
+        report["horizon"] = value
+    else:
+        report["result"][field] = value
+
+
+@given(kind=st.sampled_from(["bar", "bidask"]),
+       changed=st.dictionaries(st.sampled_from(_CAL_FIELDS), _CAL_VALUES, max_size=3))
+@_FUZZ
+def test_optimize_calibration_fuzz(calibration_report, kind, changed):
+    work, report = calibration_report
+    report = {**json.loads(json.dumps(report)), "kind": kind}
+    for field, value in changed.items():
+        _set_field(report, field, value)
+    path = os.path.join(work, "calibration.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh)
+    run_hostile(["optimize", "--calibration", path, "--alpha", "0.001", "--lambda0", "3",
+                 "--v-points", "7"], os.path.join(work, "out"))

@@ -7,8 +7,8 @@ and must never move.  The pipeline golden runs the README chain at its
 documented size (5000 bars) and pins every output; it was recorded under
 stream layout 2 and may change only with a deliberate change of output
 bytes, recorded in CHANGES.md with its cause.  Random streams and the fit
-depend on numpy and scipy, so that golden holds for one environment
-(recorded with numpy 2.4 and scipy 1.17).  The ``scale`` goldens run the
+depend on numpy (the package does not use scipy), so that golden holds for
+one numpy version (recorded with numpy 2.4).  The ``scale`` goldens run the
 README's two ``scale`` invocations; like the pipeline golden they may
 change only deliberately, with the cause in CHANGES.md.
 """
@@ -97,10 +97,10 @@ _README_DIGESTS = {
     "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
     "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
     "curve_report.json": "02c89b6d3964018e92a06c01c8bbefecbfe1e9b96ee63a007ffbf485facb55ae",
-    "calibration.json": "dda1d8f5d454a95a02245850e5963331a531e8f1e17c36a5d14268da01e898d9",
-    "overlay.csv": "1e573772a4b43e2862c5b38d7bc0c6c48999d09af2116c4a7c80358aec5a4667",
-    "policy.csv": "4eabd6fc4cac0682dc77f860738c272dd8c0e0b855826bde65c8c35a044f1ee0",
-    "optimize_report.json": "3d485c659895c95b77e361e07f0dd4499af29ebb3594b9e1339597b7e3beb777",
+    "calibration.json": "ff18804e90625478a96040f3dfce480c0fe58c6b99730c9521ec798670a03a3a",
+    "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
+    "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",
+    "optimize_report.json": "27abf983f2a6a62afe7d8086add68e390131ec8d3bed1655892fa553705d1df2",
 }
 
 

@@ -600,24 +600,87 @@ def test_read_bars_iso_timestamps_and_reordered_columns(tmp_path):
             bars.close[0], bars.volume[0]) == (1.0, 1.0, 2.0, 0.5, 1.5, 3.0)
 
 
+_BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
 def test_simulate_and_curve_do_not_import_scipy_optimize(tmp_path):
-    # scipy.optimize costs most of the package's import time; only the fits,
-    # the optimizer and inverse_spread_volumes need it.
-    code = (
-        "import sys\n"
+    # Nothing under src/ needs scipy, and only a --config file needs yaml:
+    # every command runs with scipy blocked and leaves yaml unloaded.
+    out = str(tmp_path)
+    commands = [
+        ["simulate", "--steps", "3000", "--seed", "7"],
+        ["curve", "--bars", out + "/bars.csv", "--min-count", "1", "--buckets", "8"],
+        ["calibrate", "--curve", out + "/curve.csv", "--kind", "bar", "--n", "100",
+         "--sigma", "0.02", "--price", "100", "--min-count", "1"],
+        ["optimize", "--calibration", out + "/calibration.json", "--alpha", "0.001",
+         "--lambda0", "3"],
+        ["scale", "--base-spread", "2", "--eta", "0.8", "--lam", "1.6", "--t2-max", "100"],
+        ["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+         "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
+         "--t-lo", "1", "--t-hi", "10"],
+    ]
+    code = _BLOCK_SCIPY + (
+        "import numpy as np\n"
         "from spreadwave.cli import main\n"
-        f"out = {str(tmp_path)!r}\n"
-        "for args in (['simulate', '--steps', '50', '--out', out],\n"
-        "             ['curve', '--bars', out + '/bars.csv', '--min-count', '1',\n"
-        "              '--buckets', '3', '--out', out]):\n"
+        "from spreadwave.optimizer import ExecutionModel, optimize_spread, PnLParams\n"
+        f"for args in {commands!r}:\n"
         "    try:\n"
-        "        main(args)\n"
+        f"        main([*args, '--out', {out!r}])\n"
         "    except SystemExit as exc:\n"
-        "        assert exc.code in (0, None), exc.code\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "        assert exc.code in (0, None), (args, exc.code)\n"
+        "class Saturating:\n"          # no optimal_lambda: the numeric search
+        "    lambda_ref = 1.0\n"
+        "    def delta(self, lam, v):\n"
+        "        return np.tanh(lam) * (1.0 + v)\n"
+        "res = optimize_spread(PnLParams(0.1, 2.0, Saturating()), ExecutionModel(3.0))\n"
+        "assert res.pnl_opt > 0.0\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "assert 'yaml' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "curve.csv").exists()
+    for name in ("curve.csv", "calibration.json", "policy.csv", "scale.csv", "surface.csv"):
+        assert (tmp_path / name).exists(), name
+
+
+def test_scale_equal_horizons(tmp_path):
+    # geomspace(t1, t1, n) puts interior points an ulp below t1.
+    t1 = "579.0190297100158"
+    res = CliRunner().invoke(main, ["scale", "--base-spread", "2", "--eta", "0.8",
+                                    "--lam", "1.6", "--horizon", t1, "--t2-max", t1,
+                                    "--t-steps", "5", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    rows = (tmp_path / "scale.csv").read_text().splitlines()[1:]
+    assert [row.split(",") for row in rows] == [[t1, "2.0", "2.0"]] * 5
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--curve", "CURVE", "--n", "100", "--sigma", "0.02", "--price", "50",
+     "--tau0", "1e300"],
+    ["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+     "--sigma-tau", "0.02", "--n", "100", "--tau0", "1e300", "--v-lo", "1",
+     "--v-hi", "100", "--t-lo", "1", "--t-hi", "10"],
+    ["optimize", "--a-coeff", "10", "--alpha", "3", "--lambda0", "1e300",
+     "--v-hi", "1e300"],
+])
+def test_parameter_overflow_exit_4_names_the_command(tmp_path, curve_csv, args):
+    args = [curve_csv if a == "CURVE" else a for a in args]
+    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 4
+    lines = stderr_lines(res)
+    assert lines == [f"error: numerical failure: {args[0]}: a parameter overflowed "
+                     "double precision"]

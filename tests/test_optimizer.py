@@ -265,3 +265,28 @@ def test_linear_policy_does_not_import_scipy_optimize():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_numeric_search_keeps_grid_points_refinement_cannot_beat():
+    class Falling:
+        """A spread falling as the control level rises, with a spike at one
+        grid level for v > 1."""
+        lambda_ref = 1.0
+        spike = 2.0 * np.geomspace(1e-6, 50.0, 4001)[1]
+
+        def delta(self, lam, v):
+            return v / (1.0 + lam) * np.where((lam == self.spike) & (v > 1.0), 2.0, 1.0)
+
+    policy = policy_curve([0.5, 2.0], ExecutionModel(lambda0=2.0), Falling(), 0.0)
+    # The lowest grid level, and the spike next to it.
+    assert policy.lambda_opt.tolist() == [2.0 * 1e-6, Falling.spike]
+    assert not policy.halt.any()
+
+
+def test_golden_section_reaches_the_bracket_ulp():
+    from spreadwave.optimizer import _golden_max
+    v = np.geomspace(1e-3, 1e3, 7)
+    # Brackets as wide as two grid cells, the maximum placed off-centre.
+    lo, hi = v * (1.0 - 0.003), v * (1.0 + 0.0059)
+    x = _golden_max(lambda lam, vv: -((lam - vv) ** 2), lo, hi, v)
+    np.testing.assert_allclose(x, v, rtol=1e-14, atol=0.0)

@@ -21,7 +21,7 @@ from spreadwave import (
     straddle_spread,
     transaction_time,
 )
-from spreadwave.spread_models import _MIN_SPREAD_TIE_TOL
+from spreadwave.spread_models import _MIN_SPREAD_TIE_RTOL
 
 positive = st.floats(min_value=1e-3, max_value=1e3,
                      allow_nan=False, allow_infinity=False)
@@ -205,9 +205,20 @@ def test_inverse_residual_over_wide_range(rng):
         m = spread_minimum(a)
         delta = m.delta_min * (1.0 + 10.0 ** rng.uniform(-9.0, 5.0))
         residuals, v_lo, v_hi = _inverse_residuals(a, delta)
-        if delta <= m.delta_min + _MIN_SPREAD_TIE_TOL:
-            # inside the tie tolerance the double root is returned
+        if delta <= m.delta_min + _MIN_SPREAD_TIE_RTOL * m.delta_min:
+            # inside the relative tie band the double root is returned
             assert v_lo == v_hi == m.v_min
             continue
         assert max(residuals) <= 1e-14 * delta, (a, delta)
         assert v_lo <= m.v_min <= v_hi
+
+
+def test_inverse_tie_band_is_relative_to_the_minimum():
+    # delta_min = 3.2e-3 here: an absolute 1e-9 band returned v_min for a
+    # level 2.8e-7 (relative) above the minimum.
+    a = 1.3e-8
+    m = spread_minimum(a)
+    delta = m.delta_min + 9e-10
+    residuals, v_lo, v_hi = _inverse_residuals(a, delta)
+    assert v_lo < m.v_min < v_hi
+    assert max(residuals) <= 1e-14 * delta
