@@ -377,9 +377,16 @@ def _run_spread_fit(
     non-negative least-squares fit of (lam^2, x^2) to y^2; a Levenberg-
     Marquardt iteration (More, 1978) refines it with the analytic Jacobian
     (lam A, x B) / f.  f is even in each parameter, so |x| projects a step
-    onto the bounds without changing the objective.
+    onto the bounds without changing the objective.  A parameter whose
+    column of (A, B) is zero on every bucket (lambda when sigma = 0) is not
+    identified and raises DomainError.
     """
     basis = np.column_stack([model(v, 1.0, 0.0), model(v, 0.0, 1.0)]) ** 2
+    for name, column in zip(("lambda", "rho_tau0_product" if strict_product else "rho"),
+                            basis.T):
+        if not column.any():
+            raise DomainError(f"{name} is not identified: its term of the spread law is "
+                              f"zero on every bucket (sigma={flow.sigma!r}, tau0={tau0!r})")
     x = np.sqrt(np.maximum(_nnls2(basis * w[:, None], (y * y) * w), 1e-16))
 
     def evaluate(p):
@@ -398,7 +405,7 @@ def _run_spread_fit(
     while not converged and nfev < _MAX_FIT_EVALS and math.isfinite(cost):
         jac = jacobian(x, f)
         grad, hess = jac.T @ res, jac.T @ jac
-        # Marquardt's scaling; a dead column (e.g. sigma = 0) keeps a floor.
+        # Marquardt's scaling; a column whose parameter sits at 0 keeps a floor.
         scale = np.maximum(np.diag(hess), _EPS * max(hess[0, 0], hess[1, 1], _TINY))
         step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
         x_new = np.abs(x + step)

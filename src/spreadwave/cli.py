@@ -225,7 +225,11 @@ def resolve_config(
     config_path: str | None,
     flags: dict,
 ) -> dict:
-    """Merge defaults, config file, environment, and explicit flags."""
+    """Merge defaults, config file, environment, and explicit flags.
+
+    Raises DomainError for a horizon that is not finite and > 0, or a
+    quantile outside (0, 1].
+    """
     spec = {**_GLOBAL_SPEC, **_COMMAND_SPEC[command]}
     resolved = {**_GLOBAL_DEFAULTS, **_COMMAND_DEFAULTS[command]}
 
@@ -247,6 +251,11 @@ def resolve_config(
     for key, value in flags.items():
         if value is not None:
             resolved[key] = value
+
+    # The global numeric settings, checked once for every command.
+    check_finite("horizon", resolved["horizon"], above=0.0)
+    if not 0.0 < resolved["quantile"] <= 1.0:
+        raise DomainError(f"quantile must be in (0, 1], got {resolved['quantile']!r}")
     return resolved
 
 
@@ -379,19 +388,13 @@ def cmd_simulate(config_path, **kwargs) -> None:
         )
         series = simulate_path(params, cfg["s0"], cfg["steps"],
                                path_index=cfg["path_index"], volume=volume)
-        bars_path = _out_path(cfg, "bars.csv")
-        write_bars_csv(bars_path, series)
-
         predicted = predicted_volatility(params, cfg["s0"])
         empirical = closure = None
         if len(series) >= 1000:
             empirical = path_volatility(series)
             if predicted > 0.0:
                 closure = empirical / predicted
-        report = _report_envelope("simulate", cfg, [])
-        report["outputs"] = {"bars": "bars.csv"}
-        report["units"] = {"prices": "input money units", "volume": "shares per bar"}
-        report["summary"] = {
+        summary = {
             "steps": len(series),
             "stream_layout": STREAM_LAYOUT,
             "empirical_volatility": empirical,
@@ -403,6 +406,15 @@ def cmd_simulate(config_path, **kwargs) -> None:
             "redraw_rate": series.redraws / len(series),
             "final_price": float(series.s_last[-1]),
         }
+        # Squares of finite bars can overflow: refuse before writing anything.
+        _require_finite("simulate summary", *(v for v in summary.values() if v is not None))
+        bars_path = _out_path(cfg, "bars.csv")
+        write_bars_csv(bars_path, series)
+
+        report = _report_envelope("simulate", cfg, [])
+        report["outputs"] = {"bars": "bars.csv"}
+        report["units"] = {"prices": "input money units", "volume": "shares per bar"}
+        report["summary"] = summary
         write_json_report(_out_path(cfg, "simulate_report.json"), report)
         click.echo(f"wrote {bars_path} ({len(series)} bars)")
 
@@ -432,6 +444,8 @@ def cmd_curve(config_path, **kwargs) -> None:
 
     def body() -> None:
         cfg = resolve_config("curve", config_path, _flags(kwargs))
+        # Checked for bars too, which do not use it: the report echoes it.
+        check_finite("window", cfg["window"], above=0.0)
         have_bars = cfg["bars"] is not None
         have_quotes = cfg["quotes"] is not None
         if have_bars == have_quotes:
@@ -627,7 +641,6 @@ def cmd_scale(config_path, **kwargs) -> None:
             _require(cfg, "base_spread", "eta", "lam", "t2_max")
             _require_count(cfg, "t_steps")
             t1 = cfg["horizon"]
-            check_finite("horizon", t1, above=0.0)
             check_finite("t2_max", cfg["t2_max"], at_least=t1)
             # geomspace can round interior points an ulp outside [t1, t2_max].
             t_grid = np.clip(np.geomspace(t1, cfg["t2_max"], cfg["t_steps"]),

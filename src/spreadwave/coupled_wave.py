@@ -45,6 +45,9 @@ _PLACEMENT_STREAM = 4
 _REDRAW_STREAM = 5
 # Positivity redraws allowed per step before the step is declared hopeless.
 _MAX_REDRAWS = 10_000
+# Rows simulate_path and the columnar CSV writers turn into Python objects
+# at a time: their working memory is bounded by this, not by the row count.
+_BLOCK_ROWS = 2048
 
 
 class LastPriceRule(str, Enum):
@@ -293,6 +296,11 @@ def _guarded_step(
     return s_mid, s_next, used
 
 
+def row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
 def simulate_path(
     params: CoupledWaveParams,
     s0: float,
@@ -306,7 +314,9 @@ def simulate_path(
     each from its own (seed, path_index, k) substream.  Only the
     positivity-guarded mid/last recurrence runs step by step, with exactly
     the arithmetic of ``step_price``; its redraws come from one more
-    substream, capped per step as in ``step_price``.  The volume column is
+    substream, capped per step as in ``step_price``.  The heights and the
+    recurrence work through ``_BLOCK_ROWS`` rows at a time, so the Python
+    floats they need do not grow with ``n_steps``.  The volume column is
     produced after the bar pass (see VolumeConfig), so changing the volume
     mode never perturbs the price stream.
     """
@@ -319,41 +329,46 @@ def simulate_path(
 
     growth = 1.0 + params.sigma_step * substream(_DZ_STREAM).standard_normal(n_steps)
     z = substream(_XI_KAPPA_STREAM).standard_normal((2, n_steps))
-    xi = params.xi_mean + params.xi_std * z[0]
-    kappa = params.kappa_mean + params.kappa_std * z[1]
-    # math.hypot as in step_price: np.hypot differs from it in the last bit
-    # for some inputs.
-    heights = np.fromiter(map(math.hypot, xi.tolist(), kappa.tolist()),
-                          dtype=float, count=n_steps)
-    half_h = 0.5 * heights
+    heights = np.empty(n_steps)
+    for rows in row_blocks(n_steps):
+        xi = params.xi_mean + params.xi_std * z[0, rows]
+        kappa = params.kappa_mean + params.kappa_std * z[1, rows]
+        # math.hypot as in step_price: np.hypot differs from it in the last
+        # bit for some inputs.
+        heights[rows] = list(map(math.hypot, xi.tolist(), kappa.tolist()))
+    del z
     uniform = params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR
     placement_rng = substream(_PLACEMENT_STREAM)
     placement = (placement_rng.random(n_steps) if uniform
                  else placement_rng.standard_normal(n_steps))
     redraw_rng = substream(_REDRAW_STREAM)
 
-    mids: list[float] = []
-    lasts: list[float] = []
+    mids_arr = np.empty(n_steps)
+    lasts_arr = np.empty(n_steps)
     redraws = 0
     s_last = float(s0)
-    for growth_i, half_i, variate in zip(growth.tolist(), half_h.tolist(),
-                                         placement.tolist()):
-        s_mid = s_last * growth_i
-        if uniform:
-            s_low = s_mid - half_i
-            s_next = s_low + ((s_mid + half_i) - s_low) * variate
-        else:
-            s_next = s_mid + half_i * variate
-        if s_mid <= 0.0 or s_next <= 0.0:
-            s_mid, s_next, used = _guarded_step(s_last, growth_i, half_i, variate,
-                                                uniform, params, redraw_rng)
-            redraws += used
-        mids.append(s_mid)
-        lasts.append(s_next)
-        s_last = s_next
-
-    mids_arr = np.array(mids)
-    lasts_arr = np.array(lasts)
+    for rows in row_blocks(n_steps):
+        mids: list[float] = []
+        lasts: list[float] = []
+        for growth_i, half_i, variate in zip(growth[rows].tolist(),
+                                             (0.5 * heights[rows]).tolist(),
+                                             placement[rows].tolist()):
+            s_mid = s_last * growth_i
+            if uniform:
+                s_low = s_mid - half_i
+                s_next = s_low + ((s_mid + half_i) - s_low) * variate
+            else:
+                s_next = s_mid + half_i * variate
+            if s_mid <= 0.0 or s_next <= 0.0:
+                s_mid, s_next, used = _guarded_step(s_last, growth_i, half_i, variate,
+                                                    uniform, params, redraw_rng)
+                redraws += used
+            mids.append(s_mid)
+            lasts.append(s_next)
+            s_last = s_next
+        mids_arr[rows] = mids
+        lasts_arr[rows] = lasts
+    del growth, placement
     if not np.isfinite(lasts_arr).all():
         raise DomainError(
             "simulated prices overflowed; step volatility or bar height is "
@@ -375,7 +390,13 @@ def simulate_path(
             volume.log_mean, volume.log_sigma, n_steps)
     else:
         volumes = np.zeros(n_steps)
+    if not np.isfinite(volumes).all():
+        raise DomainError(
+            "simulated volumes overflowed; the volume parameters are too large "
+            "for these bars"
+        )
 
+    half_h = 0.5 * heights
     return BarSeries(
         s_mid=mids_arr, s_high=mids_arr + half_h, s_low=mids_arr - half_h,
         s_last=lasts_arr, h=heights, volume=volumes, s0=s0, redraws=redraws,
@@ -498,17 +519,16 @@ def evolve_fluctuating(
     """Chain the closed-form evolution over per-step redrawn coefficients.
 
     Each step redraws (dz, xi, kappa), advances the mid-price walk, and
-    applies the constant-coefficient solution for ``dt``.  The caller is
+    applies the constant-coefficient solution for ``dt``.  A non-positive
+    mid redraws dz, at most ``_MAX_REDRAWS`` times per step.  The caller is
     responsible for a dt small enough that coefficients are effectively
     constant within a step (see suggest_amplitude_dt).
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.
     """
-    if not (s_scale > 0.0):
-        raise DomainError(f"s_scale must be > 0, got {s_scale!r}")
-    if not (dt > 0.0):
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    check_finite("s_scale", s_scale, above=0.0)
+    check_finite("dt", dt, above=0.0)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
 
@@ -520,10 +540,12 @@ def evolve_fluctuating(
         trajectory[0] = state.populations()
 
     for i in range(n_steps):
-        step = s_mid * params.sigma_step * rng.standard_normal()
-        while s_mid + step <= 0.0:
-            step = s_mid * params.sigma_step * rng.standard_normal()
-        s_mid = s_mid + step
+        s_next = s_mid + s_mid * params.sigma_step * rng.standard_normal()
+        if s_next <= 0.0:
+            s_next, _ = _guarded(
+                s_next, lambda: s_mid + s_mid * params.sigma_step * rng.standard_normal(),
+                0, _MAX_REDRAWS)
+        s_mid = s_next
         xi = params.xi_mean + params.xi_std * rng.standard_normal()
         kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
         state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)

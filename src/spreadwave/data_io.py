@@ -8,6 +8,12 @@ quotes, empty buckets) is left to the calibration layer, which counts
 rejections instead of failing.  The bar reader parses plain numeric files
 in one ``np.loadtxt`` pass and falls back to the strict row parser for
 anything else, so malformed files still fail with their line number.
+
+The columnar writers (bars, policy, surface) and the bar reader work in
+bounded memory beyond the arrays they write or return: the writers format
+one block of rows at a time, and the bar reader scans for quotes in
+fixed-size chunks before its ``np.loadtxt`` pass.  (The strict fallback
+still holds one tuple per row.)
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import warnings
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .calibration import (
     SpreadVolumeCurve,
     TradeRecord,
 )
-from .coupled_wave import BarSeries
+from .coupled_wave import BarSeries, row_blocks
 from .errors import InputFormatError, check_finite
 from .optimizer import QuotePolicy
 
@@ -40,6 +46,8 @@ _BAR_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
+# Bytes read_bars reads at a time while it looks for a quote character.
+_SCAN_CHUNK = 1 << 20
 
 
 # --------------------------------------------------------------------------
@@ -157,14 +165,16 @@ def read_bars(path: str) -> BarColumns:
     """Bar CSV as columns, whatever the order of its columns.
 
     A file with numeric timestamps, no quotes and no malformed cells is read
-    in one ``np.loadtxt`` pass; any other file goes through
+    in one ``np.loadtxt`` pass, after a scan for quotes that reads
+    ``_SCAN_CHUNK`` bytes at a time; any other file goes through
     ``_read_bars_strict``, which gives the same arrays or fails with the
     offending path and line.
     """
     try:
         with open(path, "rb") as fh:
             header = fh.readline()
-            quoted = b'"' in header or b'"' in fh.read()
+            quoted = b'"' in header or any(
+                b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
         names = header.rstrip(b"\r\n").decode("utf-8").split(",")
         position = {name: i for i, name in enumerate(names)}  # last one wins, as in csv
         if quoted or not all(col in position for col in _BAR_COLUMNS):
@@ -227,9 +237,18 @@ def _write_lines(path: str, header: Sequence[str],
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _write_columns(path: str, header: Sequence[str], columns) -> None:
-    """One row per element: each column is an iterable of formatted cells."""
-    _write_lines(path, header, zip(*columns))
+def _write_columns(path: str, header: Sequence[str], n_rows: int,
+                   block: Callable[[slice], Sequence[Iterable[str]]]) -> None:
+    """Write ``n_rows`` rows, one block of consecutive rows at a time.
+
+    ``block(rows)`` gives the cells of the rows in the slice ``rows``, one
+    iterable of formatted strings per column.  Only one block of cells is
+    alive at a time, so memory does not grow with the row count.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for rows in row_blocks(n_rows):
+            fh.write("\n".join(map(",".join, zip(*block(rows)))) + "\n")
 
 
 def _floats(values) -> Iterable[str]:
@@ -244,13 +263,14 @@ def write_bars_csv(path: str, series: BarSeries) -> None:
     the last price; high/low are widened to contain both so every row is a
     well-formed OHLC bar even when the placement rule leaves the envelope.
     """
-    o, c = series.s_mid, series.s_last
-    hi = np.maximum(np.maximum(series.s_high, o), c)
-    lo = np.minimum(np.minimum(series.s_low, o), c)
-    _write_columns(path, _BAR_COLUMNS, (
-        map(str, range(len(series))),
-        *(_floats(col) for col in (o, hi, lo, c, series.volume)),
-    ))
+    def block(rows: slice):
+        o, c = series.s_mid[rows], series.s_last[rows]
+        hi = np.maximum(np.maximum(series.s_high[rows], o), c)
+        lo = np.minimum(np.minimum(series.s_low[rows], o), c)
+        return (map(str, range(rows.start, rows.stop)),
+                *(_floats(col) for col in (o, hi, lo, c, series.volume[rows])))
+
+    _write_columns(path, _BAR_COLUMNS, len(series), block)
 
 
 def write_trades_csv(path: str, trades: Sequence[TradeRecord]) -> None:
@@ -298,11 +318,12 @@ def write_overlay_csv(path: str, curve: SpreadVolumeCurve,
 
 
 def write_policy_csv(path: str, policy: QuotePolicy) -> None:
-    _write_columns(path, _POLICY_COLUMNS, (
-        *(_floats(col) for col in (policy.v, policy.lambda_opt, policy.spread_opt,
-                                   policy.exec_rate, policy.pnl_opt, policy.pnl_naive)),
-        map(str, np.asarray(policy.halt, dtype=int).tolist()),
-    ))
+    floats = [np.asarray(col, dtype=float) for col in (
+        policy.v, policy.lambda_opt, policy.spread_opt,
+        policy.exec_rate, policy.pnl_opt, policy.pnl_naive)]
+    halt = np.asarray(policy.halt, dtype=int)
+    _write_columns(path, _POLICY_COLUMNS, len(halt), lambda rows: (
+        *(_floats(col[rows]) for col in floats), map(str, halt[rows].tolist())))
 
 
 def write_scale_csv(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
@@ -321,11 +342,15 @@ def write_surface_csv(path: str, t_grid: Sequence[float],
             f"surface shape {surface.shape} does not match grids "
             f"({len(t_grid)}, {len(v_grid)})"
         )
-    _write_columns(path, ("T", "v", "delta"), (
-        _floats(np.repeat(np.asarray(t_grid, dtype=float), len(v_grid))),
-        _floats(np.tile(np.asarray(v_grid, dtype=float), len(t_grid))),
-        _floats(surface),
-    ))
+    t_grid = np.asarray(t_grid, dtype=float)
+    v_grid = np.asarray(v_grid, dtype=float)
+    deltas = surface.ravel()
+
+    def block(rows: slice):
+        t_index, v_index = np.divmod(np.arange(rows.start, rows.stop), len(v_grid))
+        return _floats(t_grid[t_index]), _floats(v_grid[v_index]), _floats(deltas[rows])
+
+    _write_columns(path, ("T", "v", "delta"), deltas.size, block)
 
 
 # --------------------------------------------------------------------------

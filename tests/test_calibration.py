@@ -348,6 +348,21 @@ def test_fit_covariance_is_the_gauss_newton_estimate():
     assert result.covariance_diag == pytest.approx(np.diag(cov), rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["bidask", "bar"])
+@pytest.mark.parametrize("sigma, tau0, name", [
+    (0.0, 0.01, "lambda"),     # a constant-price tape
+    (0.02, 1e-300, "rho"),     # (pi tau0 / n)^2 underflows to 0
+])
+def test_fit_refuses_a_parameter_the_law_does_not_depend_on(kind, sigma, tau0, name):
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.0, seed=0)
+    flow = FlowStats(n=100.0, V=0.0, sigma=sigma, mean_price=50.0)
+    with pytest.raises(DomainError, match=f"^{name} is not identified"):
+        if kind == "bar":
+            fit_bar_curve(curve, horizon_T=1.0, flow=flow, tau0=tau0)
+        else:
+            fit_bid_ask_curve(curve, flow, tau0=tau0)
+
+
 def test_fit_evaluation_cap_raises_with_best_so_far(monkeypatch):
     curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
     monkeypatch.setattr(calibration, "_MAX_FIT_EVALS", 1)

@@ -1,5 +1,5 @@
-"""Property tests of the command-line contract under hostile float flags
-and hostile calibration reports.
+"""Property tests of the command-line contract under hostile flags of every
+command and hostile calibration reports.
 
 Every invocation must end in exit 0, 2, 3 or 4 without a traceback, and an
 exit 0 must leave no NaN or infinity in any file it wrote.
@@ -16,9 +16,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadwave import FlowStats
+from spreadwave import CoupledWaveParams, FlowStats, VolumeConfig, simulate_path
 from spreadwave.cli import main
-from spreadwave.data_io import write_curve_csv
+from spreadwave.data_io import write_bars_csv, write_curve_csv
 from spreadwave.synthetic import synthetic_spread_curve
 
 _HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300")
@@ -50,6 +50,9 @@ def _check_files(out_dir: str) -> None:
                 assert _finite_json(json.load(fh)), f"non-finite value in {name}"
         elif name.endswith(".csv"):
             cells = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+            if name == "curve.csv":
+                # An empty bucket (count 0) has no quantile: spread_q is nan.
+                cells = cells[cells[:, 4] > 0]
             assert np.isfinite(cells).all(), f"non-finite cell in {name}"
 
 
@@ -75,6 +78,11 @@ def work_dir():
         yield path
 
 
+_SIMULATE = {"--s0": "100", "--sigma-step": "1e-4", "--xi-mean": "0", "--xi-std": "0.5",
+             "--kappa-mean": "0", "--kappa-std": "0.5", "--tau0": "1",
+             "--avg-trade-size": "100", "--log-mean": "0", "--log-sigma": "1"}
+_CURVE = {"--quantile": "0.9", "--lo-percentile": "1", "--hi-percentile": "99",
+          "--window": "60", "--horizon": "1.0"}
 _SCALE_TABLE = {"--base-spread": "2.0", "--eta": "0.8", "--lam": "1.6",
                 "--horizon": "1.0", "--t2-max": "1e6"}
 _SCALE_SURFACE = {"--lambda-risk": "1.5", "--rho-risk": "1.0", "--sigma-tau": "0.02",
@@ -84,6 +92,33 @@ _OPTIMIZE = {"--a-coeff": "10", "--alpha": "3", "--lambda0": "3", "--lambda-ref"
              "--v-lo": "0.4", "--v-hi": "6.8"}
 _CALIBRATE = {"--n": "100", "--sigma": "0.02", "--price": "50", "--volume": "0",
               "--tau0": "0.01", "--horizon": "1.0"}
+
+
+@given(flags=overrides(_SIMULATE), steps=st.integers(-1, 2000),
+       rule=st.sampled_from(["uniform", "normal"]),
+       volume_mode=st.sampled_from(["impact", "lognormal", "none"]))
+@_FUZZ
+def test_simulate_fuzz(work_dir, flags, steps, rule, volume_mode):
+    run_hostile(["simulate", *flags, "--steps", str(steps), "--rule", rule,
+                 "--volume-mode", volume_mode], work_dir)
+
+
+@pytest.fixture(scope="module")
+def bars_dir():
+    """A directory holding a fixed 1500-bar CSV."""
+    with tempfile.TemporaryDirectory() as path:
+        params = CoupledWaveParams(sigma_step=2e-4, xi_std=0.05, kappa_std=0.05, seed=42)
+        write_bars_csv(os.path.join(path, "input.csv"),
+                       simulate_path(params, 100.0, 1500, volume=VolumeConfig()))
+        yield path
+
+
+@given(flags=overrides(_CURVE), buckets=st.integers(-1, 40), min_count=st.integers(-1, 100))
+@_FUZZ
+def test_curve_bars_fuzz(bars_dir, flags, buckets, min_count):
+    run_hostile(["curve", "--bars", os.path.join(bars_dir, "input.csv"), *flags,
+                 "--buckets", str(buckets), "--min-count", str(min_count)],
+                bars_dir, keep=("input.csv",))
 
 
 @given(flags=overrides(_SCALE_TABLE))

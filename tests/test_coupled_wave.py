@@ -28,6 +28,7 @@ from spreadwave import (
     step_price,
     suggest_amplitude_dt,
 )
+from spreadwave import coupled_wave
 from spreadwave.coupled_wave import RedrawCounter, path_rng
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
@@ -360,3 +361,66 @@ def test_simulate_path_rejects_overflowing_prices():
     p = CoupledWaveParams(sigma_step=1e300, seed=1)
     with pytest.raises(DomainError, match="overflowed"):
         simulate_path(p, 1.0, 50)
+
+
+_B = coupled_wave._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rule", list(LastPriceRule))
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 3])
+def test_simulate_path_matches_step_price_across_row_blocks(rule, n):
+    # The recurrence runs block by block; the state it carries across a
+    # block edge must be exactly step_price's, redraws included.
+    p = CoupledWaveParams(sigma_step=0.5, xi_std=0.5, kappa_std=0.5, xi_mean=0.2,
+                          seed=3, last_price_rule=rule)
+    series = simulate_path(p, 1.0, n, path_index=2, volume=VolumeConfig())
+    bars, redraws = step_price_oracle(p, 1.0, n, path_index=2)
+    for field in ("s_mid", "s_high", "s_low", "s_last", "h"):
+        expected = np.array([getattr(bar, field) for bar in bars])
+        assert getattr(series, field).tobytes() == expected.tobytes(), field
+    assert series.redraws == redraws > 0
+
+
+# --------------------------------------------------------------------------
+# evolve_fluctuating input contract and redraw cap
+# --------------------------------------------------------------------------
+
+def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps):
+    """The per-step loop with the uncapped redraw it had before the cap."""
+    rng = path_rng(params.seed, 0)
+    state, s_mid = state0, s_scale
+    for _ in range(n_steps):
+        step = s_mid * params.sigma_step * rng.standard_normal()
+        while s_mid + step <= 0.0:
+            step = s_mid * params.sigma_step * rng.standard_normal()
+        s_mid = s_mid + step
+        xi = params.xi_mean + params.xi_std * rng.standard_normal()
+        kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
+        state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
+    return state
+
+
+def test_evolve_fluctuating_capped_redraws_keep_the_stream():
+    # sigma_step 0.9 redraws on about one step in eight.
+    p = CoupledWaveParams(sigma_step=0.9, xi_std=0.3, kappa_std=0.3, seed=5)
+    state0 = AmplitudeState(1.0 + 0.0j, 0.0j)
+    assert (evolve_fluctuating(state0, p, 100.0, 0.01, 2000)
+            == evolve_fluctuating_reference(state0, p, 100.0, 0.01, 2000))
+
+
+def test_evolve_fluctuating_redraw_cap(monkeypatch):
+    monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", 1)
+    p = CoupledWaveParams(sigma_step=0.9, xi_std=0.3, kappa_std=0.3, seed=5)
+    with pytest.raises(DomainError, match="redraw limit"):
+        evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), p, 100.0, 0.01, 2000)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("s_scale", math.inf), ("s_scale", math.nan), ("s_scale", 0.0),
+    ("dt", math.inf), ("dt", math.nan), ("dt", -1.0),
+])
+def test_evolve_fluctuating_rejects_bad_scale_and_step(name, value):
+    kwargs = {"s_scale": 100.0, "dt": 0.01, name: value}
+    with pytest.raises(DomainError, match=name):
+        evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), CoupledWaveParams(xi_std=0.3),
+                           n_steps=10, **kwargs)

@@ -413,12 +413,19 @@ def stderr_lines(result):
     (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
       "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "inf",
       "--t-lo", "1", "--t-hi", "10"], "v_hi"),
+    (["simulate", "--volume-mode", "lognormal", "--log-sigma", "1e300"], "volumes"),
+    (["simulate", "--volume-mode", "lognormal", "--log-mean", "1e300"], "volumes"),
+    (["optimize", "--a-coeff", "10", "--alpha", "3", "--lambda0", "3",
+      "--horizon", "nan"], "horizon"),
+    (["optimize", "--a-coeff", "10", "--alpha", "3", "--lambda0", "3",
+      "--quantile", "nan"], "quantile"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
     assert res.exit_code == 3
     lines = stderr_lines(res)
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert not any(f.endswith(".json") for f in os.listdir(tmp_path))
     assert not (tmp_path / "bars.csv").exists()
     assert not (tmp_path / "policy.csv").exists()
     assert not (tmp_path / "scale.csv").exists()
@@ -430,6 +437,8 @@ def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
      "--horizon", "1e-300", "--t2-max", "1e6"],
     ["optimize", "--a-coeff", "1e300", "--alpha", "3", "--lambda0", "3",
      "--lambda-ref", "1e-300"],
+    ["simulate", "--s0", "1e300"],
+    ["simulate", "--sigma-step", "2.0"],
 ])
 def test_overflowing_output_exit_4_one_line(tmp_path, args):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
@@ -456,6 +465,10 @@ def curve_csv(tmp_path):
     (["--sigma", "inf"], "sigma"),
     (["--price", "-1"], "mean_price"),
     (["--min-count", "-5"], "min_count"),
+    (["--sigma", "0"], "lambda is not identified"),
+    (["--sigma", "0", "--kind", "bar"], "lambda is not identified"),
+    (["--kind", "bidask", "--horizon", "nan"], "horizon"),
+    (["--quantile", "1.5"], "quantile"),
 ])
 def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, name):
     base = {"--n": "100", "--sigma": "0.02", "--price": "50"}
@@ -468,6 +481,21 @@ def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, nam
     lines = stderr_lines(res)
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
     assert not (tmp_path / "calibration.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--window", "nan"), ("--quantile", "0"), ("--horizon", "inf"),
+])
+def test_curve_bars_checks_flags_it_echoes(tmp_path, flag, value):
+    # Bars use neither the window nor the horizon, but the report echoes both.
+    bars = tmp_path / "bars.csv"
+    bars.write_text("timestamp,open,high,low,close,volume\n0,1,2,0.5,1.5,3\n")
+    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), flag, value,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag[2:] in lines[0]
+    assert sorted(os.listdir(tmp_path)) == ["bars.csv"]
 
 
 def test_curve_negative_min_count_exit_3_one_line(tmp_path):
