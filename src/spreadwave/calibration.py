@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,19 @@ class BarColumns:
 
     def __len__(self) -> int:
         return len(self.timestamp)
+
+
+def join_blocks(blocks: Iterable, names: Sequence[str]) -> list[np.ndarray]:
+    """The named 1-D columns of consecutive blocks, each joined into one array.
+
+    No blocks give empty columns.  Each column's parts are released as soon
+    as that column is joined, so at most one column is held twice.
+    """
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    for block in blocks:
+        for name, column in parts.items():
+            column.append(getattr(block, name))
+    return [np.concatenate([np.empty(0), *parts.pop(name)]) for name in names]
 
 
 class CurveSource(str, Enum):
@@ -224,6 +238,24 @@ def bars_to_samples(bars: BarColumns) -> SpreadSamples:
     )
 
 
+def bar_blocks_to_samples(blocks: Iterable[BarColumns]) -> SpreadSamples:
+    """``bars_to_samples`` of consecutive bar blocks, joined.
+
+    Only each block's accepted (volume, range) pairs outlive it.
+    """
+    rejected = 0
+
+    def accepted():
+        nonlocal rejected
+        for samples in map(bars_to_samples, blocks):
+            rejected += samples.n_rejected
+            yield samples
+
+    volumes, spreads = join_blocks(accepted(), ("volumes", "spreads"))
+    return SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR,
+                         n_rejected=rejected)
+
+
 def quotes_to_samples(quotes, trades, window: float) -> SpreadSamples:
     """Bid-ask spreads paired with the trailing traded volume rate.
 
@@ -275,22 +307,25 @@ def build_spread_volume_curve(
 
     Buckets with fewer than ``min_count`` samples are flagged rather than
     dropped; the sum of bucket counts equals the number of accepted samples.
+    Beyond one copy of the accepted samples when some are rejected, the
+    working memory is one bucket index per sample and one bucket's spreads.
     """
     if not (0.0 < quantile_level <= 1.0):
         raise DomainError(f"quantile_level must be in (0, 1], got {quantile_level!r}")
     check_finite("min_count", min_count, at_least=0)
     spec = bucket_spec if bucket_spec is not None else BucketSpec()
 
-    keep = (samples.volumes > 0.0) & np.isfinite(samples.volumes) \
-        & (samples.spreads >= 0.0) & np.isfinite(samples.spreads)
-    volumes = samples.volumes[keep]
-    spreads = samples.spreads[keep]
-    rejected = samples.n_rejected + int(np.sum(~keep))
+    volumes, spreads = samples.volumes, samples.spreads
+    keep = (volumes > 0.0) & np.isfinite(volumes) & (spreads >= 0.0) & np.isfinite(spreads)
+    n_bad = volumes.size - int(np.count_nonzero(keep))
+    if n_bad:
+        volumes, spreads = volumes[keep], spreads[keep]
+    del keep
+    rejected = samples.n_rejected + n_bad
     if volumes.size == 0:
         raise InsufficientDataError("no usable (volume, spread) samples")
 
-    lo = float(np.percentile(volumes, spec.lo_percentile))
-    hi = float(np.percentile(volumes, spec.hi_percentile))
+    lo, hi = np.percentile(volumes, [spec.lo_percentile, spec.hi_percentile]).tolist()
     if hi <= lo:
         edges = np.array([float(volumes.min()), float(volumes.max())])
         if edges[1] <= edges[0]:
@@ -300,14 +335,16 @@ def build_spread_volume_curve(
         edges[0] = min(edges[0], float(volumes.min()))
         edges[-1] = max(edges[-1], float(volumes.max()))
 
-    idx = np.clip(np.searchsorted(edges, volumes, side="right") - 1,
-                  0, len(edges) - 2)
+    idx = np.searchsorted(edges, volumes, side="right")
+    idx -= 1
+    np.clip(idx, 0, len(edges) - 2, out=idx)
     buckets = []
     for b in range(len(edges) - 1):
-        mask = idx == b
-        count = int(np.sum(mask))
+        values = spreads[idx == b]
+        count = values.size
         if count > 0:
-            q = float(np.quantile(spreads[mask], quantile_level, method="linear"))
+            q = float(np.quantile(values, quantile_level, method="linear",
+                                  overwrite_input=True))
         else:
             q = math.nan
         buckets.append(CurveBucket(

@@ -28,7 +28,7 @@ from .calibration import (
     CalibrationResult,
     CurveSource,
     FlowStats,
-    bars_to_samples,
+    bar_blocks_to_samples,
     build_spread_volume_curve,
     fit_bar_curve,
     fit_bid_ask_curve,
@@ -39,19 +39,19 @@ from .coupled_wave import (
     CoupledWaveParams,
     LastPriceRule,
     VolumeConfig,
-    bar_height_rayleigh_scale,
-    path_volatility,
     predicted_volatility,
-    simulate_path,
+    row_blocks,
+    simulate_blocks,
 )
 from .data_io import (
-    read_bars,
+    read_bar_blocks,
     read_curve,
     read_json_report,
     read_quotes,
     read_trades,
+    replaced_on_success,
     sha256_file,
-    write_bars_csv,
+    write_bar_blocks,
     write_curve_csv,
     write_histogram_csv,
     write_json_report,
@@ -278,6 +278,14 @@ def _require_finite(what: str, *values) -> None:
 
 
 def _report_envelope(command: str, resolved: dict, inputs: list[str]) -> dict:
+    """The report fields every command writes, the resolved config among them.
+
+    Every number the config echoes must be finite, whether or not the
+    command's mode reads it: call this before writing any output.
+    """
+    for key, value in sorted(resolved.items()):
+        if isinstance(value, float):
+            check_finite(key, value)
     return {
         "command": command,
         "tool": {"name": "spreadwave", "version": __version__},
@@ -386,39 +394,69 @@ def cmd_simulate(config_path, **kwargs) -> None:
             mode=cfg["volume_mode"], avg_trade_size=cfg["avg_trade_size"],
             log_mean=cfg["log_mean"], log_sigma=cfg["log_sigma"],
         )
-        series = simulate_path(params, cfg["s0"], cfg["steps"],
-                               path_index=cfg["path_index"], volume=volume)
-        predicted = predicted_volatility(params, cfg["s0"])
-        empirical = closure = None
-        if len(series) >= 1000:
-            empirical = path_volatility(series)
-            if predicted > 0.0:
-                closure = empirical / predicted
-        summary = {
-            "steps": len(series),
-            "stream_layout": STREAM_LAYOUT,
-            "empirical_volatility": empirical,
-            "predicted_volatility": predicted,
-            "closure_ratio": closure,
-            "mean_bar_height": float(np.mean(series.h)),
-            "rayleigh_scale": bar_height_rayleigh_scale(series),
-            "redraws": series.redraws,
-            "redraw_rate": series.redraws / len(series),
-            "final_price": float(series.s_last[-1]),
-        }
-        # Squares of finite bars can overflow: refuse before writing anything.
-        _require_finite("simulate summary", *(v for v in summary.values() if v is not None))
-        bars_path = _out_path(cfg, "bars.csv")
-        write_bars_csv(bars_path, series)
-
+        n = cfg["steps"]
+        blocks = simulate_blocks(params, cfg["s0"], n, path_index=cfg["path_index"],
+                                 volume=volume)
         report = _report_envelope("simulate", cfg, [])
+        bars_path = _out_path(cfg, "bars.csv")
+        # bars.csv appears only once the whole path and its summary are good.
+        with replaced_on_success(bars_path) as tmp_path:
+            summary = _write_and_summarize(tmp_path, blocks, params, cfg["s0"], n)
+            # Squares of finite bars can overflow: refuse before writing anything.
+            _require_finite("simulate summary",
+                            *(v for v in summary.values() if v is not None))
+
         report["outputs"] = {"bars": "bars.csv"}
         report["units"] = {"prices": "input money units", "volume": "shares per bar"}
         report["summary"] = summary
         write_json_report(_out_path(cfg, "simulate_report.json"), report)
-        click.echo(f"wrote {bars_path} ({len(series)} bars)")
+        click.echo(f"wrote {bars_path} ({n} bars)")
 
     _run_body("simulate", body)
+
+
+def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float,
+                         n: int) -> dict:
+    """Write ``n`` bars from ``blocks`` as they are drawn; the report's summary of them.
+
+    Beyond one block, only the two columns the summary reduces over are
+    kept: the heights and the last prices.  The heights are reduced and
+    released before the volatility estimate, so their temporaries never
+    coexist.  The arithmetic is that of ``bar_height_rayleigh_scale`` and
+    ``path_volatility`` on the whole series.
+    """
+    heights, lasts = np.empty(n), np.empty(n)
+    redraws = 0
+
+    def kept():
+        nonlocal redraws
+        for block, rows in zip(blocks, row_blocks(n)):
+            heights[rows], lasts[rows] = block.h, block.s_last
+            redraws += block.redraws
+            yield block
+
+    write_bar_blocks(path, kept())
+    mean_bar_height = float(np.mean(heights))
+    rayleigh_scale = float(math.sqrt(np.mean(heights ** 2) / 2.0))
+    del heights
+    predicted = predicted_volatility(params, s0)
+    empirical = closure = None
+    if n >= 1000:
+        empirical = float(np.std(np.diff(np.concatenate(([s0], lasts))), ddof=1))
+        if predicted > 0.0:
+            closure = empirical / predicted
+    return {
+        "steps": n,
+        "stream_layout": STREAM_LAYOUT,
+        "empirical_volatility": empirical,
+        "predicted_volatility": predicted,
+        "closure_ratio": closure,
+        "mean_bar_height": mean_bar_height,
+        "rayleigh_scale": rayleigh_scale,
+        "redraws": redraws,
+        "redraw_rate": redraws / n,
+        "final_price": float(lasts[-1]),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -452,22 +490,22 @@ def cmd_curve(config_path, **kwargs) -> None:
             raise InputFormatError(
                 "provide exactly one input: --bars, or --quotes with --trades"
             )
-        inputs: list[str] = []
-        if have_bars:
-            inputs.append(cfg["bars"])
-            samples = bars_to_samples(read_bars(cfg["bars"]))
-        else:
+        if have_quotes:
             _require(cfg, "trades")
-            inputs.extend([cfg["quotes"], cfg["trades"]])
-            samples = quotes_to_samples(
-                read_quotes(cfg["quotes"]), read_trades(cfg["trades"]),
-                window=cfg["window"],
-            )
         spec = BucketSpec(
             n_buckets=cfg["buckets"],
             lo_percentile=cfg["lo_percentile"],
             hi_percentile=cfg["hi_percentile"],
         )
+        inputs = [cfg["bars"]] if have_bars else [cfg["quotes"], cfg["trades"]]
+        report = _report_envelope("curve", cfg, inputs)
+        if have_bars:
+            samples = bar_blocks_to_samples(read_bar_blocks(cfg["bars"]))
+        else:
+            samples = quotes_to_samples(
+                read_quotes(cfg["quotes"]), read_trades(cfg["trades"]),
+                window=cfg["window"],
+            )
         curve = build_spread_volume_curve(
             samples, bucket_spec=spec,
             quantile_level=cfg["quantile"], min_count=cfg["min_count"],
@@ -476,7 +514,6 @@ def cmd_curve(config_path, **kwargs) -> None:
         write_curve_csv(curve_path, curve)
         write_histogram_csv(_out_path(cfg, "curve_hist.csv"), curve)
 
-        report = _report_envelope("curve", cfg, inputs)
         report["outputs"] = {"curve": "curve.csv", "histogram": "curve_hist.csv"}
         report["units"] = {"spread_q": "input money units",
                            "volume": "input volume units"}
@@ -618,8 +655,6 @@ def cmd_scale(config_path, **kwargs) -> None:
 
     def body() -> None:
         cfg = resolve_config("scale", config_path, _flags(kwargs))
-        report = _report_envelope("scale", cfg, [])
-
         if cfg["surface"]:
             _require(cfg, "lambda_risk", "rho_risk", "sigma_tau", "n",
                      "v_lo", "v_hi", "t_lo", "t_hi")
@@ -632,6 +667,7 @@ def cmd_scale(config_path, **kwargs) -> None:
                 cfg["v_lo"], cfg["v_hi"], cfg["t_lo"], cfg["t_hi"], cfg["nv"], cfg["nt"])
             surface = spread_surface(params, cfg["price"], v_grid, t_grid)
             _require_finite("surface", surface)
+            report = _report_envelope("scale", cfg, [])
             out_path = _out_path(cfg, "surface.csv")
             write_surface_csv(out_path, t_grid, v_grid, surface)
             report["outputs"] = {"surface": "surface.csv"}
@@ -656,6 +692,7 @@ def cmd_scale(config_path, **kwargs) -> None:
             ]
             final_ratio = rows[-1][1] / rows[-1][2]
             _require_finite("scale table", rows, final_ratio)
+            report = _report_envelope("scale", cfg, [])
             out_path = _out_path(cfg, "scale.csv")
             write_scale_csv(out_path, rows)
             report["outputs"] = {"scale": "scale.csv"}
@@ -764,9 +801,9 @@ def cmd_optimize(config_path, **kwargs) -> None:
         _require_finite("policy", policy.lambda_opt, policy.spread_opt, policy.exec_rate,
                         policy.pnl_opt, policy.pnl_naive, ratio)
 
+        report = _report_envelope("optimize", cfg, inputs)
         policy_path = _out_path(cfg, "policy.csv")
         write_policy_csv(policy_path, policy)
-        report = _report_envelope("optimize", cfg, inputs)
         report["outputs"] = {"policy": "policy.csv"}
         report["units"] = {"spread_opt": "dimensionless spread",
                            "pnl": "dimensionless spread x volume"}

@@ -11,9 +11,10 @@ Reproducibility contract: every path is generated from substreams derived
 from (seed, path_index), so results are bit-identical no matter how paths
 are distributed across workers.  Within one stream layout (``STREAM_LAYOUT``)
 a seed reproduces the same bars byte for byte; layout 2 draws each variate
-kind of ``simulate_path`` as a whole array from its own substream, so its
-bars differ from those of spreadwave 0.1.0 (layout 1, which drew all four
-variates of a step in turn from the single (seed, path_index) stream).
+kind of ``simulate_path`` from its own substream (whole arrays and blocks of
+one give the same values), so its bars differ from those of spreadwave 0.1.0
+(layout 1, which drew all four variates of a step in turn from the single
+(seed, path_index) stream).
 ``step_price`` and ``evolve_fluctuating`` still draw from one stream.
 """
 
@@ -24,6 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -45,8 +47,8 @@ _PLACEMENT_STREAM = 4
 _REDRAW_STREAM = 5
 # Positivity redraws allowed per step before the step is declared hopeless.
 _MAX_REDRAWS = 10_000
-# Rows simulate_path and the columnar CSV writers turn into Python objects
-# at a time: their working memory is bounded by this, not by the row count.
+# Rows per block of the simulator stream, the bar reader and the columnar
+# CSV writers: their working memory is bounded by this, not by the row count.
 _BLOCK_ROWS = 2048
 
 
@@ -301,58 +303,65 @@ def row_blocks(n: int):
     return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def simulate_path(
+def simulate_blocks(
     params: CoupledWaveParams,
     s0: float,
     n_steps: int,
     path_index: int = 0,
     volume: VolumeConfig | None = None,
-) -> BarSeries:
-    """Simulate a path of bars (stream layout 2).
+) -> Iterator[BarSeries]:
+    """Simulate a path of bars (stream layout 2) as consecutive row blocks.
 
-    dz, (xi, kappa) and the placement variate are drawn as whole arrays,
-    each from its own (seed, path_index, k) substream.  Only the
-    positivity-guarded mid/last recurrence runs step by step, with exactly
-    the arithmetic of ``step_price``; its redraws come from one more
-    substream, capped per step as in ``step_price``.  The heights and the
-    recurrence work through ``_BLOCK_ROWS`` rows at a time, so the Python
-    floats they need do not grow with ``n_steps``.  The volume column is
-    produced after the bar pass (see VolumeConfig), so changing the volume
-    mode never perturbs the price stream.
+    Yields one ``BarSeries`` per ``_BLOCK_ROWS`` rows; its ``s0`` is the last
+    price before the block and its ``redraws`` the block's own.  The
+    arguments are checked on the call, before any block is drawn.
+
+    dz, (xi, kappa), the placement variate and the lognormal volumes each
+    come from their own (seed, path_index, k) substream.  All but the xi
+    normals are drawn one block at a time, which gives the values a whole-
+    array draw gives; the xi normals come first in their substream, ahead of
+    every kappa, so they are drawn whole and are the only per-row state
+    besides the block.  Only the positivity-guarded mid/last recurrence runs
+    step by step, with exactly the arithmetic of ``step_price``; its
+    redraws come from one more substream, capped per step as in
+    ``step_price``.  The volume column never draws from the price streams
+    (see VolumeConfig), so changing the volume mode never perturbs the bars.
     """
     check_finite("s0", s0, above=0.0)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
+    return _simulated_blocks(params, float(s0), n_steps, path_index,
+                             volume if volume is not None else VolumeConfig(mode="none"))
 
+
+def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
+                      path_index: int, volume: VolumeConfig) -> Iterator[BarSeries]:
     def substream(key: int) -> np.random.Generator:
         return path_rng(params.seed, path_index, key)
 
-    growth = 1.0 + params.sigma_step * substream(_DZ_STREAM).standard_normal(n_steps)
-    z = substream(_XI_KAPPA_STREAM).standard_normal((2, n_steps))
-    heights = np.empty(n_steps)
+    dz_rng = substream(_DZ_STREAM)
+    xi_kappa_rng = substream(_XI_KAPPA_STREAM)
+    xi_normals = xi_kappa_rng.standard_normal(n_steps)
+    placement_rng = substream(_PLACEMENT_STREAM)
+    volume_rng = substream(_VOLUME_STREAM)
+    redraw_rng = substream(_REDRAW_STREAM)
+    uniform = params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR
+    redraws = 0
     for rows in row_blocks(n_steps):
-        xi = params.xi_mean + params.xi_std * z[0, rows]
-        kappa = params.kappa_mean + params.kappa_std * z[1, rows]
+        size = rows.stop - rows.start
+        growth = 1.0 + params.sigma_step * dz_rng.standard_normal(size)
+        xi = params.xi_mean + params.xi_std * xi_normals[rows]
+        kappa = params.kappa_mean + params.kappa_std * xi_kappa_rng.standard_normal(size)
         # math.hypot as in step_price: np.hypot differs from it in the last
         # bit for some inputs.
-        heights[rows] = list(map(math.hypot, xi.tolist(), kappa.tolist()))
-    del z
-    uniform = params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR
-    placement_rng = substream(_PLACEMENT_STREAM)
-    placement = (placement_rng.random(n_steps) if uniform
-                 else placement_rng.standard_normal(n_steps))
-    redraw_rng = substream(_REDRAW_STREAM)
-
-    mids_arr = np.empty(n_steps)
-    lasts_arr = np.empty(n_steps)
-    redraws = 0
-    s_last = float(s0)
-    for rows in row_blocks(n_steps):
+        heights = np.array(list(map(math.hypot, xi.tolist(), kappa.tolist())))
+        placement = (placement_rng.random(size) if uniform
+                     else placement_rng.standard_normal(size))
+        block_s0, block_redraws = s_last, 0
         mids: list[float] = []
         lasts: list[float] = []
-        for growth_i, half_i, variate in zip(growth[rows].tolist(),
-                                             (0.5 * heights[rows]).tolist(),
-                                             placement[rows].tolist()):
+        for growth_i, half_i, variate in zip(growth.tolist(), (0.5 * heights).tolist(),
+                                             placement.tolist()):
             s_mid = s_last * growth_i
             if uniform:
                 s_low = s_mid - half_i
@@ -362,17 +371,34 @@ def simulate_path(
             if s_mid <= 0.0 or s_next <= 0.0:
                 s_mid, s_next, used = _guarded_step(s_last, growth_i, half_i, variate,
                                                     uniform, params, redraw_rng)
-                redraws += used
+                block_redraws += used
             mids.append(s_mid)
             lasts.append(s_next)
             s_last = s_next
-        mids_arr[rows] = mids
-        lasts_arr[rows] = lasts
-    del growth, placement
-    if not np.isfinite(lasts_arr).all():
-        raise DomainError(
-            "simulated prices overflowed; step volatility or bar height is "
-            "too large for this price"
+        s_mids, s_lasts = np.array(mids), np.array(lasts)
+        if not np.isfinite(s_lasts).all():
+            raise DomainError(
+                "simulated prices overflowed; step volatility or bar height is "
+                "too large for this price"
+            )
+        if volume.mode == "impact":
+            volumes = volume.avg_trade_size * heights / (
+                2.0 * math.pi * params.tau0 * s_mids
+            )
+        elif volume.mode == "lognormal":
+            volumes = volume_rng.lognormal(volume.log_mean, volume.log_sigma, size)
+        else:
+            volumes = np.zeros(size)
+        if not np.isfinite(volumes).all():
+            raise DomainError(
+                "simulated volumes overflowed; the volume parameters are too large "
+                "for these bars"
+            )
+        half_h = 0.5 * heights
+        redraws += block_redraws
+        yield BarSeries(
+            s_mid=s_mids, s_high=s_mids + half_h, s_low=s_mids - half_h,
+            s_last=s_lasts, h=heights, volume=volumes, s0=block_s0, redraws=block_redraws,
         )
     if redraws > _REDRAW_WARN_RATE * n_steps:
         logger.warning(
@@ -380,27 +406,28 @@ def simulate_path(
             redraws / n_steps, _REDRAW_WARN_RATE,
         )
 
-    volume = volume if volume is not None else VolumeConfig(mode="none")
-    if volume.mode == "impact":
-        volumes = volume.avg_trade_size * heights / (
-            2.0 * math.pi * params.tau0 * mids_arr
-        )
-    elif volume.mode == "lognormal":
-        volumes = substream(_VOLUME_STREAM).lognormal(
-            volume.log_mean, volume.log_sigma, n_steps)
-    else:
-        volumes = np.zeros(n_steps)
-    if not np.isfinite(volumes).all():
-        raise DomainError(
-            "simulated volumes overflowed; the volume parameters are too large "
-            "for these bars"
-        )
 
-    half_h = 0.5 * heights
-    return BarSeries(
-        s_mid=mids_arr, s_high=mids_arr + half_h, s_low=mids_arr - half_h,
-        s_last=lasts_arr, h=heights, volume=volumes, s0=s0, redraws=redraws,
-    )
+def simulate_path(
+    params: CoupledWaveParams,
+    s0: float,
+    n_steps: int,
+    path_index: int = 0,
+    volume: VolumeConfig | None = None,
+) -> BarSeries:
+    """Simulate a path of bars (stream layout 2): ``simulate_blocks``, collected.
+
+    Beyond the six result columns, the working memory is the stream's: one
+    block and the xi normals.
+    """
+    blocks = simulate_blocks(params, s0, n_steps, path_index, volume)
+    columns = [np.empty(n_steps) for _ in range(6)]
+    redraws = 0
+    for block, rows in zip(blocks, row_blocks(n_steps)):
+        for column, part in zip(columns, (block.s_mid, block.s_high, block.s_low,
+                                          block.s_last, block.h, block.volume)):
+            column[rows] = part
+        redraws += block.redraws
+    return BarSeries(*columns, s0=s0, redraws=redraws)
 
 
 # --------------------------------------------------------------------------

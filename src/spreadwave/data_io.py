@@ -12,19 +12,24 @@ anything else, so malformed files still fail with their line number.
 The columnar writers (bars, policy, surface) and the bar reader work in
 bounded memory beyond the arrays they write or return: the writers format
 one block of rows at a time, and the bar reader scans for quotes in
-fixed-size chunks before its ``np.loadtxt`` pass.  (The strict fallback
-still holds one tuple per row.)
+fixed-size chunks, then parses one block of rows per ``np.loadtxt`` call.
+The bar writer and reader also stream: ``write_bar_blocks`` writes blocks
+as they are produced and ``read_bar_blocks`` yields them as they are
+parsed, so a caller that keeps only some columns holds only those.  (The
+strict fallback still holds one tuple per row.)
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import warnings
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +40,9 @@ from .calibration import (
     QuoteRecord,
     SpreadVolumeCurve,
     TradeRecord,
+    join_blocks,
 )
-from .coupled_wave import BarSeries, row_blocks
+from .coupled_wave import _BLOCK_ROWS, BarSeries, row_blocks
 from .errors import InputFormatError, check_finite
 from .optimizer import QuotePolicy
 
@@ -46,8 +52,8 @@ _BAR_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
-# Bytes read_bars reads at a time while it looks for a quote character.
-_SCAN_CHUNK = 1 << 20
+# Bytes the bar reader's quote scan and sha256_file read at a time.
+_SCAN_CHUNK = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +88,7 @@ def parse_timestamp(text: str) -> float:
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -161,32 +167,55 @@ def _read_bars_strict(path: str) -> BarColumns:
     return BarColumns(*table.T)
 
 
-def read_bars(path: str) -> BarColumns:
-    """Bar CSV as columns, whatever the order of its columns.
+def read_bar_blocks(path: str) -> Iterator[BarColumns]:
+    """Bar CSV as consecutive blocks of at most ``_BLOCK_ROWS`` rows, whatever
+    the order of its columns.
 
-    A file with numeric timestamps, no quotes and no malformed cells is read
-    in one ``np.loadtxt`` pass, after a scan for quotes that reads
-    ``_SCAN_CHUNK`` bytes at a time; any other file goes through
-    ``_read_bars_strict``, which gives the same arrays or fails with the
-    offending path and line.
+    A file with numeric timestamps, no quotes and no malformed cells is
+    parsed one block per ``np.loadtxt`` call, after a scan for quotes that
+    reads ``_SCAN_CHUNK`` bytes at a time; every block's columns are arrays
+    of their own.  Any other file goes through ``_read_bars_strict``, which
+    gives the same rows or fails with the offending path and line; when a
+    block fails to parse after earlier blocks were yielded, the rows after
+    them follow as one block.
     """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        quoted = b'"' in header or any(
+            b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
     try:
-        with open(path, "rb") as fh:
-            header = fh.readline()
-            quoted = b'"' in header or any(
-                b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
         names = header.rstrip(b"\r\n").decode("utf-8").split(",")
-        position = {name: i for i, name in enumerate(names)}  # last one wins, as in csv
-        if quoted or not all(col in position for col in _BAR_COLUMNS):
-            return _read_bars_strict(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               usecols=[position[col] for col in _BAR_COLUMNS],
-                               ndmin=2, encoding="utf-8")
-    except ValueError:
-        return _read_bars_strict(path)
-    return BarColumns(*table.T)
+    except UnicodeDecodeError:
+        names = []
+    position = {name: i for i, name in enumerate(names)}  # last one wins, as in csv
+    done = 0
+    if not quoted and all(col in position for col in _BAR_COLUMNS):
+        usecols = [position[col] for col in _BAR_COLUMNS]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                fh.readline()
+                while (table := _load_bar_rows(fh, usecols)) is not None:
+                    yield BarColumns(*map(np.ascontiguousarray, table))
+                    done += len(table[0])
+            return
+        except ValueError:
+            pass
+    rest = _read_bars_strict(path)
+    yield BarColumns(*(getattr(rest, col)[done:] for col in _BAR_COLUMNS))
+
+
+def _load_bar_rows(fh, usecols: list[int]) -> np.ndarray | None:
+    """The next block of rows of an open bar file, one row per column; None at the end."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        table = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols,
+                           ndmin=2, max_rows=_BLOCK_ROWS)
+    return table.T if len(table) else None
+
+
+def read_bars(path: str) -> BarColumns:
+    """Bar CSV as columns: ``read_bar_blocks``, joined (see ``join_blocks``)."""
+    return BarColumns(*join_blocks(read_bar_blocks(path), _BAR_COLUMNS))
 
 
 def read_curve(
@@ -237,18 +266,41 @@ def _write_lines(path: str, header: Sequence[str],
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _write_columns(path: str, header: Sequence[str], n_rows: int,
-                   block: Callable[[slice], Sequence[Iterable[str]]]) -> None:
-    """Write ``n_rows`` rows, one block of consecutive rows at a time.
+def _write_blocks(path: str, header: Sequence[str],
+                  blocks: Iterable[Sequence[Iterable[str]]]) -> None:
+    """Write rows one block at a time, as ``blocks`` produces them.
 
-    ``block(rows)`` gives the cells of the rows in the slice ``rows``, one
-    iterable of formatted strings per column.  Only one block of cells is
-    alive at a time, so memory does not grow with the row count.
+    Each block gives the cells of consecutive rows, one iterable of
+    formatted strings per column.  Only one block of cells is alive at a
+    time, so memory does not grow with the row count.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for rows in row_blocks(n_rows):
-            fh.write("\n".join(map(",".join, zip(*block(rows)))) + "\n")
+        for cells in blocks:
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _write_columns(path: str, header: Sequence[str], n_rows: int,
+                   block: Callable[[slice], Sequence[Iterable[str]]]) -> None:
+    """Write ``n_rows`` rows; ``block(rows)`` gives the cells of the slice ``rows``."""
+    _write_blocks(path, header, map(block, row_blocks(n_rows)))
+
+
+@contextlib.contextmanager
+def replaced_on_success(path: str) -> Iterator[str]:
+    """A temporary path next to ``path`` that replaces ``path`` when the block ends.
+
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was, so a failed run leaves no partial output behind.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 def _floats(values) -> Iterable[str]:
@@ -256,21 +308,39 @@ def _floats(values) -> Iterable[str]:
     return map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
-def write_bars_csv(path: str, series: BarSeries) -> None:
-    """Serialize a bar series to OHLC rows.
+def _bar_cells(start: int, o, high, low, c, volume):
+    """OHLC cells of consecutive bars, stamped from row index ``start``.
 
     The open is the bar mid (start-of-bar anchor of the walk), the close is
     the last price; high/low are widened to contain both so every row is a
     well-formed OHLC bar even when the placement rule leaves the envelope.
     """
-    def block(rows: slice):
-        o, c = series.s_mid[rows], series.s_last[rows]
-        hi = np.maximum(np.maximum(series.s_high[rows], o), c)
-        lo = np.minimum(np.minimum(series.s_low[rows], o), c)
-        return (map(str, range(rows.start, rows.stop)),
-                *(_floats(col) for col in (o, hi, lo, c, series.volume[rows])))
+    hi = np.maximum(np.maximum(high, o), c)
+    lo = np.minimum(np.minimum(low, o), c)
+    return (map(str, range(start, start + len(o))),
+            *(_floats(col) for col in (o, hi, lo, c, volume)))
 
-    _write_columns(path, _BAR_COLUMNS, len(series), block)
+
+def write_bar_blocks(path: str, blocks: Iterable[BarSeries]) -> None:
+    """Serialize bar blocks to OHLC rows as they are produced (see ``_bar_cells``).
+
+    Rows are stamped with their index in the whole stream.
+    """
+    def cells():
+        start = 0
+        for block in blocks:
+            yield _bar_cells(start, block.s_mid, block.s_high, block.s_low,
+                             block.s_last, block.volume)
+            start += len(block)
+
+    _write_blocks(path, _BAR_COLUMNS, cells())
+
+
+def write_bars_csv(path: str, series: BarSeries) -> None:
+    """Serialize a whole bar series to OHLC rows (see ``_bar_cells``)."""
+    columns = (series.s_mid, series.s_high, series.s_low, series.s_last, series.volume)
+    _write_columns(path, _BAR_COLUMNS, len(series), lambda rows: _bar_cells(
+        rows.start, *(column[rows] for column in columns)))
 
 
 def write_trades_csv(path: str, trades: Sequence[TradeRecord]) -> None:
@@ -288,10 +358,14 @@ def write_quotes_csv(path: str, quotes: Sequence[QuoteRecord]) -> None:
 
 
 def write_curve_csv(path: str, curve: SpreadVolumeCurve) -> None:
+    """Curve rows of the non-empty buckets: an empty bucket has no quantile.
+
+    The histogram sidecar (``write_histogram_csv``) keeps every bucket.
+    """
     _write_lines(path, _CURVE_COLUMNS, (
         (format_float(b.v_lo), format_float(b.v_hi), format_float(b.v_mid),
          format_float(b.spread_q), str(b.count))
-        for b in curve.buckets
+        for b in curve.buckets if b.count > 0
     ))
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_json_report_fixed_bytes(tmp_path):
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     write_json_report(p1, payload)
     write_json_report(p2, payload)
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+    b1, b2 = Path(p1).read_bytes(), Path(p2).read_bytes()
     assert b1 == b2
     assert b1.startswith(b"{\n")
     data = read_json_report(p1)
@@ -419,6 +420,12 @@ def stderr_lines(result):
       "--horizon", "nan"], "horizon"),
     (["optimize", "--a-coeff", "10", "--alpha", "3", "--lambda0", "3",
       "--quantile", "nan"], "quantile"),
+    # Flags the chosen mode does not read are still echoed, so still checked.
+    (["scale", "--base-spread", "2", "--eta", "0.8", "--lam", "1.6",
+      "--t2-max", "10", "--v-lo", "nan"], "v_lo"),
+    (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+      "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
+      "--t-lo", "1", "--t-hi", "10", "--eta", "inf"], "eta"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
@@ -484,7 +491,8 @@ def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, nam
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--window", "nan"), ("--quantile", "0"), ("--horizon", "inf"),
+    ("--window", "nan"), ("--window", "-1"), ("--window", "0"), ("--quantile", "0"),
+    ("--horizon", "inf"),
 ])
 def test_curve_bars_checks_flags_it_echoes(tmp_path, flag, value):
     # Bars use neither the window nor the horizon, but the report echoes both.
@@ -521,6 +529,24 @@ def test_simulate_report_diagnostics(tmp_path):
     assert 0.9 < long["closure_ratio"] < 1.1
     assert short["closure_ratio"] is None
     assert long["redraw_rate"] == long["redraws"] / 2000 == 0.0
+
+
+def test_curve_csv_leaves_out_empty_buckets(tmp_path):
+    run_cli(["simulate", "--steps", "1500", "--seed", "42", "--sigma-step", "0.0002",
+             "--xi-std", "0.05", "--kappa-std", "0.05", "--out", str(tmp_path)])
+    # Buckets between the 0th and the 0.25th volume percentile, with the outer
+    # edge stretched to the largest volume: the middle bucket stays empty.
+    res = run_cli(["curve", "--bars", str(tmp_path / "bars.csv"), "--lo-percentile", "0",
+                   "--hi-percentile", "0.25", "--buckets", "3", "--min-count", "0",
+                   "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    hist = np.loadtxt(tmp_path / "curve_hist.csv", delimiter=",", skiprows=1, ndmin=2)
+    curve = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(hist) == 3 and (hist[:, 2] == 0).any()
+    assert np.array_equal(curve[:, [0, 1, 4]], hist[hist[:, 2] > 0])
+    assert np.isfinite(curve).all()
+    back = read_curve(str(tmp_path / "curve.csv"), 0.9, CurveSource.BAR, min_count=0)
+    assert sum(b.count for b in back.buckets) == 1500 and not any(b.flagged for b in back.buckets)
 
 
 def test_simulate_report_redraw_rate(tmp_path):
