@@ -222,6 +222,11 @@ def measure_flow_stats(trades, window: float) -> FlowStats:
 # sample adapters
 # --------------------------------------------------------------------------
 
+def _accepted(volumes: np.ndarray, spreads: np.ndarray) -> np.ndarray:
+    """Mask of the usable samples: volume > 0 and spread >= 0, both finite."""
+    return (volumes > 0.0) & np.isfinite(volumes) & (spreads >= 0.0) & np.isfinite(spreads)
+
+
 def bars_to_samples(bars: BarColumns) -> SpreadSamples:
     """High-low ranges paired with per-bar volume.
 
@@ -230,8 +235,7 @@ def bars_to_samples(bars: BarColumns) -> SpreadSamples:
     """
     with np.errstate(invalid="ignore"):
         ranges = bars.high - bars.low
-    keep = (bars.volume > 0.0) & np.isfinite(bars.volume) \
-        & (ranges >= 0.0) & np.isfinite(ranges)
+    keep = _accepted(bars.volume, ranges)
     return SpreadSamples(
         volumes=bars.volume[keep], spreads=ranges[keep],
         source=CurveSource.BAR, n_rejected=len(bars) - int(np.count_nonzero(keep)),
@@ -316,7 +320,7 @@ def build_spread_volume_curve(
     spec = bucket_spec if bucket_spec is not None else BucketSpec()
 
     volumes, spreads = samples.volumes, samples.spreads
-    keep = (volumes > 0.0) & np.isfinite(volumes) & (spreads >= 0.0) & np.isfinite(spreads)
+    keep = _accepted(volumes, spreads)
     n_bad = volumes.size - int(np.count_nonzero(keep))
     if n_bad:
         volumes, spreads = volumes[keep], spreads[keep]

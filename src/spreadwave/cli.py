@@ -39,6 +39,8 @@ from .coupled_wave import (
     CoupledWaveParams,
     LastPriceRule,
     VolumeConfig,
+    bar_height_rayleigh_scale,
+    path_volatility,
     predicted_volatility,
     row_blocks,
     simulate_blocks,
@@ -82,85 +84,47 @@ from .scaling import (SpreadSurfaceParams, classical_scale, default_surface_grid
 
 _ENV_PREFIX = "SPREADWAVE_"
 
-_GLOBAL_SPEC: dict[str, type] = {
-    "seed": int,
-    "out": str,
-    "quantile": float,
-    "horizon": float,
-}
-_GLOBAL_DEFAULTS: dict = {
-    "seed": 0,
-    "out": ".",
-    "quantile": 0.9,
-    "horizon": 1.0,
+# Config keys as key: (type, default); the global keys belong to every command.
+_GLOBAL_KEYS: dict[str, tuple[type, object]] = {
+    "seed": (int, 0), "out": (str, "."), "quantile": (float, 0.9), "horizon": (float, 1.0),
 }
 
-_COMMAND_SPEC: dict[str, dict[str, type]] = {
+_COMMAND_KEYS: dict[str, dict[str, tuple[type, object]]] = {
     "simulate": {
-        "steps": int, "s0": float, "sigma_step": float,
-        "xi_mean": float, "xi_std": float,
-        "kappa_mean": float, "kappa_std": float,
-        "tau0": float, "rule": str, "path_index": int,
-        "volume_mode": str, "avg_trade_size": float,
-        "log_mean": float, "log_sigma": float,
+        "steps": (int, 1000), "s0": (float, 100.0), "sigma_step": (float, 1e-4),
+        "xi_mean": (float, 0.0), "xi_std": (float, 0.5),
+        "kappa_mean": (float, 0.0), "kappa_std": (float, 0.5),
+        "tau0": (float, 1.0), "rule": (str, "uniform"), "path_index": (int, 0),
+        "volume_mode": (str, "impact"), "avg_trade_size": (float, 100.0),
+        "log_mean": (float, 0.0), "log_sigma": (float, 1.0),
     },
     "curve": {
-        "bars": str, "quotes": str, "trades": str, "window": float,
-        "buckets": int, "min_count": int,
-        "lo_percentile": float, "hi_percentile": float,
+        "bars": (str, None), "quotes": (str, None), "trades": (str, None),
+        "window": (float, 60.0), "buckets": (int, 25), "min_count": (int, 20),
+        "lo_percentile": (float, 1.0), "hi_percentile": (float, 99.0),
     },
     "calibrate": {
-        "curve": str, "kind": str, "n": float, "sigma": float,
-        "price": float, "volume": float, "tau0": float,
-        "strict_product": bool, "min_count": int,
+        "curve": (str, None), "kind": (str, "bidask"), "n": (float, None),
+        "sigma": (float, None), "price": (float, None), "volume": (float, 0.0),
+        "tau0": (float, 1.0), "strict_product": (bool, False), "min_count": (int, 20),
     },
     "scale": {
-        "base_spread": float, "eta": float, "lam": float,
-        "t2_max": float, "t_steps": int, "surface": bool,
-        "lambda_risk": float, "rho_risk": float, "sigma_tau": float,
-        "n": float, "tau0": float, "price": float,
-        "v_lo": float, "v_hi": float, "nv": int,
-        "t_lo": float, "t_hi": float, "nt": int,
+        "base_spread": (float, None), "eta": (float, None), "lam": (float, None),
+        "t2_max": (float, None), "t_steps": (int, 50), "surface": (bool, False),
+        "lambda_risk": (float, None), "rho_risk": (float, None),
+        "sigma_tau": (float, None), "n": (float, None), "tau0": (float, 1.0),
+        "price": (float, 1.0), "v_lo": (float, None), "v_hi": (float, None),
+        "nv": (int, 50), "t_lo": (float, None), "t_hi": (float, None), "nt": (int, 20),
     },
     "optimize": {
-        "a_coeff": float, "alpha": float, "lambda0": float,
-        "lambda_ref": float, "calibration": str,
-        "v_lo": float, "v_hi": float, "v_points": int,
+        "a_coeff": (float, None), "alpha": (float, 0.0), "lambda0": (float, None),
+        "lambda_ref": (float, None), "calibration": (str, None),
+        "v_lo": (float, None), "v_hi": (float, None), "v_points": (int, 41),
     },
 }
 
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "simulate": {
-        "steps": 1000, "s0": 100.0, "sigma_step": 1e-4,
-        "xi_mean": 0.0, "xi_std": 0.5, "kappa_mean": 0.0, "kappa_std": 0.5,
-        "tau0": 1.0, "rule": "uniform", "path_index": 0,
-        "volume_mode": "impact", "avg_trade_size": 100.0,
-        "log_mean": 0.0, "log_sigma": 1.0,
-    },
-    "curve": {
-        "bars": None, "quotes": None, "trades": None, "window": 60.0,
-        "buckets": 25, "min_count": 20,
-        "lo_percentile": 1.0, "hi_percentile": 99.0,
-    },
-    "calibrate": {
-        "curve": None, "kind": "bidask", "n": None, "sigma": None,
-        "price": None, "volume": 0.0, "tau0": 1.0,
-        "strict_product": False, "min_count": 20,
-    },
-    "scale": {
-        "base_spread": None, "eta": None, "lam": None,
-        "t2_max": None, "t_steps": 50, "surface": False,
-        "lambda_risk": None, "rho_risk": None, "sigma_tau": None,
-        "n": None, "tau0": 1.0, "price": 1.0,
-        "v_lo": None, "v_hi": None, "nv": 50,
-        "t_lo": None, "t_hi": None, "nt": 20,
-    },
-    "optimize": {
-        "a_coeff": None, "alpha": 0.0, "lambda0": None,
-        "lambda_ref": None, "calibration": None,
-        "v_lo": None, "v_hi": None, "v_points": 41,
-    },
-}
+# The largest count a float64 array of that many elements can be sized for.
+_MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +151,7 @@ def _coerce(key: str, value, typ: type):
         if typ is float:
             return float(value)
         return str(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise InputFormatError(
             f"config key {key!r}: cannot interpret {value!r} as {typ.__name__}"
         ) from None
@@ -230,20 +194,20 @@ def resolve_config(
     Raises DomainError for a horizon that is not finite and > 0, or a
     quantile outside (0, 1].
     """
-    spec = {**_GLOBAL_SPEC, **_COMMAND_SPEC[command]}
-    resolved = {**_GLOBAL_DEFAULTS, **_COMMAND_DEFAULTS[command]}
+    keys = {**_GLOBAL_KEYS, **_COMMAND_KEYS[command]}
+    resolved = {key: default for key, (_, default) in keys.items()}
 
     if config_path is not None:
         data = _load_config_file(config_path)
-        unknown = sorted(set(data) - set(spec))
+        unknown = sorted(set(data) - set(keys))
         if unknown:
             raise InputFormatError(
                 f"unknown config keys for {command}: {', '.join(unknown)}"
             )
         for key, value in data.items():
-            resolved[key] = _coerce(key, value, spec[key])
+            resolved[key] = _coerce(key, value, keys[key][0])
 
-    for key, typ in spec.items():
+    for key, (typ, _) in keys.items():
         env_value = os.environ.get(_ENV_PREFIX + key.upper())
         if env_value is not None:
             resolved[key] = _coerce(key, env_value, typ)
@@ -267,8 +231,9 @@ def _require(resolved: dict, *keys: str) -> None:
 
 def _require_count(resolved: dict, *keys: str) -> None:
     for key in keys:
-        if resolved[key] < 1:
-            raise InputFormatError(f"{key} must be >= 1, got {resolved[key]!r}")
+        if not 1 <= resolved[key] <= _MAX_COUNT:
+            raise InputFormatError(
+                f"{key} must be between 1 and {_MAX_COUNT}, got {resolved[key]!r}")
 
 
 def _require_finite(what: str, *values) -> None:
@@ -394,6 +359,7 @@ def cmd_simulate(config_path, **kwargs) -> None:
             mode=cfg["volume_mode"], avg_trade_size=cfg["avg_trade_size"],
             log_mean=cfg["log_mean"], log_sigma=cfg["log_sigma"],
         )
+        _require_count(cfg, "steps")
         n = cfg["steps"]
         blocks = simulate_blocks(params, cfg["s0"], n, path_index=cfg["path_index"],
                                  volume=volume)
@@ -422,8 +388,7 @@ def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float
     Beyond one block, only the two columns the summary reduces over are
     kept: the heights and the last prices.  The heights are reduced and
     released before the volatility estimate, so their temporaries never
-    coexist.  The arithmetic is that of ``bar_height_rayleigh_scale`` and
-    ``path_volatility`` on the whole series.
+    coexist.
     """
     heights, lasts = np.empty(n), np.empty(n)
     redraws = 0
@@ -437,12 +402,12 @@ def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float
 
     write_bar_blocks(path, kept())
     mean_bar_height = float(np.mean(heights))
-    rayleigh_scale = float(math.sqrt(np.mean(heights ** 2) / 2.0))
+    rayleigh_scale = bar_height_rayleigh_scale(heights)
     del heights
     predicted = predicted_volatility(params, s0)
     empirical = closure = None
     if n >= 1000:
-        empirical = float(np.std(np.diff(np.concatenate(([s0], lasts))), ddof=1))
+        empirical = path_volatility(lasts, s0)
         if predicted > 0.0:
             closure = empirical / predicted
     return {

@@ -16,6 +16,13 @@ one give the same values), so its bars differ from those of spreadwave 0.1.0
 (layout 1, which drew all four variates of a step in turn from the single
 (seed, path_index) stream).
 ``step_price`` and ``evolve_fluctuating`` still draw from one stream.
+
+``simulate_blocks`` advances the mid and last prices in one guarded walk:
+the arithmetic, the redraws and the per-step redraw cap of ``step_price``,
+which stays its scalar oracle.  The volatility diagnostics take the columns
+they reduce (``path_volatility(s_last, s0)``, ``bar_height_rayleigh_scale(h)``),
+so a caller that keeps only those columns, such as the ``simulate`` command,
+uses them directly.
 """
 
 from __future__ import annotations
@@ -276,28 +283,6 @@ def step_price(
     return BarSample(s_mid=s_mid, s_high=s_high, s_low=s_low, s_last=s_next, h=h)
 
 
-def _guarded_step(
-    s_last: float, growth: float, half_h: float, variate: float, uniform: bool,
-    params: CoupledWaveParams, redraw_rng: np.random.Generator,
-) -> tuple[float, float, int]:
-    """One step of simulate_path's recurrence with step_price's redraws."""
-    s_mid, used = _guarded(
-        s_last * growth,
-        lambda: s_last * (1.0 + params.sigma_step * redraw_rng.standard_normal()),
-        0, _MAX_REDRAWS,
-    )
-    s_low, s_high = s_mid - half_h, s_mid + half_h
-    if uniform:
-        s_next, used = _guarded(s_low + (s_high - s_low) * variate,
-                                lambda: redraw_rng.uniform(s_low, s_high),
-                                used, _MAX_REDRAWS)
-    else:
-        s_next, used = _guarded(s_mid + half_h * variate,
-                                lambda: s_mid + half_h * redraw_rng.standard_normal(),
-                                used, _MAX_REDRAWS)
-    return s_mid, s_next, used
-
-
 def row_blocks(n: int):
     """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
     return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
@@ -321,10 +306,11 @@ def simulate_blocks(
     normals are drawn one block at a time, which gives the values a whole-
     array draw gives; the xi normals come first in their substream, ahead of
     every kappa, so they are drawn whole and are the only per-row state
-    besides the block.  Only the positivity-guarded mid/last recurrence runs
-    step by step, with exactly the arithmetic of ``step_price``; its
-    redraws come from one more substream, capped per step as in
-    ``step_price``.  The volume column never draws from the price streams
+    besides the block.  Only the positivity-guarded mid/last walk runs step
+    by step, with exactly the arithmetic of ``step_price``: a non-positive
+    mid redraws its normal, then a non-positive last price redraws its
+    placement.  The redraws come from one more substream, capped per step
+    as in ``step_price``.  The volume column never draws from the price streams
     (see VolumeConfig), so changing the volume mode never perturbs the bars.
     """
     check_finite("s0", s0, above=0.0)
@@ -346,10 +332,11 @@ def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
     volume_rng = substream(_VOLUME_STREAM)
     redraw_rng = substream(_REDRAW_STREAM)
     uniform = params.last_price_rule is LastPriceRule.UNIFORM_IN_BAR
+    sigma = params.sigma_step
     redraws = 0
     for rows in row_blocks(n_steps):
         size = rows.stop - rows.start
-        growth = 1.0 + params.sigma_step * dz_rng.standard_normal(size)
+        growth = 1.0 + sigma * dz_rng.standard_normal(size)
         xi = params.xi_mean + params.xi_std * xi_normals[rows]
         kappa = params.kappa_mean + params.kappa_std * xi_kappa_rng.standard_normal(size)
         # math.hypot as in step_price: np.hypot differs from it in the last
@@ -362,16 +349,19 @@ def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
         lasts: list[float] = []
         for growth_i, half_i, variate in zip(growth.tolist(), (0.5 * heights).tolist(),
                                              placement.tolist()):
+            used = 0
             s_mid = s_last * growth_i
-            if uniform:
-                s_low = s_mid - half_i
-                s_next = s_low + ((s_mid + half_i) - s_low) * variate
-            else:
-                s_next = s_mid + half_i * variate
-            if s_mid <= 0.0 or s_next <= 0.0:
-                s_mid, s_next, used = _guarded_step(s_last, growth_i, half_i, variate,
-                                                    uniform, params, redraw_rng)
-                block_redraws += used
+            if s_mid <= 0.0:
+                s_mid, used = _guarded(
+                    s_mid, lambda: s_last * (1.0 + sigma * redraw_rng.standard_normal()),
+                    used, _MAX_REDRAWS)
+            s_low, s_high = s_mid - half_i, s_mid + half_i
+            s_next = s_low + (s_high - s_low) * variate if uniform else s_mid + half_i * variate
+            if s_next <= 0.0:
+                place = ((lambda: redraw_rng.uniform(s_low, s_high)) if uniform
+                         else (lambda: s_mid + half_i * redraw_rng.standard_normal()))
+                s_next, used = _guarded(s_next, place, used, _MAX_REDRAWS)
+            block_redraws += used
             mids.append(s_mid)
             lasts.append(s_next)
             s_last = s_next
@@ -434,13 +424,14 @@ def simulate_path(
 # volatility diagnostics
 # --------------------------------------------------------------------------
 
-def path_volatility(series: BarSeries) -> float:
-    """Empirical per-step volatility: standard deviation of last-price moves."""
-    if len(series) < 1000:
+def path_volatility(s_last: np.ndarray, s0: float) -> float:
+    """Empirical per-step volatility: standard deviation of the last-price
+    moves of a path's ``s_last`` column, starting from the price ``s0``."""
+    if len(s_last) < 1000:
         raise InsufficientDataError(
-            f"need >= 1000 bars for a stable estimate, got {len(series)}"
+            f"need >= 1000 bars for a stable estimate, got {len(s_last)}"
         )
-    increments = np.diff(np.concatenate(([series.s0], series.s_last)))
+    increments = np.diff(np.concatenate(([s0], s_last)))
     return float(np.std(increments, ddof=1))
 
 
@@ -463,11 +454,11 @@ def predicted_volatility(
     return math.sqrt((s * params.sigma_step) ** 2 + alpha * h_sq_mean / 4.0)
 
 
-def bar_height_rayleigh_scale(series: BarSeries) -> float:
-    """Maximum-likelihood Rayleigh scale of the bar heights."""
-    if len(series) == 0:
+def bar_height_rayleigh_scale(h: np.ndarray) -> float:
+    """Maximum-likelihood Rayleigh scale of a column of bar heights ``h``."""
+    if len(h) == 0:
         raise InsufficientDataError("empty series")
-    return float(math.sqrt(np.mean(series.h ** 2) / 2.0))
+    return float(math.sqrt(np.mean(h ** 2) / 2.0))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,12 @@ closed form (as under the exponential fill law of Avellaneda & Stoikov,
 2008); other laws are optimized numerically, every volume point at once: a
 lambda grid, then a bisection on the stationarity condition or a bounded
 golden-section search, all in numpy.
+
+The fill rate, the P&L and its slope in lambda are each written once, as
+array kernels (``_rate``, ``_pnl``, ``_slope``).  The search, the policy
+columns and the scalar functions (``execution_rate``, ``spread_pnl``,
+``stationarity_residual``) all evaluate them; ``optimize_spread`` is
+``policy_curve`` at one volume.
 """
 
 from __future__ import annotations
@@ -56,6 +62,41 @@ class ExecutionModel:
         check_finite("lambda0", self.lambda0, above=0.0)
 
 
+def _rate(lam, lambda0):
+    """Fill rate r(lam) = exp(-(lam / lambda0)^2), element-wise."""
+    x = lam / lambda0
+    # A single level takes libm's exp, as it always has: numpy's exp differs
+    # from it in the last bit for some levels, which would move the bytes
+    # of pnl_naive and of execution_rate.
+    exp = math.exp if np.ndim(x) == 0 else np.exp
+    with np.errstate(over="ignore"):  # a fill rate of exactly 0 is right
+        return exp(-(x * x))
+
+
+def _pnl(law, lam, v, alpha, lambda0, out=None):
+    """Spread P&L 0.5 * r(lam) * v * (delta(lam; v) - alpha), element-wise.
+
+    ``out`` receives the result, so the grid search reuses one block buffer.
+    """
+    pnl = np.multiply(0.5 * _rate(lam, lambda0), v, out=out)
+    pnl *= law.delta(lam, v) - alpha
+    return pnl
+
+
+def _ddelta(law, lam, v):
+    fn = getattr(law, "ddelta_dlam", None)
+    if fn is not None:
+        return fn(lam, v)
+    step = 1e-6 * np.maximum(lam, 1.0)
+    return (law.delta(lam + step, v) - law.delta(lam - step, v)) / (2.0 * step)
+
+
+def _slope(law, lam, v, alpha, lambda0):
+    """d(P&L)/dlam up to the positive factor 0.5 * v * r(lam), element-wise:
+    delta'(lam) - 2 lam / lambda0^2 * (delta - alpha)."""
+    return _ddelta(law, lam, v) - 2.0 * lam / lambda0 ** 2 * (law.delta(lam, v) - alpha)
+
+
 def execution_rate(model: ExecutionModel, lam: float) -> float:
     """Probability that a quote at control level lam executes.
 
@@ -64,14 +105,11 @@ def execution_rate(model: ExecutionModel, lam: float) -> float:
     """
     if lam < 0.0:
         raise DomainError(f"lam must be >= 0, got {lam!r}")
-    x = lam / model.lambda0
-    return math.exp(-x * x)
+    return float(_rate(lam, model.lambda0))
 
 
 def execution_density(model: ExecutionModel, lam: float) -> float:
     """Density whose upper tail is the execution rate: 2 lam / lambda0^2 * r(lam)."""
-    if lam < 0.0:
-        raise DomainError(f"lam must be >= 0, got {lam!r}")
     return 2.0 * lam / model.lambda0 ** 2 * execution_rate(model, lam)
 
 
@@ -179,17 +217,8 @@ def spread_pnl(params: PnLParams, model: ExecutionModel, lam: float) -> float:
     """Spread revenue per period: 0.5 * r(lam) * v * (delta(lam; v) - alpha)."""
     if not (lam > 0.0):
         raise DomainError(f"lam must be > 0, got {lam!r}")
-    delta = params.spread_law.delta(lam, params.volume_v)
-    r = execution_rate(model, lam)
-    return 0.5 * r * params.volume_v * (delta - params.commission_alpha)
-
-
-def _ddelta(law: LinearSpreadLaw, lam, v):
-    fn = getattr(law, "ddelta_dlam", None)
-    if fn is not None:
-        return fn(lam, v)
-    step = 1e-6 * np.maximum(lam, 1.0)
-    return (law.delta(lam + step, v) - law.delta(lam - step, v)) / (2.0 * step)
+    return float(_pnl(params.spread_law, lam, params.volume_v,
+                      params.commission_alpha, model.lambda0))
 
 
 def stationarity_residual(
@@ -199,12 +228,12 @@ def stationarity_residual(
 
     With r a monotone function of lam, ddelta/dr = delta'(lam) / r'(lam) and
     r / r'(lam) = -lambda0^2 / (2 lam), so the residual is
-    delta - alpha - delta'(lam) * lambda0^2 / (2 lam).
+    delta - alpha - delta'(lam) * lambda0^2 / (2 lam): the P&L slope times
+    -lambda0^2 / (2 lam).
     """
-    delta = float(params.spread_law.delta(lam, params.volume_v))
-    dd = float(_ddelta(params.spread_law, lam, params.volume_v))
-    return delta - params.commission_alpha \
-        - dd * model.lambda0 ** 2 / (2.0 * lam)
+    slope = _slope(params.spread_law, lam, params.volume_v, params.commission_alpha,
+                   model.lambda0)
+    return float(-model.lambda0 ** 2 / (2.0 * lam) * slope)
 
 
 def _bisect(fn, lo, hi, v):
@@ -238,43 +267,52 @@ def _golden_max(fn, lo, hi, v):
 def _numeric_optimum(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarray:
     """P&L-maximizing control level at every volume in ``v``, numerically.
 
-    A geometric lambda grid locates each maximum.  Where the P&L slope
-    changes sign across the two cells around it, a bisection on the
-    stationarity condition refines it; elsewhere (a maximum on a grid
-    corner, or no sign change) a golden-section search over those cells
-    does, and the grid point is kept if refinement lost.  The grid is
-    evaluated in blocks of points so the working set stays near 1 MB.
+    A geometric lambda grid locates each maximum; a non-finite P&L counts
+    as -inf there, and a volume with no finite P&L on the grid gets NaN.
+    Where the P&L slope changes sign across the two cells around the
+    maximum, a bisection on the stationarity condition refines it;
+    elsewhere (a maximum on a grid corner, or no sign change) a
+    golden-section search over those cells does, and the grid point is kept
+    unless refinement reached at least its P&L.  The grid is evaluated in
+    blocks of points so the working set stays near 2 MB.
     """
     def pnl(lam, vv):
-        return 0.5 * np.exp(-((lam / lam0) ** 2)) * vv * (law.delta(lam, vv) - alpha)
+        return _pnl(law, lam, vv, alpha, lam0)
 
     def slope(lam, vv):
-        # d(P/L)/dlam up to the positive factor 0.5 * v * r(lam).
-        return _ddelta(law, lam, vv) - 2.0 * lam / lam0 ** 2 * (law.delta(lam, vv) - alpha)
+        return _slope(law, lam, vv, alpha, lam0)
 
     lams = lam0 * np.geomspace(_GRID_SPAN[0], _GRID_SPAN[1], _GRID_POINTS)
-    rates = np.exp(-((lams / lam0) ** 2))
-    k = np.empty(v.size, dtype=np.intp)
-    for start in range(0, v.size, _BLOCK_POINTS):
-        rows = slice(start, start + _BLOCK_POINTS)
-        # The P&L up to the positive factor 0.5 * v; one lambda row serves
-        # the block, so a law separable in (lambda, v) works per row, not cell.
-        score = law.delta(lams[None, :], v[rows, None]) - alpha
-        score *= rates
-        k[rows] = np.argmax(score, axis=1)
+    block = np.empty((min(v.size, _BLOCK_POINTS), lams.size))
 
-    lam = lams[k]
+    def best_levels(vv):
+        # One lambda row serves the block, so a law separable in (lambda, v)
+        # works per row, not cell.
+        score = _pnl(law, lams[None, :], vv[:, None], alpha, lam0, out=block[:vv.size])
+        best = np.argmax(score, axis=1)
+        # argmax stops at a NaN or +inf: only such rows are searched again,
+        # over their finite P&L; -1 marks a row with none.
+        for row in np.flatnonzero(~np.isfinite(score[np.arange(best.size), best])):
+            finite = np.isfinite(score[row])
+            best[row] = np.argmax(np.where(finite, score[row], -np.inf)) \
+                if finite.any() else -1
+        return best
+
+    k = np.concatenate([best_levels(v[lo:lo + _BLOCK_POINTS])
+                        for lo in range(0, v.size, _BLOCK_POINTS)])
+    found = k >= 0
+    lam = np.where(found, lams[k], np.nan)
     lo = lams[np.maximum(k - 1, 0)]
     hi = lams[np.minimum(k + 1, lams.size - 1)]
-    root = np.flatnonzero((0 < k) & (k < lams.size - 1))
+    root = np.flatnonzero(found & (0 < k) & (k < lams.size - 1))
     root = root[(slope(lo[root], v[root]) > 0.0) & (slope(hi[root], v[root]) < 0.0)]
-    rest = np.setdiff1d(np.arange(v.size), root)
+    rest = np.setdiff1d(np.flatnonzero(found), root)
     if root.size:
         lam[root] = _bisect(slope, lo[root], hi[root], v[root])
     if rest.size:
         refined = _golden_max(pnl, lo[rest], hi[rest], v[rest])
-        lost = pnl(refined, v[rest]) < pnl(lam[rest], v[rest])
-        lam[rest] = np.where(lost, lam[rest], refined)
+        better = pnl(refined, v[rest]) >= pnl(lam[rest], v[rest])
+        lam[rest] = np.where(better, refined, lam[rest])
     return lam
 
 
@@ -293,19 +331,21 @@ def _optimal_lambdas(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarra
 def optimize_spread(
     params: PnLParams, model: ExecutionModel,
 ) -> OptimizeResult:
-    """P&L-maximizing control level for one volume point: closed form for a
-    law with ``optimal_lambda`` (the linear family), else a numeric search."""
-    law = params.spread_law
-    v = params.volume_v
-    lam_opt = float(_optimal_lambdas(law, np.array([v]), params.commission_alpha,
-                                     model.lambda0)[0])
-    pnl_opt = spread_pnl(params, model, lam_opt)
+    """P&L-maximizing control level for one volume point: ``policy_curve`` at
+    that volume, plus the stationarity residual there.
+
+    A volume with no finite P&L on the search grid gives the failure row:
+    every number NaN and ``halt`` set.
+    """
+    policy = policy_curve([params.volume_v], model, params.spread_law,
+                          params.commission_alpha)
+    lam_opt = float(policy.lambda_opt[0])
     return OptimizeResult(
         lambda_opt=lam_opt,
-        spread_opt=float(law.delta(lam_opt, v)),
-        exec_rate=execution_rate(model, lam_opt),
-        pnl_opt=pnl_opt,
-        halt=pnl_opt <= 0.0,
+        spread_opt=float(policy.spread_opt[0]),
+        exec_rate=float(policy.exec_rate[0]),
+        pnl_opt=float(policy.pnl_opt[0]),
+        halt=bool(policy.halt[0]),
         stationarity_residual=stationarity_residual(params, model, lam_opt),
     )
 
@@ -335,16 +375,13 @@ def policy_curve(
     check_finite("volume_v", v_arr, above=0.0)
     check_finite("commission_alpha", commission_alpha, at_least=0.0)
 
-    lam = _optimal_lambdas(law, v_arr, commission_alpha, model.lambda0)
-    with np.errstate(over="ignore"):  # a fill rate of exactly 0 is right
-        rate = np.exp(-(lam / model.lambda0) ** 2)
-    spread = law.delta(lam, v_arr)
-    pnl = 0.5 * rate * v_arr * (spread - commission_alpha)
-    pnl_naive = 0.5 * execution_rate(model, law.lambda_ref) * v_arr \
-        * (law.delta(law.lambda_ref, v_arr) - commission_alpha)
+    lam0 = model.lambda0
+    lam = _optimal_lambdas(law, v_arr, commission_alpha, lam0)
+    pnl = _pnl(law, lam, v_arr, commission_alpha, lam0)
     failed = ~np.isfinite(lam)
     return QuotePolicy(
-        v=v_arr, lambda_opt=lam, spread_opt=spread, exec_rate=rate, pnl_opt=pnl,
-        pnl_naive=pnl_naive, halt=(pnl <= 0.0) | failed,
-        failures=tuple(np.flatnonzero(failed).tolist()),
+        v=v_arr, lambda_opt=lam, spread_opt=law.delta(lam, v_arr),
+        exec_rate=_rate(lam, lam0), pnl_opt=pnl,
+        pnl_naive=_pnl(law, law.lambda_ref, v_arr, commission_alpha, lam0),
+        halt=(pnl <= 0.0) | failed, failures=tuple(np.flatnonzero(failed).tolist()),
     )

@@ -159,7 +159,7 @@ def test_criterion_06_volatility_closure():
                                    tau0=1.0, last_price_rule=rule, seed=123)
         series = simulate_path(params, 10_000.0, 100_000,
                                volume=VolumeConfig(mode="none"))
-        empirical = path_volatility(series)
+        empirical = path_volatility(series.s_last, series.s0)
         predicted = predicted_volatility(params, 10_000.0)
         assert abs(empirical - predicted) / predicted < tolerance
 

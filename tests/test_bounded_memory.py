@@ -212,8 +212,8 @@ def test_streamed_simulate_matches_whole_path(tmp_path, rule, mode, wave, n):
         summary = json.load(fh)["summary"]
     assert summary["redraws"] == series.redraws
     assert summary["mean_bar_height"] == float(np.mean(series.h))
-    assert summary["rayleigh_scale"] == bar_height_rayleigh_scale(series)
-    assert summary["empirical_volatility"] == path_volatility(series)
+    assert summary["rayleigh_scale"] == bar_height_rayleigh_scale(series.h)
+    assert summary["empirical_volatility"] == path_volatility(series.s_last, series.s0)
     assert summary["final_price"] == float(series.s_last[-1])
 
 

@@ -134,7 +134,7 @@ def test_path_volatility_needs_data():
     p = CoupledWaveParams(sigma_step=1e-3, seed=1)
     series = simulate_path(p, 50.0, 10)
     with pytest.raises(InsufficientDataError):
-        path_volatility(series)
+        path_volatility(series.s_last, series.s0)
 
 
 def test_predicted_volatility_placement_coefficients():
@@ -153,7 +153,7 @@ def test_rayleigh_scale_constant_heights():
     # all h = c gives sqrt(mean(h^2)/2) = c/sqrt(2)
     p = CoupledWaveParams(sigma_step=0.0, xi_mean=2.0, xi_std=0.0)
     series = simulate_path(p, 100.0, 50)
-    assert bar_height_rayleigh_scale(series) == pytest.approx(
+    assert bar_height_rayleigh_scale(series.h) == pytest.approx(
         2.0 / math.sqrt(2.0), rel=1e-12)
 
 
@@ -280,7 +280,8 @@ class ReplayGenerator:
         return low + (high - low) * next(self._values)
 
 
-def step_price_oracle(params, s0, n_steps, path_index=0):
+def step_price_oracle(params, s0, n_steps, path_index=0,
+                      max_redraws=coupled_wave._MAX_REDRAWS):
     """Loop of step_price fed the variates of stream layout 2.
 
     Layout 2 keys the substreams of (seed, path_index) as 2: dz, 3: (xi,
@@ -300,7 +301,8 @@ def step_price_oracle(params, s0, n_steps, path_index=0):
     counter = RedrawCounter()
     bars, s_last = [], s0
     for _ in range(n_steps):
-        bar = step_price(s_last, params, replay, counter, redraw_rng=redraw_rng)
+        bar = step_price(s_last, params, replay, counter, max_redraws,
+                         redraw_rng=redraw_rng)
         bars.append(bar)
         s_last = bar.s_last
     return bars, counter.count
@@ -379,6 +381,33 @@ def test_simulate_path_matches_step_price_across_row_blocks(rule, n):
         expected = np.array([getattr(bar, field) for bar in bars])
         assert getattr(series, field).tobytes() == expected.tobytes(), field
     assert series.redraws == redraws > 0
+
+
+@pytest.mark.parametrize("rule, seed", [(LastPriceRule.UNIFORM_IN_BAR, 6),
+                                        (LastPriceRule.NORMAL_HALF_BAR, 3)])
+def test_simulate_path_redraw_cap_matches_step_price(monkeypatch, rule, seed):
+    # The cap counts a step's mid and last-price redraws together, so the
+    # walk gives up for the same caps as step_price.  On the uniform path a
+    # cap of 3 is exceeded only by a step's mid and last redraws combined.
+    p = CoupledWaveParams(sigma_step=0.9, xi_std=0.5, kappa_std=0.5, seed=seed,
+                          last_price_rule=rule)
+
+    def first_failure(run):
+        try:
+            run()
+        except DomainError as exc:
+            assert "redraw limit" in str(exc)
+            return True
+        return False
+
+    outcomes = []
+    for cap in range(8):
+        monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", cap)
+        walk = first_failure(lambda: simulate_path(p, 1.0, 500))
+        oracle = first_failure(lambda: step_price_oracle(p, 1.0, 500, max_redraws=cap))
+        assert walk == oracle, cap
+        outcomes.append(walk)
+    assert outcomes[0] and not outcomes[-1]
 
 
 # --------------------------------------------------------------------------

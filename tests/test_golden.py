@@ -138,3 +138,66 @@ def test_readme_scale_golden(tmp_path, monkeypatch, case):
     res = CliRunner().invoke(main, command, catch_exceptions=False)
     assert res.exit_code == 0, res.output
     assert {name: _digest(name) for name in digests} == digests
+
+
+# The numeric optimizer path: no CLI output reaches it, so its columns are
+# pinned directly.  Like the pipeline golden these hold for one numpy version.
+
+class _SaturatingLaw:
+    """A non-linear law without ``ddelta_dlam``: the finite-difference search."""
+
+    lambda_ref = 1.2
+
+    def delta(self, lam, v):
+        return np.sqrt(10.0 / v + v * v) * (2.0 / 1.2) * np.tanh(np.asarray(lam) / 2.0)
+
+
+class _NumericOnly:
+    """A linear law without ``optimal_lambda``: the analytic-slope search."""
+
+    def __init__(self, law):
+        self.lambda_ref, self.delta, self.ddelta_dlam = \
+            law.lambda_ref, law.delta, law.ddelta_dlam
+
+
+_POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate", "pnl_opt",
+                   "pnl_naive", "halt")
+
+_NUMERIC_POLICY_DIGESTS = {
+    "saturating": {
+        "v": "35c762a68bb28005151ad1ee1a0bc3158646b7dc66501415e23b6ee8697fd689",
+        "lambda_opt": "6010694825122a42854ffdde7a354a851844aecd726454edb82e0267e86d2788",
+        "spread_opt": "7cdab49ac4fe594926a3bd99616c3f6ac4dccdf4ba2fb78d36122af0da71c1a2",
+        "exec_rate": "42afe4be27438212142c330a39f45c95e442e6d860461bcc00796951cb222828",
+        "pnl_opt": "f57cf5bbfca7bac326873b4a41e394a839971788f84d6850a9abe67b52e139f7",
+        "pnl_naive": "e4f4d87fc83dc630ebbb0bb10280aeefcadc2238de55e48dc816f8bc01aa9188",
+        "halt": "cd00e292c5970d3c5e2f0ffa5171e555bc46bfc4faddfb4a418b6840b86e79a3",
+    },
+    "numeric_only": {
+        "v": "35c762a68bb28005151ad1ee1a0bc3158646b7dc66501415e23b6ee8697fd689",
+        "lambda_opt": "427cab67b40bed75fa54b6a3698909cc3ccdd86f9cc48b29e4ed61d30c57cb51",
+        "spread_opt": "34702e037e5678d56d293bbf44ad7b4c6a38bd84f651ab1bef6a98756a62ea95",
+        "exec_rate": "b106d2eaeacf26bf1f0174f5323afa652d1fa3f7b08c85a47e56f253b338022b",
+        "pnl_opt": "3a486bf2ca8681c6bd2540cce0c72ea9a4039929bf19f7bc2ef9fe395ba3ceb4",
+        "pnl_naive": "aac00285fdc47522d90255da2f015d95464a533a59864f0955c00283f1543f46",
+        "halt": "cd00e292c5970d3c5e2f0ffa5171e555bc46bfc4faddfb4a418b6840b86e79a3",
+    },
+}
+
+
+def _numeric_policy(case):
+    from spreadwave import ExecutionModel, dimensionless_law, policy_curve
+
+    grid = np.geomspace(0.4, 6.8, 100)
+    if case == "saturating":
+        return policy_curve(grid, ExecutionModel(lambda0=3.0), _SaturatingLaw(), 1.0)
+    law = _NumericOnly(dimensionless_law(10.0, lambda_ref=1.2))
+    return policy_curve(grid, ExecutionModel(lambda0=3.0), law, 3.0)
+
+
+@pytest.mark.parametrize("case", sorted(_NUMERIC_POLICY_DIGESTS))
+def test_numeric_policy_golden(case):
+    policy = _numeric_policy(case)
+    assert policy.failures == () and not policy.halt.any()
+    assert {name: hashlib.sha256(np.asarray(getattr(policy, name)).tobytes()).hexdigest()
+            for name in _POLICY_COLUMNS} == _NUMERIC_POLICY_DIGESTS[case]

@@ -190,6 +190,21 @@ def test_config_bad_type_rejected(tmp_path):
         resolve_config("simulate", str(cfg), {})
 
 
+@pytest.mark.parametrize("name, text", [
+    ("c.yaml", "steps: .inf\n"),
+    ("c.yaml", "steps: -.inf\n"),
+    ("c.json", '{"steps": 1e400}'),
+])
+def test_config_infinite_integer_exit_3_one_line(tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith("error: config key 'steps': cannot interpret")
+
+
 # --------------------------------------------------------------------------
 # CLI contract
 # --------------------------------------------------------------------------
@@ -392,6 +407,9 @@ def stderr_lines(result):
     return text.strip().splitlines()
 
 
+_HUGE = "4611686018427387904"  # 2**62
+
+
 @pytest.mark.parametrize("args, name", [
     (["simulate", "--sigma-step", "nan"], "sigma_step"),
     (["simulate", "--xi-std", "inf"], "xi_std"),
@@ -426,6 +444,17 @@ def stderr_lines(result):
     (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
       "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
       "--t-lo", "1", "--t-hi", "10", "--eta", "inf"], "eta"),
+    # Counts no array can be sized for; rejected before anything is allocated.
+    (["simulate", "--steps", _HUGE], "steps"),
+    (["optimize", "--a-coeff", "10", "--lambda0", "3", "--v-points", _HUGE], "v_points"),
+    (["scale", "--base-spread", "2.0", "--eta", "0.8", "--lam", "1.6",
+      "--t2-max", "10", "--t-steps", _HUGE], "t_steps"),
+    (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+      "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
+      "--t-lo", "1", "--t-hi", "10", "--nv", _HUGE], "nv"),
+    (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
+      "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
+      "--t-lo", "1", "--t-hi", "10", "--nt", _HUGE], "nt"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])

@@ -290,3 +290,83 @@ def test_golden_section_reaches_the_bracket_ulp():
     lo, hi = v * (1.0 - 0.003), v * (1.0 + 0.0059)
     x = _golden_max(lambda lam, vv: -((lam - vv) ** 2), lo, hi, v)
     np.testing.assert_allclose(x, v, rtol=1e-14, atol=0.0)
+
+
+class Saturating:
+    """A non-linear law without ``ddelta_dlam``: the finite-difference search."""
+
+    lambda_ref = 1.2
+
+    def delta(self, lam, v):
+        return np.sqrt(10.0 / v + v * v) * (2.0 / 1.2) * np.tanh(np.asarray(lam) / 2.0)
+
+
+@pytest.mark.parametrize("law, alpha", [
+    (dimensionless_law(10.0, lambda_ref=1.2), 3.0),
+    (NumericOnly(dimensionless_law(10.0, lambda_ref=1.2)), 3.0),
+    (Saturating(), 1.0),
+])
+def test_optimize_spread_is_the_policy_row(law, alpha):
+    model = ExecutionModel(lambda0=3.0)
+    grid = np.geomspace(0.4, 6.8, 9)
+    policy = policy_curve(grid, model, law, alpha)
+    for i, v in enumerate(grid):
+        one = optimize_spread(PnLParams(alpha, float(v), law), model)
+        assert (one.lambda_opt, one.spread_opt, one.exec_rate, one.pnl_opt, one.halt) == (
+            policy.lambda_opt[i], policy.spread_opt[i], policy.exec_rate[i],
+            policy.pnl_opt[i], policy.halt[i])
+        assert one.stationarity_residual == stationarity_residual(
+            PnLParams(alpha, float(v), law), model, one.lambda_opt)
+
+
+class _RootLaw:
+    """delta = sqrt(4 - lam) * lam * v: NaN on the grid levels above lam = 4."""
+
+    lambda_ref = 1.0
+
+    def delta(self, lam, v):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(4.0 - np.asarray(lam)) * lam * v
+
+
+def test_numeric_search_skips_levels_where_the_law_is_nan():
+    model = ExecutionModel(lambda0=3.0)
+    policy = policy_curve([1.0], model, _RootLaw(), 0.1)
+    assert policy.failures == () and not policy.halt.any()
+    # The maximum of the finite part, located on a fine grid of (0, 4).
+    lams = np.linspace(1e-4, 4.0, 400_001)
+    pnl = 0.5 * np.exp(-(lams / 3.0) ** 2) * (_RootLaw().delta(lams, 1.0) - 0.1)
+    assert policy.lambda_opt[0] == pytest.approx(lams[np.argmax(pnl)], abs=1e-4)
+    assert policy.pnl_opt[0] == pytest.approx(pnl.max(), rel=1e-9)
+    assert policy.pnl_opt[0] == pytest.approx(0.899, abs=1e-3)
+
+
+def test_law_with_no_finite_pnl_is_a_failure_row():
+    class Undefined:
+        lambda_ref = 1.0
+
+        def delta(self, lam, v):
+            return np.full(np.broadcast(lam, v).shape, np.nan)[()]
+
+    model = ExecutionModel(lambda0=3.0)
+    policy = policy_curve([1.0, 2.0, 3.0], model, Undefined(), 0.1)
+    assert policy.failures == (0, 1, 2) and policy.halt.all()
+    assert np.isnan(policy.lambda_opt).all() and np.isnan(policy.pnl_opt).all()
+    one = optimize_spread(PnLParams(0.1, 2.0, Undefined()), model)
+    assert one.halt and math.isnan(one.lambda_opt) and math.isnan(one.pnl_opt)
+
+
+def test_numeric_search_keeps_the_grid_point_when_refinement_is_nan():
+    class Cut:
+        """delta = lam * v below lam = 1, undefined above: the P&L still
+        rises where the law ends, so refinement runs into the NaN cell."""
+        lambda_ref = 0.5
+
+        def delta(self, lam, v):
+            lam = np.asarray(lam, dtype=float)
+            return np.where(lam < 1.0, lam * v, np.nan)
+
+    lams = 100.0 * np.geomspace(1e-6, 50.0, 4001)
+    policy = policy_curve([1.0], ExecutionModel(lambda0=100.0), Cut(), 0.0)
+    assert policy.lambda_opt.tolist() == [lams[lams < 1.0][-1]]
+    assert np.isfinite(policy.pnl_opt).all() and not policy.halt.any()
