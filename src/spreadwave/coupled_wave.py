@@ -23,6 +23,15 @@ which stays its scalar oracle.  The volatility diagnostics take the columns
 they reduce (``path_volatility(s_last, s0)``, ``bar_height_rayleigh_scale(h)``),
 so a caller that keeps only those columns, such as the ``simulate`` command,
 uses them directly.
+
+``evolve_fluctuating`` draws its (dz, xi, kappa) normals in blocks of
+``_BLOCK_ROWS`` steps, which hold the values of its per-step scalar draws.
+At a non-positive mid it rewinds the generator to the block's start, draws
+the block's normals up to that dz again and finishes the step with scalar
+redraws, so the stream stays that of the per-step loop.  Each step rotates
+plain complex amplitudes with ``_rotate``, the arithmetic that
+``evolve_amplitudes`` checks and wraps, so the result equals a loop of
+``evolve_amplitudes`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -465,6 +474,25 @@ def bar_height_rayleigh_scale(h: np.ndarray) -> float:
 # amplitude evolution
 # --------------------------------------------------------------------------
 
+def _rotate(psi_high: complex, psi_low: complex, s_mid: float, xi: float, kappa: float,
+            s: float, tau0: float, t: float) -> tuple[complex, complex]:
+    """The amplitudes (psi_high, psi_low) after ``evolve_amplitudes``' step,
+    on plain numbers and unchecked."""
+    phase = cmath.exp(-1j * s_mid * t / (tau0 * s))
+    h = math.hypot(xi, kappa)
+    if h == 0.0:
+        return phase * psi_high, phase * psi_low
+    theta = h * t / (2.0 * tau0 * s)
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    xi_h = xi / h
+    kappa_h = kappa / h
+    return (phase * ((cos_t - 1j * xi_h * sin_t) * psi_high
+                     - 1j * kappa_h * sin_t * psi_low),
+            phase * (-1j * kappa_h * sin_t * psi_high
+                     + (cos_t + 1j * xi_h * sin_t) * psi_low))
+
+
 def evolve_amplitudes(
     state0: AmplitudeState,
     s_mid: float,
@@ -484,29 +512,8 @@ def evolve_amplitudes(
         raise DomainError(f"s must be > 0, got {s!r}")
     if not (tau0 > 0.0):
         raise DomainError(f"tau0 must be > 0, got {tau0!r}")
-
-    phase = cmath.exp(-1j * s_mid * t / (tau0 * s))
-    h = math.hypot(xi, kappa)
-    if h == 0.0:
-        return AmplitudeState(
-            psi_high=phase * state0.psi_high,
-            psi_low=phase * state0.psi_low,
-        )
-
-    theta = h * t / (2.0 * tau0 * s)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    xi_h = xi / h
-    kappa_h = kappa / h
-    psi_high = phase * (
-        (cos_t - 1j * xi_h * sin_t) * state0.psi_high
-        - 1j * kappa_h * sin_t * state0.psi_low
-    )
-    psi_low = phase * (
-        -1j * kappa_h * sin_t * state0.psi_high
-        + (cos_t + 1j * xi_h * sin_t) * state0.psi_low
-    )
-    return AmplitudeState(psi_high=psi_high, psi_low=psi_low)
+    return AmplitudeState(*_rotate(state0.psi_high, state0.psi_low,
+                                   s_mid, xi, kappa, s, tau0, t))
 
 
 def suggest_amplitude_dt(
@@ -525,6 +532,45 @@ def suggest_amplitude_dt(
     return max_rotation * 2.0 * params.tau0 * s_scale / h_char
 
 
+def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
+                        s_mid: float, n_steps: int):
+    """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as lists per block.
+
+    A block draws the (dz, xi, kappa) normals of up to ``_BLOCK_ROWS`` steps
+    as one array, which holds the values that three scalar draws per step
+    give, and runs the mid walk over them until a mid is non-positive.  There
+    the generator is rewound to the block's start, the normals of the steps
+    taken and that dz are drawn again, ``_guarded`` redraws dz, and the
+    step's xi and kappa normals follow.  The block ends with that step and
+    the next one starts after it.
+    """
+    sigma = params.sigma_step
+    while n_steps:
+        start = rng.bit_generator.state
+        normals = rng.standard_normal((min(n_steps, _BLOCK_ROWS), 3))
+        mids: list[float] = []
+        for dz in normals[:, 0].tolist():
+            s_next = s_mid + s_mid * sigma * dz
+            if s_next <= 0.0:
+                break
+            mids.append(s_next)
+            s_mid = s_next
+        taken = len(mids)
+        if taken < len(normals):
+            rng.bit_generator.state = start
+            rng.standard_normal(3 * taken + 1)
+            s_next, _ = _guarded(
+                s_next, lambda: s_mid + s_mid * sigma * rng.standard_normal(),
+                0, _MAX_REDRAWS)
+            s_mid = s_next
+            mids.append(s_mid)
+            normals[taken, 1:] = rng.standard_normal(2)
+        rows = normals[:len(mids)]
+        n_steps -= len(mids)
+        yield (mids, (params.xi_mean + params.xi_std * rows[:, 1]).tolist(),
+               (params.kappa_mean + params.kappa_std * rows[:, 2]).tolist())
+
+
 def evolve_fluctuating(
     state0: AmplitudeState,
     params: CoupledWaveParams,
@@ -536,11 +582,16 @@ def evolve_fluctuating(
 ) -> AmplitudeState | tuple[AmplitudeState, np.ndarray]:
     """Chain the closed-form evolution over per-step redrawn coefficients.
 
-    Each step redraws (dz, xi, kappa), advances the mid-price walk, and
+    Each step draws (dz, xi, kappa), advances the mid-price walk, and
     applies the constant-coefficient solution for ``dt``.  A non-positive
     mid redraws dz, at most ``_MAX_REDRAWS`` times per step.  The caller is
     responsible for a dt small enough that coefficients are effectively
     constant within a step (see suggest_amplitude_dt).
+
+    The normals come in blocks of ``_BLOCK_ROWS`` steps, rewound at a
+    redraw (see ``_coefficient_blocks``), and each step applies ``_rotate``,
+    the arithmetic of ``evolve_amplitudes``: the result equals a loop of
+    ``evolve_amplitudes`` calls with three scalar draws per step bit for bit.
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.
@@ -551,25 +602,24 @@ def evolve_fluctuating(
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
 
     rng = path_rng(params.seed, path_index)
-    state = state0
-    s_mid = s_scale
+    psi_high, psi_low = state0.psi_high, state0.psi_low
+    tau0 = params.tau0
     trajectory = np.empty((n_steps + 1, 2)) if return_trajectory else None
     if trajectory is not None:
-        trajectory[0] = state.populations()
-
-    for i in range(n_steps):
-        s_next = s_mid + s_mid * params.sigma_step * rng.standard_normal()
-        if s_next <= 0.0:
-            s_next, _ = _guarded(
-                s_next, lambda: s_mid + s_mid * params.sigma_step * rng.standard_normal(),
-                0, _MAX_REDRAWS)
-        s_mid = s_next
-        xi = params.xi_mean + params.xi_std * rng.standard_normal()
-        kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
-        state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
+        trajectory[0] = state0.populations()
+    row = 1
+    for mids, xis, kappas in _coefficient_blocks(rng, params, s_scale, n_steps):
+        populations = []
+        for s_mid, xi, kappa in zip(mids, xis, kappas):
+            psi_high, psi_low = _rotate(psi_high, psi_low, s_mid, xi, kappa,
+                                        s_scale, tau0, dt)
+            if trajectory is not None:
+                populations.append(AmplitudeState(psi_high, psi_low).populations())
         if trajectory is not None:
-            trajectory[i + 1] = state.populations()
+            trajectory[row:row + len(mids)] = populations
+        row += len(mids)
 
+    state = AmplitudeState(psi_high, psi_low)
     if trajectory is not None:
         return state, trajectory
     return state

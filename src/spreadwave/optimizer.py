@@ -44,7 +44,10 @@ DEFAULT_LAMBDA_REF_FRACTION = 0.4
 
 _GRID_POINTS = 4001
 _GRID_SPAN = (1e-6, 50.0)       # in units of lambda0
-_BLOCK_POINTS = 32              # volume points per grid block: ~1 MB per float array
+# Volume points per grid block.  A block's float arrays take 128 kB each, and
+# a 1000-volume search peaks at about 0.47 MB under tracemalloc (2.1 MB with
+# 32 points); fewer points add per-block work, such as the lambda row's rate.
+_BLOCK_POINTS = 4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps that shrink a two-cell grid bracket to about one ulp.
 _GOLDEN_STEPS = math.ceil(
@@ -229,8 +232,11 @@ def stationarity_residual(
     With r a monotone function of lam, ddelta/dr = delta'(lam) / r'(lam) and
     r / r'(lam) = -lambda0^2 / (2 lam), so the residual is
     delta - alpha - delta'(lam) * lambda0^2 / (2 lam): the P&L slope times
-    -lambda0^2 / (2 lam).
+    -lambda0^2 / (2 lam).  A NaN ``lam`` (``optimize_spread``'s failure row)
+    gives NaN; any other ``lam`` must be finite and > 0.
     """
+    if not (math.isnan(lam) or 0.0 < lam < math.inf):
+        raise DomainError(f"lam must be finite and > 0, got {lam!r}")
     slope = _slope(params.spread_law, lam, params.volume_v, params.commission_alpha,
                    model.lambda0)
     return float(-model.lambda0 ** 2 / (2.0 * lam) * slope)
@@ -274,7 +280,8 @@ def _numeric_optimum(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarra
     elsewhere (a maximum on a grid corner, or no sign change) a
     golden-section search over those cells does, and the grid point is kept
     unless refinement reached at least its P&L.  The grid is evaluated in
-    blocks of points so the working set stays near 2 MB.
+    blocks of ``_BLOCK_POINTS`` volumes, so its temporaries are a few block
+    arrays (about 0.5 MB) whatever the number of volumes.
     """
     def pnl(lam, vv):
         return _pnl(law, lam, vv, alpha, lam0)

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DomainError, check_finite
 from .spread_models import bar_spread_model
 
+# Cells per row block of ``spread_surface``: 64 kB per float temporary.
+_BLOCK_CELLS = 8192
+
 
 class PiecewiseConstantTable:
     """Piecewise-constant lookup over (T, V) buckets with edge clamping."""
@@ -154,7 +157,10 @@ def spread_surface(
 
     Returns a (len(T_grid), len(v_grid)) matrix with horizons along rows;
     serialization iterates horizons in the outer loop.  Each cell equals
-    ``bar_spread_with_volume`` at that (V, T) bit for bit.
+    ``bar_spread_with_volume`` at that (V, T) bit for bit.  The law is
+    evaluated a block of whole rows at a time, into the result, so its
+    temporaries are the size of a block (about ``_BLOCK_CELLS`` cells), not
+    of the surface.
     """
     v_grid = np.asarray(v_grid, dtype=float)
     T_grid = np.asarray(T_grid, dtype=float)
@@ -162,7 +168,12 @@ def spread_surface(
         raise DomainError("surface grids must be non-empty")
     if not (np.all(np.diff(v_grid) > 0) and np.all(np.diff(T_grid) > 0)):
         raise DomainError("surface grids must be strictly ascending")
-    return bar_spread_with_volume(params, s, v_grid[None, :], T_grid[:, None])
+    surface = np.empty((T_grid.size, v_grid.size))
+    rows = max(1, _BLOCK_CELLS // v_grid.size)
+    for lo in range(0, T_grid.size, rows):
+        surface[lo:lo + rows] = bar_spread_with_volume(params, s, v_grid[None, :],
+                                                       T_grid[lo:lo + rows, None])
+    return surface
 
 
 def default_surface_grids(

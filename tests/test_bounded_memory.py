@@ -1,6 +1,8 @@
 """The bars path in bounded memory: the block streams of the simulator and
 the bar reader, the block-wise writers, the chunked quote scan of the bar
-reader, and the ``simulate`` and ``curve --bars`` commands built on them.
+reader, and the ``simulate`` and ``curve --bars`` commands built on them;
+and the block-wise working sets of ``spread_surface`` and of the numeric
+policy search.
 
 The memory guards use tracemalloc, which slows every allocation, so they run
 on a path of 16 row blocks: enough for a per-row cost to dwarf a per-block one.
@@ -17,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from spreadwave import BarSeries, CoupledWaveParams, LastPriceRule, VolumeConfig, simulate_path
-from spreadwave import coupled_wave, data_io
+from spreadwave import coupled_wave, data_io, optimizer, scaling
 from spreadwave import cli
 from spreadwave.cli import main
 from spreadwave.coupled_wave import (bar_height_rayleigh_scale, path_volatility, row_blocks,
@@ -334,3 +336,73 @@ def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
     kept = 16 * 15 * _B
     for name, one, many in zip(("simulate", "curve"), peaks[1], peaks[16]):
         assert many - one <= 2.0 * kept, (name, many - one, kept)
+
+
+# --------------------------------------------------------------------------
+# in-process working sets: the spread surface and the numeric policy search
+# --------------------------------------------------------------------------
+
+def _surface_params(table: bool) -> scaling.SpreadSurfaceParams:
+    rng = np.random.default_rng(3)
+
+    def values():
+        return scaling.PiecewiseConstantTable(np.geomspace(1.0, 10.0, 6),
+                                              np.geomspace(1.0, 100.0, 11),
+                                              rng.uniform(0.5, 2.0, (5, 10)))
+    return scaling.SpreadSurfaceParams(
+        lambda_risk=1.5, rho_risk=1.0, sigma_tau=0.02, n=100.0, tau0=0.01,
+        lambda_table=values() if table else None, rho_table=values() if table else None)
+
+
+# 1 cell per block still takes a whole row; 25 and 30 cells take 2 and 3 of
+# the 10-volume rows, so the 7 horizons end in a part block.
+@pytest.mark.parametrize("cells", [1, 25, 30, 70, 10 ** 6])
+@pytest.mark.parametrize("table", [False, True], ids=["scalar", "table"])
+def test_spread_surface_row_blocks_equal_one_broadcast(monkeypatch, cells, table):
+    params = _surface_params(table)
+    v_grid, t_grid = np.geomspace(1.0, 100.0, 10), np.geomspace(1.0, 10.0, 7)
+    whole = scaling.bar_spread_with_volume(params, 100.0, v_grid[None, :], t_grid[:, None])
+    monkeypatch.setattr(scaling, "_BLOCK_CELLS", cells)
+    assert np.array_equal(scaling.spread_surface(params, 100.0, v_grid, t_grid), whole)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["scalar", "table"])
+def test_spread_surface_peak_is_its_result_and_one_block(table):
+    # 1000 horizons of 100 volumes: the result is about 12 blocks, so
+    # temporaries of the whole surface would dwarf those of one block.
+    params = _surface_params(table)
+    v_grid, t_grid = np.geomspace(1.0, 100.0, 100), np.geomspace(1.0, 10.0, 1000)
+    scaling.spread_surface(params, 100.0, v_grid[:3], t_grid[:3])  # warm-up
+    surface, _, peak = _traced(lambda: scaling.spread_surface(params, 100.0, v_grid, t_grid))
+    block = scaling._BLOCK_CELLS // v_grid.size * v_grid.size * 8
+    # The law's temporaries of one block: about 4 with scalar risk
+    # multipliers, 6 with tables.
+    assert peak - surface.nbytes <= 8 * block, (peak - surface.nbytes) / block
+
+
+class _Saturating:
+    """A law with no closed-form optimum: ``policy_curve`` searches its grid."""
+
+    lambda_ref = 1.2
+
+    def delta(self, lam, v):
+        return np.sqrt(10.0 / v + v * v) * (2.0 / 1.2) * np.tanh(np.asarray(lam) / 2.0)
+
+
+@pytest.mark.parametrize("points", [1, 10 ** 6])
+def test_numeric_policy_curve_is_the_same_in_any_block_size(monkeypatch, points):
+    grid, model = np.geomspace(0.4, 6.8, 37), optimizer.ExecutionModel(lambda0=3.0)
+    default = optimizer.policy_curve(grid, model, _Saturating(), 1.0)
+    monkeypatch.setattr(optimizer, "_BLOCK_POINTS", points)
+    blocked = optimizer.policy_curve(grid, model, _Saturating(), 1.0)
+    for name in ("lambda_opt", "spread_opt", "exec_rate", "pnl_opt", "pnl_naive", "halt"):
+        assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
+
+
+def test_numeric_policy_curve_peak_is_a_few_block_arrays():
+    # 1000 volumes are 250 blocks: a grid evaluated whole would take 32 MB.
+    grid, model = np.geomspace(0.4, 6.8, 1000), optimizer.ExecutionModel(lambda0=3.0)
+    optimizer.policy_curve(grid[:3], model, _Saturating(), 1.0)  # warm-up
+    _, _, peak = _traced(lambda: optimizer.policy_curve(grid, model, _Saturating(), 1.0))
+    block = optimizer._BLOCK_POINTS * optimizer._GRID_POINTS * 8
+    assert peak <= 5 * block, peak / block

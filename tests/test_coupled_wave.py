@@ -1,6 +1,7 @@
 """Coupled-wave simulator: bars, volatility, amplitudes."""
 
 import cmath
+import collections
 import math
 
 import numpy as np
@@ -414,18 +415,27 @@ def test_simulate_path_redraw_cap_matches_step_price(monkeypatch, rule, seed):
 # evolve_fluctuating input contract and redraw cap
 # --------------------------------------------------------------------------
 
-def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps):
-    """The per-step loop with the uncapped redraw it had before the cap."""
-    rng = path_rng(params.seed, 0)
+def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_index=0,
+                                 trajectory=None, redraws=None):
+    """The per-step loop with the uncapped redraw it had before the cap.
+
+    Appends the populations after each step to ``trajectory``, and a step's
+    index to ``redraws`` once per redraw of its mid, when given.
+    """
+    rng = path_rng(params.seed, path_index)
     state, s_mid = state0, s_scale
-    for _ in range(n_steps):
+    for i in range(n_steps):
         step = s_mid * params.sigma_step * rng.standard_normal()
         while s_mid + step <= 0.0:
+            if redraws is not None:
+                redraws.append(i)
             step = s_mid * params.sigma_step * rng.standard_normal()
         s_mid = s_mid + step
         xi = params.xi_mean + params.xi_std * rng.standard_normal()
         kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
         state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
+        if trajectory is not None:
+            trajectory.append(state.populations())
     return state
 
 
@@ -435,6 +445,66 @@ def test_evolve_fluctuating_capped_redraws_keep_the_stream():
     state0 = AmplitudeState(1.0 + 0.0j, 0.0j)
     assert (evolve_fluctuating(state0, p, 100.0, 0.01, 2000)
             == evolve_fluctuating_reference(state0, p, 100.0, 0.01, 2000))
+
+
+_SMALL_B = 8
+
+
+def _assert_kernel_equals_loop(state0, params, n_steps, path_index=0):
+    """``evolve_fluctuating`` equals the reference loop bit for bit, with and
+    without its trajectory; returns the reference's ``redraws``."""
+    populations, redraws = [state0.populations()], []
+    expected = evolve_fluctuating_reference(state0, params, 100.0, 0.01, n_steps, path_index,
+                                            populations, redraws)
+    state, trajectory = evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index,
+                                           return_trajectory=True)
+    assert state == expected
+    assert np.array_equal(trajectory, populations)
+    assert evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index) == expected
+    return redraws
+
+
+@pytest.mark.parametrize("n", [_SMALL_B - 1, _SMALL_B, _SMALL_B + 1, 2 * _SMALL_B + 3])
+@pytest.mark.parametrize("params, path_index", [
+    (CoupledWaveParams(sigma_step=0.01, xi_mean=0.1, xi_std=0.3, kappa_std=0.2, seed=2), 0),
+    (CoupledWaveParams(sigma_step=0.9, xi_std=0.3, kappa_std=0.3, seed=5), 3),
+    (CoupledWaveParams(sigma_step=0.9, seed=7), 1),  # h == 0: every step a pure phase
+])
+def test_evolve_fluctuating_blocks_equal_the_loop(monkeypatch, n, params, path_index):
+    monkeypatch.setattr(coupled_wave, "_BLOCK_ROWS", _SMALL_B)
+    _assert_kernel_equals_loop(AmplitudeState(0.6 + 0.0j, 0.8j), params, n, path_index)
+
+
+def _redraw_places(redraws, n_block):
+    """Where each redrawing step falls in its block: a block holds up to
+    ``n_block`` steps and ends early at a redraw; the next starts after it."""
+    places, start = {}, 0
+    for r in sorted(set(redraws)):
+        start += (r - start) // n_block * n_block
+        places[r] = ("first" if r == start else
+                     "last" if r == start + n_block - 1 else "inner")
+        start = r + 1
+    return places
+
+
+def test_evolve_fluctuating_redraws_at_block_edges_equal_the_loop(monkeypatch):
+    # sigma_step 1 redraws on about one step in six; seed 19 redraws on the
+    # last step of the first block, then on the next step, and later again
+    # on first steps and on consecutive steps.
+    monkeypatch.setattr(coupled_wave, "_BLOCK_ROWS", _SMALL_B)
+    p = CoupledWaveParams(sigma_step=1.0, xi_std=0.3, kappa_std=0.3, seed=19)
+    state0, n = AmplitudeState(1.0 + 0.0j, 0.0j), 2 * _SMALL_B + 3
+    redraws = _assert_kernel_equals_loop(state0, p, n)
+    places = _redraw_places(redraws, _SMALL_B)
+    assert {"first", "last"} <= set(places.values()), places
+    assert any(r + 1 in places for r in places), places
+    # The cap counts the redraws of the step, not the rewound draws before it.
+    most = max(collections.Counter(redraws).values())
+    monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", most)
+    evolve_fluctuating(state0, p, 100.0, 0.01, n)
+    monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", most - 1)
+    with pytest.raises(DomainError, match="redraw limit"):
+        evolve_fluctuating(state0, p, 100.0, 0.01, n)
 
 
 def test_evolve_fluctuating_redraw_cap(monkeypatch):

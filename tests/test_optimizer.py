@@ -124,6 +124,21 @@ def test_stationarity_residual_at_non_optimum():
     assert abs(stationarity_residual(params, m, 2.0)) > 0.1
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf], ids=["zero", "negative", "inf"])
+def test_stationarity_residual_rejects_a_level_that_is_not_finite_and_positive(lam):
+    law = LinearSpreadLaw(delta_ref=lambda v: 2.0, lambda_ref=1.0)
+    params = PnLParams(commission_alpha=0.0, volume_v=1.0, spread_law=law)
+    with pytest.raises(DomainError, match=r"lam must be finite and > 0"):
+        stationarity_residual(params, ExecutionModel(lambda0=1.0), lam)
+
+
+def test_stationarity_residual_of_a_nan_level_is_nan():
+    # optimize_spread's failure row carries lambda_opt = NaN into it.
+    law = LinearSpreadLaw(delta_ref=lambda v: 2.0, lambda_ref=1.0)
+    params = PnLParams(commission_alpha=0.0, volume_v=1.0, spread_law=law)
+    assert math.isnan(stationarity_residual(params, ExecutionModel(lambda0=1.0), math.nan))
+
+
 def test_policy_curve_columns_and_dominance():
     a, lam0 = 10.0, 3.0
     law = dimensionless_law(a, lambda_ref=1.2)
