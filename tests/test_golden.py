@@ -10,7 +10,10 @@ bytes, recorded in CHANGES.md with its cause.  Random streams and the fit
 depend on numpy (the package does not use scipy), so that golden holds for
 one numpy version (recorded with numpy 2.4).  The ``scale`` goldens run the
 README's two ``scale`` invocations; like the pipeline golden they may
-change only deliberately, with the cause in CHANGES.md.
+change only deliberately, with the cause in CHANGES.md.  The quote-path
+goldens run ``curve --quotes --trades`` on tapes built from integer
+arithmetic, with ISO-8601, numeric and mixed timestamps; like the I/O
+goldens they must never move.
 """
 
 import hashlib
@@ -78,6 +81,76 @@ def test_curve_from_bars_golden(tmp_path):
     assert {name: _digest(out / name) for name in ("curve.csv", "curve_hist.csv")} == {
         "curve.csv": "0e1f3db2d5786f6bb57f04be2decee10ae004fe82096d07f5918145a50a2bc06",
         "curve_hist.csv": "c8f5bf6f9d488ce8e0ec6e9fda32af4e8c85ded4578889d9eceaa7702c4e402a",
+    }
+
+
+# The quote path: one tape written three ways.  Every stamp denotes the
+# same instant whether it is written as seconds or as ISO-8601 text, so the
+# three tapes give the same curve; their reports differ in the input digests.
+_N_TAPE = 2500
+_EPOCH = 1_700_000_000  # 2023-11-14T22:13:20Z
+
+
+def _numeric_stamp(i, cs):
+    return f"{_EPOCH + cs // 100}.{cs % 100:02d}"
+
+
+def _iso_stamp(i, cs):
+    """ISO-8601 text: Z, +00:00 or naive (read as UTC), and fractions of 0-4 digits."""
+    day, sec = divmod(cs // 100 + 80000, 86400)  # _EPOCH is 80000 s into its day
+    text = f"2023-11-{14 + day:02d}T{sec // 3600:02d}:{sec // 60 % 60:02d}:{sec % 60:02d}"
+    frac = cs % 100
+    if frac:
+        text += f".{frac:02d}".rstrip("0") if i % 3 else f".{frac:02d}00"
+    return text + ("Z", "+00:00", "", "Z")[i % 4]
+
+
+def _mixed_stamp(i, cs):
+    """Seconds for the first block of rows, ISO-8601 text after it."""
+    return _numeric_stamp(i, cs) if i < 2200 else _iso_stamp(i, cs)
+
+
+def _write_tape(tmp_path, stamp):
+    """trades.csv and quotes.csv: bursts of flow, some crossed quotes."""
+    u1, u2, u3, u4 = (_uniforms(_N_TAPE, seed) for seed in (5, 6, 7, 8))
+    trades, quotes, cs = ["timestamp,price,size"], ["timestamp,bid,ask"], 0
+    for i, (a, b, c, d) in enumerate(zip(u1, u2, u3, u4)):
+        cs += 1 + int(2000 * a ** 4)
+        price = 100.0 + 5.0 * c
+        trades.append(f"{stamp(i, cs)},{price!r},{1 + int(100 * b)}")
+        half = 0.005 + 0.1 * d * d
+        bid, ask = (price + half, price - half) if i % 53 == 0 else (price - half, price + half)
+        quotes.append(f"{stamp(i, cs + 37)},{bid!r},{ask!r}")
+    for name, lines in (("trades.csv", trades), ("quotes.csv", quotes)):
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_CURVE_DIGEST = "5871808e179427e3931e8575e6b5c7fe7732fad32260b810d9fb02e0fbbd0f90"
+_HIST_DIGEST = "1e7854f5374bf1abc9ac8441cf1035d555c81437f6a0aa39a12a04f91c767be9"
+_QUOTE_TAPES = {
+    "iso": (_iso_stamp, "0ebc994847daa9fbf7ad55c70a78d6acb94c92852af3497e79e51d3a6eec1aba"),
+    "numeric": (_numeric_stamp,
+                "54e87e30a47a98c58d51759aa12651a20814ef48f5f3501860b5232b37e43950"),
+    "mixed": (_mixed_stamp, "a315ba21c2a75b9dc709ecafd2c024e89faa44c88de953b481a4c3bf6e1a0eb0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUOTE_TAPES))
+def test_curve_from_quotes_golden(tmp_path, monkeypatch, case):
+    for key in [k for k in os.environ if k.startswith("SPREADWAVE_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    stamp, report_digest = _QUOTE_TAPES[case]
+    _write_tape(tmp_path, stamp)
+    res = CliRunner().invoke(main, [
+        "curve", "--quotes", "quotes.csv", "--trades", "trades.csv", "--window", "30",
+        "--buckets", "8", "--min-count", "5"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert {name: _digest(name) for name in
+            ("curve.csv", "curve_hist.csv", "curve_report.json")} == {
+        "curve.csv": _CURVE_DIGEST,
+        "curve_hist.csv": _HIST_DIGEST,
+        "curve_report.json": report_digest,
     }
 
 
