@@ -18,10 +18,10 @@ from .calibration import (
     CurveBucket,
     CurveSource,
     FlowStats,
-    QuoteRecord,
+    QuoteColumns,
     SpreadSamples,
     SpreadVolumeCurve,
-    TradeRecord,
+    TradeColumns,
     bar_spread_model,
     bars_to_samples,
     bidask_spread_model,
@@ -120,7 +120,7 @@ __all__ = [
     "scale_spread_time", "classical_scale", "bar_spread_with_volume",
     "bar_spread_dimensionless", "spread_surface", "default_surface_grids",
     # calibration
-    "TradeRecord", "QuoteRecord", "BarColumns", "CurveSource", "FlowStats",
+    "TradeColumns", "QuoteColumns", "BarColumns", "CurveSource", "FlowStats",
     "SpreadSamples", "CurveBucket", "BucketSpec", "SpreadVolumeCurve",
     "CalibrationResult", "measure_flow_stats", "bars_to_samples",
     "quotes_to_samples", "build_spread_volume_curve", "bidask_spread_model",

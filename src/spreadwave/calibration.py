@@ -13,7 +13,7 @@ tape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -38,40 +38,49 @@ _TINY = float(np.finfo(float).tiny)
 
 
 # --------------------------------------------------------------------------
-# records and containers
+# columns and containers
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TradeRecord:
-    timestamp: float        # seconds since epoch
-    price: float
-    size: float
-
-
-@dataclass(frozen=True)
-class QuoteRecord:
-    timestamp: float
-    bid: float
-    ask: float
-
-    @property
-    def spread(self) -> float:
-        return self.ask - self.bid
-
-
-@dataclass(frozen=True)
-class BarColumns:
-    """Columnar OHLC bars: one float array per field, in row order."""
+class _Columns:
+    """A table as one float array per field, in row order, led by its
+    timestamps.  The field names are the CSV header names."""
 
     timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+
+@dataclass(frozen=True)
+class TradeColumns(_Columns):
+    """Columnar trade tape; timestamps are seconds since epoch."""
+
+    price: np.ndarray
+    size: np.ndarray
+
+
+@dataclass(frozen=True)
+class QuoteColumns(_Columns):
+    """Columnar quote tape; timestamps are seconds since epoch."""
+
+    bid: np.ndarray
+    ask: np.ndarray
+
+
+@dataclass(frozen=True)
+class BarColumns(_Columns):
+    """Columnar OHLC bars."""
+
     open: np.ndarray
     high: np.ndarray
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.timestamp)
 
 
 def join_blocks(blocks: Iterable, names: Sequence[str]) -> list[np.ndarray]:
@@ -182,26 +191,23 @@ class CalibrationResult:
 # flow statistics
 # --------------------------------------------------------------------------
 
-def measure_flow_stats(trades, window: float) -> FlowStats:
+def measure_flow_stats(trades: TradeColumns, window: float) -> FlowStats:
     """Average trade size, volume rate and volatility from a trade tape.
 
     Volatility is the per-trade standard deviation of log-price changes,
     rescaled to the reference time unit by the mean inter-trade spacing.
 
     Args:
-        trades: Sequence of TradeRecord, timestamps non-decreasing.
+        trades: Trade tape, timestamps non-decreasing.
         window: Length of the observation window in reference time units.
     """
     if not (window > 0.0):
         raise DomainError(f"window must be > 0, got {window!r}")
-    trades = list(trades)
     if len(trades) < 30:
         raise InsufficientDataError(
             f"need >= 30 trades in the window, got {len(trades)}"
         )
-    sizes = np.array([t.size for t in trades])
-    prices = np.array([t.price for t in trades])
-    times = np.array([t.timestamp for t in trades])
+    sizes, prices, times = trades.size, trades.price, trades.timestamp
     if np.any(sizes <= 0.0) or np.any(prices <= 0.0):
         raise DomainError("trade prices and sizes must be > 0")
     if np.any(np.diff(times) < 0.0):
@@ -260,40 +266,29 @@ def bar_blocks_to_samples(blocks: Iterable[BarColumns]) -> SpreadSamples:
                          n_rejected=rejected)
 
 
-def quotes_to_samples(quotes, trades, window: float) -> SpreadSamples:
+def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
+                      window: float) -> SpreadSamples:
     """Bid-ask spreads paired with the trailing traded volume rate.
 
     Each quote's volume is the total trade size in (t - window, t] divided
-    by the window length; quotes with no trailing flow are rejected (they
-    cannot be placed on a log-volume axis).
+    by the window length.  Quotes with a negative or non-finite spread are
+    rejected, and so are quotes with no trailing flow (they cannot be placed
+    on a log-volume axis).
     """
     if not (window > 0.0):
         raise DomainError(f"window must be > 0, got {window!r}")
-    quotes = list(quotes)
-    trades = list(trades)
-    trade_times = np.array([t.timestamp for t in trades])
-    trade_sizes = np.array([t.size for t in trades])
-    order = np.argsort(trade_times, kind="stable")
-    trade_times = trade_times[order]
-    cumsize = np.concatenate(([0.0], np.cumsum(trade_sizes[order])))
-
-    volumes, spreads, rejected = [], [], 0
-    for q in quotes:
-        spread = q.ask - q.bid
-        if spread < 0.0 or not math.isfinite(spread):
-            rejected += 1
-            continue
-        hi = np.searchsorted(trade_times, q.timestamp, side="right")
-        lo = np.searchsorted(trade_times, q.timestamp - window, side="right")
-        v = (cumsize[hi] - cumsize[lo]) / window
-        if v > 0.0:
-            volumes.append(v)
-            spreads.append(spread)
-        else:
-            rejected += 1
+    order = np.argsort(trades.timestamp, kind="stable")
+    times = trades.timestamp[order]
+    cumsize = np.concatenate(([0.0], np.cumsum(trades.size[order])))
+    with np.errstate(invalid="ignore"):
+        spreads = quotes.ask - quotes.bid
+        volumes = (cumsize[np.searchsorted(times, quotes.timestamp, side="right")]
+                   - cumsize[np.searchsorted(times, quotes.timestamp - window, side="right")]
+                   ) / window
+    keep = (spreads >= 0.0) & np.isfinite(spreads) & (volumes > 0.0)
     return SpreadSamples(
-        volumes=np.array(volumes), spreads=np.array(spreads),
-        source=CurveSource.BID_ASK, n_rejected=rejected,
+        volumes=volumes[keep], spreads=spreads[keep], source=CurveSource.BID_ASK,
+        n_rejected=len(quotes) - int(np.count_nonzero(keep)),
     )
 
 

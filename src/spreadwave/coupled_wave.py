@@ -66,6 +66,8 @@ _MAX_REDRAWS = 10_000
 # Rows per block of the simulator stream, the bar reader and the columnar
 # CSV writers: their working memory is bounded by this, not by the row count.
 _BLOCK_ROWS = 2048
+_PRICE_OVERFLOW = ("simulated prices overflowed; step volatility or bar height is "
+                   "too large for this price")
 
 
 class LastPriceRule(str, Enum):
@@ -376,10 +378,7 @@ def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
             s_last = s_next
         s_mids, s_lasts = np.array(mids), np.array(lasts)
         if not np.isfinite(s_lasts).all():
-            raise DomainError(
-                "simulated prices overflowed; step volatility or bar height is "
-                "too large for this price"
-            )
+            raise DomainError(_PRICE_OVERFLOW)
         if volume.mode == "impact":
             volumes = volume.avg_trade_size * heights / (
                 2.0 * math.pi * params.tau0 * s_mids
@@ -542,7 +541,8 @@ def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
     the generator is rewound to the block's start, the normals of the steps
     taken and that dz are drawn again, ``_guarded`` redraws dz, and the
     step's xi and kappa normals follow.  The block ends with that step and
-    the next one starts after it.
+    the next one starts after it.  A mid that overflows stays non-finite, so
+    a block whose last mid is not finite raises ``DomainError``.
     """
     sigma = params.sigma_step
     while n_steps:
@@ -565,6 +565,8 @@ def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
             s_mid = s_next
             mids.append(s_mid)
             normals[taken, 1:] = rng.standard_normal(2)
+        if not math.isfinite(s_mid):
+            raise DomainError(_PRICE_OVERFLOW)
         rows = normals[:len(mids)]
         n_steps -= len(mids)
         yield (mids, (params.xi_mean + params.xi_std * rows[:, 1]).tolist(),

@@ -5,18 +5,19 @@ rerun with identical inputs produces identical bytes on any platform.
 Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
-rejections instead of failing.  The bar reader parses plain numeric files
-in one ``np.loadtxt`` pass and falls back to the strict row parser for
-anything else, so malformed files still fail with their line number.
+rejections instead of failing.  One block reader serves bars, quotes and
+trades: it parses well-formed files with ``np.loadtxt`` and falls back to
+the strict row parser for anything else, so malformed files still fail
+with their line number.
 
-The columnar writers (bars, policy, surface) and the bar reader work in
-bounded memory beyond the arrays they write or return: the writers format
-one block of rows at a time, and the bar reader scans for quotes in
-fixed-size chunks, then parses one block of rows per ``np.loadtxt`` call.
-The bar writer and reader also stream: ``write_bar_blocks`` writes blocks
-as they are produced and ``read_bar_blocks`` yields them as they are
-parsed, so a caller that keeps only some columns holds only those.  (The
-strict fallback still holds one tuple per row.)
+Every writer formats one block of rows at a time, and the reader scans for
+quotes in fixed-size chunks, then parses one block of rows per
+``np.loadtxt`` call, so both work in bounded memory beyond the arrays they
+write or return.  The bar writer and reader also stream:
+``write_bar_blocks`` writes blocks as they are produced and
+``read_bar_blocks`` yields them as they are parsed, so a caller that keeps
+only some columns holds only those.  (The strict fallback still holds one
+tuple per row.)
 """
 
 from __future__ import annotations
@@ -37,18 +38,17 @@ from .calibration import (
     BarColumns,
     CurveBucket,
     CurveSource,
-    QuoteRecord,
+    QuoteColumns,
     SpreadVolumeCurve,
-    TradeRecord,
+    TradeColumns,
+    _Columns,
     join_blocks,
 )
 from .coupled_wave import _BLOCK_ROWS, BarSeries, row_blocks
 from .errors import InputFormatError, check_finite
 from .optimizer import QuotePolicy
 
-_TRADE_COLUMNS = ("timestamp", "price", "size")
-_QUOTE_COLUMNS = ("timestamp", "bid", "ask")
-_BAR_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
+_BAR_COLUMNS = BarColumns.names()
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
@@ -72,10 +72,11 @@ def parse_timestamp(text: str) -> float:
     depend on the machine's timezone.
     """
     text = text.strip()
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    if ":" not in text:  # float() fails on a time of day, and failing is slow
+        try:
+            return float(text)
+        except ValueError:
+            pass
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -134,88 +135,94 @@ def _cell_timestamp(row: dict[str, str], path: str, line: int) -> float:
 # readers
 # --------------------------------------------------------------------------
 
-def read_trades(path: str) -> list[TradeRecord]:
-    return [
-        TradeRecord(
-            timestamp=_cell_timestamp(row, path, line),
-            price=_cell_float(row, "price", path, line),
-            size=_cell_float(row, "size", path, line),
-        )
-        for line, row in _open_rows(path, _TRADE_COLUMNS)
-    ]
-
-
-def read_quotes(path: str) -> list[QuoteRecord]:
-    return [
-        QuoteRecord(
-            timestamp=_cell_timestamp(row, path, line),
-            bid=_cell_float(row, "bid", path, line),
-            ask=_cell_float(row, "ask", path, line),
-        )
-        for line, row in _open_rows(path, _QUOTE_COLUMNS)
-    ]
-
-
-def _read_bars_strict(path: str) -> BarColumns:
-    """Row-by-row bar reader: ISO or numeric timestamps, errors name path:line."""
+def _read_strict(path: str, kind: type[_Columns]) -> _Columns:
+    """Row-by-row table reader: ISO or numeric timestamps, errors name path:line."""
+    names = kind.names()
     rows = [
         (_cell_timestamp(row, path, line),
-         *(_cell_float(row, col, path, line) for col in _BAR_COLUMNS[1:]))
-        for line, row in _open_rows(path, _BAR_COLUMNS)
+         *(_cell_float(row, col, path, line) for col in names[1:]))
+        for line, row in _open_rows(path, names)
     ]
-    table = np.array(rows, dtype=float).reshape(len(rows), len(_BAR_COLUMNS))
-    return BarColumns(*table.T)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return kind(*table.T)
 
 
-def read_bar_blocks(path: str) -> Iterator[BarColumns]:
-    """Bar CSV as consecutive blocks of at most ``_BLOCK_ROWS`` rows, whatever
-    the order of its columns.
+def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
+    """A ``kind`` table's CSV as consecutive blocks of at most ``_BLOCK_ROWS``
+    rows, whatever the order of its columns.
 
-    A file with numeric timestamps, no quotes and no malformed cells is
-    parsed one block per ``np.loadtxt`` call, after a scan for quotes that
-    reads ``_SCAN_CHUNK`` bytes at a time; every block's columns are arrays
-    of their own.  Any other file goes through ``_read_bars_strict``, which
-    gives the same rows or fails with the offending path and line; when a
-    block fails to parse after earlier blocks were yielded, the rows after
-    them follow as one block.
+    A file with no quotes and no malformed cells is parsed one block per
+    ``np.loadtxt`` call, after a scan for quotes that reads ``_SCAN_CHUNK``
+    bytes at a time; every block's columns are arrays of their own.  Numeric
+    timestamps are parsed by ``np.loadtxt`` itself; a file whose first block
+    fails that way is read again with ``parse_timestamp`` as the timestamp's
+    converter, which reads ISO-8601 stamps (and would slow a numeric file
+    down).  Any other file goes through ``_read_strict``, which gives the
+    same rows or fails with the offending path and line; when a block fails
+    to parse after earlier blocks were yielded, the rows after them follow
+    as one block.
     """
+    names = kind.names()
     with open(path, "rb") as fh:
         header = fh.readline()
         quoted = b'"' in header or any(
             b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
     try:
-        names = header.rstrip(b"\r\n").decode("utf-8").split(",")
+        header_names = header.rstrip(b"\r\n").decode("utf-8").split(",")
     except UnicodeDecodeError:
-        names = []
-    position = {name: i for i, name in enumerate(names)}  # last one wins, as in csv
+        header_names = []
+    position = {name: i for i, name in enumerate(header_names)}  # last one wins, as in csv
     done = 0
-    if not quoted and all(col in position for col in _BAR_COLUMNS):
-        usecols = [position[col] for col in _BAR_COLUMNS]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                fh.readline()
-                while (table := _load_bar_rows(fh, usecols)) is not None:
-                    yield BarColumns(*map(np.ascontiguousarray, table))
-                    done += len(table[0])
-            return
-        except ValueError:
-            pass
-    rest = _read_bars_strict(path)
-    yield BarColumns(*(getattr(rest, col)[done:] for col in _BAR_COLUMNS))
+    if not quoted and all(col in position for col in names):
+        usecols = [position[col] for col in names]
+        # numpy keys a converter by the column's index in the file.
+        for converters in (None, {position["timestamp"]: parse_timestamp}):
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    fh.readline()
+                    while (table := _load_rows(fh, usecols, converters)) is not None:
+                        yield kind(*map(np.ascontiguousarray, table))
+                        done += len(table[0])
+                return
+            except ValueError:
+                if done:
+                    break
+    rest = _read_strict(path, kind)
+    yield kind(*(getattr(rest, col)[done:] for col in names))
 
 
-def _load_bar_rows(fh, usecols: list[int]) -> np.ndarray | None:
-    """The next block of rows of an open bar file, one row per column; None at the end."""
+def _load_rows(fh, usecols: list[int], converters: dict | None) -> np.ndarray | None:
+    """The next block of rows of an open CSV file, one row per column; None at the end."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         table = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols,
-                           ndmin=2, max_rows=_BLOCK_ROWS)
+                           ndmin=2, max_rows=_BLOCK_ROWS, converters=converters)
     return table.T if len(table) else None
 
 
+def _read_table(path: str, kind: type[_Columns]) -> _Columns:
+    """A whole table: ``_read_blocks``, joined (see ``join_blocks``)."""
+    return kind(*join_blocks(_read_blocks(path, kind), kind.names()))
+
+
+def read_bar_blocks(path: str) -> Iterator[BarColumns]:
+    """Bar CSV as consecutive blocks (see ``_read_blocks``)."""
+    return _read_blocks(path, BarColumns)
+
+
 def read_bars(path: str) -> BarColumns:
-    """Bar CSV as columns: ``read_bar_blocks``, joined (see ``join_blocks``)."""
-    return BarColumns(*join_blocks(read_bar_blocks(path), _BAR_COLUMNS))
+    """Bar CSV as whole columns."""
+    return _read_table(path, BarColumns)
+
+
+def read_quotes(path: str) -> QuoteColumns:
+    """Quote CSV (timestamp, bid, ask) as whole columns."""
+    return _read_table(path, QuoteColumns)
+
+
+def read_trades(path: str) -> TradeColumns:
+    """Trade CSV (timestamp, price, size) as whole columns."""
+    return _read_table(path, TradeColumns)
 
 
 def read_curve(
@@ -259,31 +266,36 @@ def read_curve(
 # writers
 # --------------------------------------------------------------------------
 
-def _write_lines(path: str, header: Sequence[str],
-                 rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-
-
 def _write_blocks(path: str, header: Sequence[str],
                   blocks: Iterable[Sequence[Iterable[str]]]) -> None:
     """Write rows one block at a time, as ``blocks`` produces them.
 
     Each block gives the cells of consecutive rows, one iterable of
     formatted strings per column.  Only one block of cells is alive at a
-    time, so memory does not grow with the row count.
+    time, so memory does not grow with the row count.  A block of no rows
+    writes nothing.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for cells in blocks:
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            if text := "\n".join(map(",".join, zip(*cells))):
+                fh.write(text + "\n")
 
 
 def _write_columns(path: str, header: Sequence[str], n_rows: int,
                    block: Callable[[slice], Sequence[Iterable[str]]]) -> None:
     """Write ``n_rows`` rows; ``block(rows)`` gives the cells of the slice ``rows``."""
     _write_blocks(path, header, map(block, row_blocks(n_rows)))
+
+
+def _write_table(path: str, header: Sequence[str], floats: Sequence,
+                 ints: Sequence = ()) -> None:
+    """Write equal-length columns: ``floats`` (``format_float``), then ``ints`` (``str``)."""
+    floats = [np.asarray(col, dtype=float) for col in floats]
+    ints = [np.asarray(col, dtype=int) for col in ints]
+    _write_columns(path, header, len(floats[0]), lambda rows: (
+        *(_floats(col[rows]) for col in floats),
+        *(map(str, col[rows].tolist()) for col in ints)))
 
 
 @contextlib.contextmanager
@@ -343,18 +355,12 @@ def write_bars_csv(path: str, series: BarSeries) -> None:
         rows.start, *(column[rows] for column in columns)))
 
 
-def write_trades_csv(path: str, trades: Sequence[TradeRecord]) -> None:
-    _write_lines(path, _TRADE_COLUMNS, (
-        (format_float(t.timestamp), format_float(t.price), format_float(t.size))
-        for t in trades
-    ))
+def write_trades_csv(path: str, trades: TradeColumns) -> None:
+    _write_table(path, trades.names(), [getattr(trades, col) for col in trades.names()])
 
 
-def write_quotes_csv(path: str, quotes: Sequence[QuoteRecord]) -> None:
-    _write_lines(path, _QUOTE_COLUMNS, (
-        (format_float(q.timestamp), format_float(q.bid), format_float(q.ask))
-        for q in quotes
-    ))
+def write_quotes_csv(path: str, quotes: QuoteColumns) -> None:
+    _write_table(path, quotes.names(), [getattr(quotes, col) for col in quotes.names()])
 
 
 def write_curve_csv(path: str, curve: SpreadVolumeCurve) -> None:
@@ -362,19 +368,17 @@ def write_curve_csv(path: str, curve: SpreadVolumeCurve) -> None:
 
     The histogram sidecar (``write_histogram_csv``) keeps every bucket.
     """
-    _write_lines(path, _CURVE_COLUMNS, (
-        (format_float(b.v_lo), format_float(b.v_hi), format_float(b.v_mid),
-         format_float(b.spread_q), str(b.count))
-        for b in curve.buckets if b.count > 0
-    ))
+    buckets = [b for b in curve.buckets if b.count > 0]
+    _write_table(path, _CURVE_COLUMNS,
+                 [[getattr(b, col) for b in buckets] for col in _CURVE_COLUMNS[:-1]],
+                 [[b.count for b in buckets]])
 
 
 def write_histogram_csv(path: str, curve: SpreadVolumeCurve) -> None:
     """Sidecar trade-frequency histogram over the curve's volume buckets."""
-    _write_lines(path, ("v_lo", "v_hi", "count"), (
-        (format_float(b.v_lo), format_float(b.v_hi), str(b.count))
-        for b in curve.buckets
-    ))
+    _write_table(path, ("v_lo", "v_hi", "count"),
+                 [[b.v_lo for b in curve.buckets], [b.v_hi for b in curve.buckets]],
+                 [[b.count for b in curve.buckets]])
 
 
 def write_overlay_csv(path: str, curve: SpreadVolumeCurve,
@@ -385,26 +389,20 @@ def write_overlay_csv(path: str, curve: SpreadVolumeCurve,
         raise ValueError(
             f"{len(model_values)} model values for {len(usable)} usable buckets"
         )
-    _write_lines(path, ("v_mid", "spread_q", "spread_model"), (
-        (format_float(b.v_mid), format_float(b.spread_q), format_float(m))
-        for b, m in zip(usable, model_values)
-    ))
+    _write_table(path, ("v_mid", "spread_q", "spread_model"),
+                 [[b.v_mid for b in usable], [b.spread_q for b in usable], model_values])
 
 
 def write_policy_csv(path: str, policy: QuotePolicy) -> None:
-    floats = [np.asarray(col, dtype=float) for col in (
-        policy.v, policy.lambda_opt, policy.spread_opt,
-        policy.exec_rate, policy.pnl_opt, policy.pnl_naive)]
-    halt = np.asarray(policy.halt, dtype=int)
-    _write_columns(path, _POLICY_COLUMNS, len(halt), lambda rows: (
-        *(_floats(col[rows]) for col in floats), map(str, halt[rows].tolist())))
+    _write_table(path, _POLICY_COLUMNS,
+                 [policy.v, policy.lambda_opt, policy.spread_opt,
+                  policy.exec_rate, policy.pnl_opt, policy.pnl_naive],
+                 [policy.halt])
 
 
 def write_scale_csv(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
-    _write_lines(path, ("T", "delta_quantum", "delta_classical"), (
-        (format_float(t), format_float(q), format_float(c))
-        for t, q, c in rows
-    ))
+    _write_table(path, ("T", "delta_quantum", "delta_classical"),
+                 np.asarray(rows, dtype=float).reshape(-1, 3).T)
 
 
 def write_surface_csv(path: str, t_grid: Sequence[float],

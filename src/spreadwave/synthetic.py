@@ -20,7 +20,7 @@ from .calibration import (
     CurveSource,
     FlowStats,
     SpreadVolumeCurve,
-    TradeRecord,
+    TradeColumns,
     bar_spread_model,
     bidask_spread_model,
 )
@@ -88,7 +88,7 @@ def synthetic_trades(
     mean_size: float = 100.0,
     size_log_std: float = 0.5,
     seed: int = 0,
-) -> list[TradeRecord]:
+) -> TradeColumns:
     """Trade tape: exponential arrivals, multiplicative random-walk price."""
     if n_trades < 1:
         raise DomainError(f"n_trades must be >= 1, got {n_trades!r}")
@@ -103,7 +103,4 @@ def synthetic_trades(
     prices = s0 * np.cumprod(np.clip(steps, 0.2, None))
     mu = math.log(mean_size) - 0.5 * size_log_std ** 2
     sizes = rng.lognormal(mu, size_log_std, size=n_trades)
-    return [
-        TradeRecord(timestamp=float(t), price=float(p), size=float(q))
-        for t, p, q in zip(times, prices, sizes)
-    ]
+    return TradeColumns(timestamp=times, price=prices, size=sizes)

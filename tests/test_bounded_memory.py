@@ -24,8 +24,8 @@ from spreadwave import cli
 from spreadwave.cli import main
 from spreadwave.coupled_wave import (bar_height_rayleigh_scale, path_volatility, row_blocks,
                                      simulate_blocks)
-from spreadwave.data_io import (read_bar_blocks, read_bars, write_bars_csv, write_policy_csv,
-                                write_surface_csv)
+from spreadwave.data_io import (read_bar_blocks, read_bars, read_quotes, write_bar_blocks,
+                                write_bars_csv, write_policy_csv, write_surface_csv)
 from spreadwave.errors import DomainError, InputFormatError
 from spreadwave.optimizer import QuotePolicy
 
@@ -100,13 +100,13 @@ def _with_quoted_note(data: bytes, at: int) -> tuple[bytes, int]:
 
 def _strict_calls(monkeypatch) -> list:
     calls = []
-    strict = data_io._read_bars_strict
+    strict = data_io._read_strict
 
-    def spy(path):
+    def spy(path, kind):
         calls.append(path)
-        return strict(path)
+        return strict(path, kind)
 
-    monkeypatch.setattr(data_io, "_read_bars_strict", spy)
+    monkeypatch.setattr(data_io, "_read_strict", spy)
     return calls
 
 
@@ -272,6 +272,42 @@ def test_bar_blocks_after_a_failed_block_come_from_the_strict_parser(tmp_path, m
     _assert_same_bars(got, expected, len(expected))
 
 
+def _quote_tape(path, n, iso_from):
+    """A quote CSV of ``n`` rows, stamped in seconds before row ``iso_from`` and
+    in ISO-8601 text (1970-01-01 plus the same seconds) from it on."""
+    lines = ["timestamp,bid,ask"]
+    for i in range(n):
+        iso = f"1970-01-01T{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}.25Z"
+        lines.append(f"{iso if i >= iso_from else f'{i}.25'},{100.0 + i / 7!r},{100.5 + i / 7!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_iso_stamped_tape_is_read_in_blocks_without_the_strict_parser(tmp_path, monkeypatch):
+    path = _quote_tape(tmp_path / "quotes.csv", 2 * _B + 5, iso_from=0)
+    calls = _strict_calls(monkeypatch)
+    blocks = list(data_io._read_blocks(path, data_io.QuoteColumns))
+    assert calls == []
+    assert [len(b) for b in blocks] == [_B, _B, 5]
+    quotes = read_quotes(path)
+    assert quotes.timestamp.tolist() == [i + 0.25 for i in range(2 * _B + 5)]
+    assert quotes.bid.tolist() == [100.0 + i / 7 for i in range(2 * _B + 5)]
+
+
+def test_empty_bar_block_writes_no_line(tmp_path):
+    bars = simulate_path(_PARAMS, 100.0, 2, volume=VolumeConfig())
+
+    def block(rows):
+        return BarSeries(*(getattr(bars, f)[rows] for f in ("s_mid", "s_high", "s_low",
+                                                              "s_last", "h", "volume")), s0=100.0)
+
+    with_empty, without = tmp_path / "with_empty.csv", tmp_path / "without.csv"
+    write_bar_blocks(str(with_empty), [block(slice(0, 1)), block(slice(1, 1)), block(slice(1, 2))])
+    write_bar_blocks(str(without), [block(slice(0, 1)), block(slice(1, 2))])
+    assert with_empty.read_bytes() == without.read_bytes()
+    assert with_empty.read_bytes().count(b"\n") == 3
+
+
 def test_bad_cell_after_the_first_block_names_its_line(tmp_path):
     path = _bars_csv(tmp_path / "bars.csv", 2 * _B)
     lines = path.read_text().splitlines(keepends=True)
@@ -336,6 +372,25 @@ def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
     kept = 16 * 15 * _B
     for name, one, many in zip(("simulate", "curve"), peaks[1], peaks[16]):
         assert many - one <= 2.0 * kept, (name, many - one, kept)
+
+
+def test_curve_quotes_body_holds_a_few_columns_per_row(tmp_path):
+    """Above a one-block tape, the peak of ``curve --quotes --trades`` grows by
+    at most 2 x the 64 B a row of the two whole tapes' columns (48 B) and the
+    accepted pairs (16 B) take.  The quotes are ISO-stamped and the trades
+    numeric, so both take the ``np.loadtxt`` path."""
+    peaks = {}
+    for blocks in (1, 16):
+        n = blocks * _B
+        quotes = _quote_tape(tmp_path / f"quotes{blocks}.csv", n, iso_from=0)
+        trades = tmp_path / f"trades{blocks}.csv"
+        trades.write_text("timestamp,price,size\n"
+                          + "".join(f"{i}.5,100.25,{1 + i % 7}\n" for i in range(n)))
+        curve = ["curve", "--quotes", quotes, "--trades", str(trades), "--window", "30",
+                 "--out", str(tmp_path / str(blocks))]
+        CliRunner().invoke(main, curve)  # warm-up: lazy imports and caches
+        peaks[blocks] = _traced_peak(curve)
+    assert peaks[16] - peaks[1] <= 2.0 * 64 * 15 * _B, (peaks, 15 * _B)
 
 
 # --------------------------------------------------------------------------

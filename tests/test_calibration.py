@@ -15,9 +15,9 @@ from spreadwave import (
     FitConvergenceError,
     FlowStats,
     InsufficientDataError,
-    QuoteRecord,
+    QuoteColumns,
     SpreadSamples,
-    TradeRecord,
+    TradeColumns,
     bar_spread_model,
     bars_to_samples,
     bidask_spread_model,
@@ -39,8 +39,8 @@ from spreadwave.synthetic import synthetic_spread_curve, synthetic_trades
 # --------------------------------------------------------------------------
 
 def test_flow_stats_constant_tape():
-    trades = [TradeRecord(timestamp=float(i), price=50.0, size=200.0)
-              for i in range(60)]
+    trades = TradeColumns(timestamp=np.arange(60.0), price=np.full(60, 50.0),
+                          size=np.full(60, 200.0))
     flow = measure_flow_stats(trades, window=60.0)
     assert flow.n == 200.0
     assert flow.V == pytest.approx(200.0)      # 12000 shares over 60 time units
@@ -51,15 +51,15 @@ def test_flow_stats_constant_tape():
 def test_flow_stats_volatility_rescaling():
     # same log-return sequence on a twice-coarser clock halves sigma^2 rate
     prices = 100.0 * np.exp(np.cumsum(np.sin(np.arange(100)) * 1e-3))
-    fast = [TradeRecord(float(i), float(p), 1.0) for i, p in enumerate(prices)]
-    slow = [TradeRecord(2.0 * i, float(p), 1.0) for i, p in enumerate(prices)]
+    fast = TradeColumns(np.arange(100.0), prices, np.ones(100))
+    slow = TradeColumns(2.0 * np.arange(100.0), prices, np.ones(100))
     f_fast = measure_flow_stats(fast, window=100.0)
     f_slow = measure_flow_stats(slow, window=200.0)
     assert f_slow.sigma == pytest.approx(f_fast.sigma / math.sqrt(2.0), rel=1e-12)
 
 
 def test_flow_stats_requires_enough_trades():
-    trades = [TradeRecord(float(i), 50.0, 1.0) for i in range(10)]
+    trades = TradeColumns(np.arange(10.0), np.full(10, 50.0), np.ones(10))
     with pytest.raises(InsufficientDataError):
         measure_flow_stats(trades, window=10.0)
 
@@ -67,7 +67,7 @@ def test_flow_stats_requires_enough_trades():
 def test_flow_stats_on_synthetic_tape():
     trades = synthetic_trades(5000, s0=80.0, sigma_per_trade=2e-4,
                               mean_spacing=1.0, mean_size=150.0, seed=7)
-    window = trades[-1].timestamp
+    window = trades.timestamp[-1]
     flow = measure_flow_stats(trades, window=window)
     assert flow.n == pytest.approx(150.0, rel=0.1)
     assert flow.V == pytest.approx(150.0, rel=0.1)     # ~1 trade per time unit
@@ -99,18 +99,65 @@ def test_bars_to_samples_rejects_bad_rows():
 
 
 def test_quotes_to_samples_trailing_volume():
-    trades = [TradeRecord(t, 100.0, 10.0) for t in (1.0, 2.0, 3.0, 4.0)]
-    quotes = [
-        QuoteRecord(2.5, 99.0, 101.0),   # trades at 1, 2 -> 20 over window 2
-        QuoteRecord(4.0, 99.5, 100.5),   # trades at 3, 4 (window (2, 4])
-        QuoteRecord(0.5, 99.0, 101.0),   # no trailing flow -> rejected
-        QuoteRecord(3.0, 101.0, 99.0),   # crossed -> rejected
-    ]
+    trades = TradeColumns(np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 100.0), np.full(4, 10.0))
+    quotes = QuoteColumns(*np.array([
+        (2.5, 99.0, 101.0),   # trades at 1, 2 -> 20 over window 2
+        (4.0, 99.5, 100.5),   # trades at 3, 4 (window (2, 4])
+        (0.5, 99.0, 101.0),   # no trailing flow -> rejected
+        (3.0, 101.0, 99.0),   # crossed -> rejected
+    ]).T)
     samples = quotes_to_samples(quotes, trades, window=2.0)
     assert samples.volumes == pytest.approx([10.0, 10.0])
     assert samples.spreads == pytest.approx([2.0, 1.0])
     assert samples.n_rejected == 2
     assert samples.source is CurveSource.BID_ASK
+
+
+def quotes_to_samples_reference(quotes, trades, window):
+    """The per-quote loop: two scalar ``searchsorted`` calls per quote."""
+    order = np.argsort(trades.timestamp, kind="stable")
+    times = trades.timestamp[order]
+    cumsize = np.concatenate(([0.0], np.cumsum(trades.size[order])))
+    volumes, spreads, rejected = [], [], 0
+    for t, bid, ask in zip(*(col.tolist() for col in (quotes.timestamp, quotes.bid, quotes.ask))):
+        spread = ask - bid
+        if spread < 0.0 or not math.isfinite(spread):
+            rejected += 1
+            continue
+        hi = np.searchsorted(times, t, side="right")
+        lo = np.searchsorted(times, t - window, side="right")
+        v = (cumsize[hi] - cumsize[lo]) / window
+        if v > 0.0:
+            volumes.append(v)
+            spreads.append(spread)
+        else:
+            rejected += 1
+    return np.array(volumes), np.array(spreads), rejected
+
+
+def test_quotes_to_samples_equals_the_per_quote_loop():
+    """Bit for bit, on tapes with crossed, infinite and NaN quotes, trades out
+    of order and cumulative sizes that overflow."""
+    rng = np.random.default_rng(0)
+    special = np.array([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -0.0])
+
+    def column(k, centre):
+        x = centre + rng.standard_normal(k) * rng.choice([0.1, 10.0])
+        odd = rng.random(k) < 0.15
+        x[odd] = rng.choice(special, odd.sum())
+        return x
+
+    for _ in range(300):
+        n, m = rng.integers(0, 30, 2)
+        quotes = QuoteColumns(column(n, 5.0), column(n, 100.0), column(n, 100.2))
+        trades = TradeColumns(column(m, 5.0), column(m, 100.0), np.abs(column(m, 3.0)))
+        window = float(rng.choice([0.5, 2.0, 1e300]))
+        with np.errstate(all="ignore"):
+            volumes, spreads, rejected = quotes_to_samples_reference(quotes, trades, window)
+            samples = quotes_to_samples(quotes, trades, window)
+        assert samples.volumes.tobytes() == volumes.tobytes()
+        assert samples.spreads.tobytes() == spreads.tobytes()
+        assert samples.n_rejected == rejected
 
 
 # --------------------------------------------------------------------------

@@ -514,6 +514,16 @@ def test_evolve_fluctuating_redraw_cap(monkeypatch):
         evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), p, 100.0, 0.01, 2000)
 
 
+@pytest.mark.parametrize("sigma_step, s_scale, n_steps", [
+    (1e300, 100.0, 5), (0.5, 1e308, 50),
+])
+def test_evolve_fluctuating_rejects_an_overflowing_mid_walk(sigma_step, s_scale, n_steps):
+    # Without the check, both end in AmplitudeState(nan+nanj, nan+nanj).
+    p = CoupledWaveParams(sigma_step=sigma_step, xi_std=0.3, kappa_std=0.3)
+    with pytest.raises(DomainError, match="simulated prices overflowed"):
+        evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), p, s_scale, 0.01, n_steps)
+
+
 @pytest.mark.parametrize("name, value", [
     ("s_scale", math.inf), ("s_scale", math.nan), ("s_scale", 0.0),
     ("dt", math.inf), ("dt", math.nan), ("dt", -1.0),

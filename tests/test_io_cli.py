@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadwave import (
+    BarColumns,
     CoupledWaveParams,
     CurveSource,
     InputFormatError,
-    QuoteRecord,
-    TradeRecord,
+    QuoteColumns,
+    TradeColumns,
     VolumeConfig,
     simulate_path,
 )
@@ -30,7 +32,7 @@ from spreadwave.calibration import (
 )
 from spreadwave.cli import main, resolve_config
 from spreadwave.data_io import (
-    _read_bars_strict,
+    _read_strict,
     format_float,
     parse_timestamp,
     read_bars,
@@ -74,14 +76,20 @@ def test_parse_timestamp_forms():
 # CSV round trips
 # --------------------------------------------------------------------------
 
+def _assert_same_columns(got, want):
+    assert type(got) is type(want)
+    for name in want.names():
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_trade_quote_round_trip(tmp_path):
-    trades = [TradeRecord(1.5, 100.25, 10.0), TradeRecord(2.5, 100.5, 20.0)]
-    quotes = [QuoteRecord(1.0, 99.5, 100.5)]
+    trades = TradeColumns(*np.array([(1.5, 100.25, 10.0), (2.5, 100.5, 20.0)]).T)
+    quotes = QuoteColumns(*np.array([(1.0, 99.5, 100.5)]).T)
     tp, qp = str(tmp_path / "t.csv"), str(tmp_path / "q.csv")
     write_trades_csv(tp, trades)
     write_quotes_csv(qp, quotes)
-    assert read_trades(tp) == trades
-    assert read_quotes(qp) == quotes
+    _assert_same_columns(read_trades(tp), trades)
+    _assert_same_columns(read_quotes(qp), quotes)
 
 
 def test_bars_round_trip_preserves_heights(tmp_path):
@@ -275,10 +283,9 @@ def test_curve_requires_exactly_one_input(tmp_path):
 
 def test_curve_flat_spread_gives_flat_curve(tmp_path):
     # constant-spread quotes: every bucket quantile equals that constant
-    trades = [TradeRecord(float(i), 100.0, 10.0 * (1 + i % 5))
-              for i in range(1, 400)]
-    quotes = [QuoteRecord(float(i) + 0.5, 99.75, 100.25)
-              for i in range(1, 400)]
+    i = np.arange(1, 400, dtype=float)
+    trades = TradeColumns(i, np.full_like(i, 100.0), 10.0 * (1 + i % 5))
+    quotes = QuoteColumns(i + 0.5, np.full_like(i, 99.75), np.full_like(i, 100.25))
     tp, qp = str(tmp_path / "t.csv"), str(tmp_path / "q.csv")
     write_trades_csv(tp, trades)
     write_quotes_csv(qp, quotes)
@@ -588,15 +595,21 @@ def test_simulate_report_redraw_rate(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# columnar bar reader against the strict row parser
+# columnar table readers against the strict row parser
 # --------------------------------------------------------------------------
-
-_BAR_COLUMNS = ["timestamp", "open", "high", "low", "close", "volume"]
 
 _number = st.one_of(
     st.floats(allow_nan=False, width=64).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["nan", "inf", "-inf", "Infinity", "-0", "1e-5"]),
+)
+_iso = st.one_of(
+    st.builds(lambda dt, spec, zone: dt.isoformat(timespec=spec) + zone,
+              st.datetimes(min_value=datetime(1900, 1, 2), max_value=datetime(2200, 1, 1)),
+              st.sampled_from(["auto", "seconds", "milliseconds", "microseconds"]),
+              st.sampled_from(["", "Z", "+00:00", "-05:30"])),
+    st.sampled_from(["2023-11-14T22:13:20.5Z", "2023-11-14T22:13:20.1234",
+                     "2023-11-14 22:13:20Z", "2023-11-14", "2023-11-14T25:00:00Z"]),
 )
 _odd = st.sampled_from(["1_0", "", " ", "x", "1970-01-01T00:00:01Z", "1,5", "#"])
 _space = st.sampled_from(["", " ", "\t"])
@@ -608,26 +621,28 @@ _altered = st.one_of(
 
 
 @st.composite
-def bar_csv_text(draw):
-    """Bar CSVs: mostly plain numeric rows, with reordered and extra (even
-    duplicated) columns, and padded, quoted, malformed, blank, commented,
-    short and long rows mixed in."""
-    extras = draw(st.lists(st.sampled_from(["note", "x", "open"]), max_size=2))
-    header = draw(st.permutations(_BAR_COLUMNS + extras))
+def table_csv_text(draw, kind):
+    """CSVs of a ``kind`` table: mostly plain rows, with numeric, ISO-8601 or
+    mixed timestamps, reordered and extra (even duplicated) columns, and
+    padded, quoted, malformed, blank, commented, short and long rows mixed in."""
+    names = list(kind.names())
+    extras = draw(st.lists(st.sampled_from(["note", "x", names[1]]), max_size=2))
+    header = draw(st.permutations(names + extras))
+    stamps = draw(st.sampled_from([_number, _iso, st.one_of(_number, _iso)]))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["row"] * 4 + ["blank", "comment", "short", "long"]))
-        if kind == "blank":
+        kind_of_row = draw(st.sampled_from(["row"] * 4 + ["blank", "comment", "short", "long"]))
+        if kind_of_row == "blank":
             lines.append("")
             continue
-        cells = draw(st.lists(_number, min_size=len(header), max_size=len(header)))
+        cells = [draw(stamps if col == "timestamp" else _number) for col in header]
         for _ in range(draw(st.integers(0, 2))):
             cells[draw(st.integers(0, len(cells) - 1))] = draw(_altered)
-        if kind == "comment":
+        if kind_of_row == "comment":
             cells[0] = "#" + cells[0]
-        elif kind == "short":
+        elif kind_of_row == "short":
             cells = cells[:draw(st.integers(0, len(cells) - 1))]
-        elif kind == "long":
+        elif kind_of_row == "long":
             cells.append(draw(_number))
         lines.append(",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -641,25 +656,44 @@ def _read(reader, path):
         return str(exc)
 
 
-@given(text=bar_csv_text())
-# A quoted comma in an unused column shifts the columns after it for a
-# parser that does not know CSV quoting.
-@example(text='note,x,timestamp,open,high,low,close,volume\n"a,b",7,0,1,2,3,4,5\n')
-@settings(max_examples=300, deadline=None)
-def test_read_bars_matches_strict_parser(text):
+def _assert_matches_strict(reader, kind, text):
+    name = f"{kind.__name__.lower()}.csv"
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bars.csv")
+        path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        fast, strict = _read(read_bars, path), _read(_read_bars_strict, path)
+        fast, strict = _read(reader, path), _read(lambda p: _read_strict(p, kind), path)
     if isinstance(strict, str):
         assert fast == strict
-        assert re.match(r".*bars\.csv(:\d+)?: ", strict)
+        assert re.match(rf".*{re.escape(name)}(:\d+)?: ", strict)
     else:
         assert not isinstance(fast, str), fast
         assert len(fast) == len(strict)
-        for col in ("timestamp", "open", "high", "low", "close", "volume"):
+        for col in kind.names():
             assert getattr(fast, col).tobytes() == getattr(strict, col).tobytes(), col
+
+
+# A quoted comma in an unused column shifts the columns after it for a
+# parser that does not know CSV quoting.
+@given(text=table_csv_text(BarColumns))
+@example(text='note,x,timestamp,open,high,low,close,volume\n"a,b",7,0,1,2,3,4,5\n')
+@settings(max_examples=300, deadline=None)
+def test_read_bars_matches_strict_parser(text):
+    _assert_matches_strict(read_bars, BarColumns, text)
+
+
+@given(text=table_csv_text(QuoteColumns))
+@example(text='note,x,timestamp,bid,ask\n"a,b",7,0,1,2\n')
+@settings(max_examples=300, deadline=None)
+def test_read_quotes_matches_strict_parser(text):
+    _assert_matches_strict(read_quotes, QuoteColumns, text)
+
+
+@given(text=table_csv_text(TradeColumns))
+@example(text='note,x,timestamp,price,size\n"a,b",7,0,1,2\n')
+@settings(max_examples=300, deadline=None)
+def test_read_trades_matches_strict_parser(text):
+    _assert_matches_strict(read_trades, TradeColumns, text)
 
 
 def test_read_bars_error_names_the_line_after_blank_lines(tmp_path):
