@@ -278,8 +278,9 @@ def _write_blocks(path: str, header: Sequence[str],
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for cells in blocks:
-            if text := "\n".join(map(",".join, zip(*cells))):
-                fh.write(text + "\n")
+            # The empty last item ends every row with "\n" and leaves no line
+            # for a block of no rows.
+            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
 
 
 def _write_columns(path: str, header: Sequence[str], n_rows: int,
