@@ -17,7 +17,7 @@ import json
 import math
 import os
 import warnings
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -84,42 +84,79 @@ from .scaling import (SpreadSurfaceParams, classical_scale, default_surface_grid
 
 _ENV_PREFIX = "SPREADWAVE_"
 
-# Config keys as key: (type, default); the global keys belong to every command.
-_GLOBAL_KEYS: dict[str, tuple[type, object]] = {
-    "seed": (int, 0), "out": (str, "."), "quantile": (float, 0.9), "horizon": (float, 1.0),
+
+class _Key(NamedTuple):
+    """A config key: its type, default, flag help and, where it has them, choices."""
+
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# The only declaration of each config key: the flags, the SPREADWAVE_<KEY>
+# variables and the config-file keys are all built from and parsed by it.
+# The global keys belong to every command.
+_GLOBAL_KEYS: dict[str, _Key] = {
+    "seed": _Key(int, 0, "Root seed for all randomness."),
+    "out": _Key(str, ".", "Output directory (default: current)."),
+    "quantile": _Key(float, 0.9, "Quantile level for spread curves."),
+    "horizon": _Key(float, 1.0, "Horizon T (bars) where a command needs one."),
 }
 
-_COMMAND_KEYS: dict[str, dict[str, tuple[type, object]]] = {
+_COMMAND_KEYS: dict[str, dict[str, _Key]] = {
     "simulate": {
-        "steps": (int, 1000), "s0": (float, 100.0), "sigma_step": (float, 1e-4),
-        "xi_mean": (float, 0.0), "xi_std": (float, 0.5),
-        "kappa_mean": (float, 0.0), "kappa_std": (float, 0.5),
-        "tau0": (float, 1.0), "rule": (str, "uniform"), "path_index": (int, 0),
-        "volume_mode": (str, "impact"), "avg_trade_size": (float, 100.0),
-        "log_mean": (float, 0.0), "log_sigma": (float, 1.0),
+        "steps": _Key(int, 1000, "Number of bars."),
+        "s0": _Key(float, 100.0, "Starting price."),
+        "sigma_step": _Key(float, 1e-4, "Per-step mid-price volatility."),
+        "xi_mean": _Key(float, 0.0), "xi_std": _Key(float, 0.5),
+        "kappa_mean": _Key(float, 0.0), "kappa_std": _Key(float, 0.5),
+        "tau0": _Key(float, 1.0),
+        "rule": _Key(str, "uniform", "Last-price placement rule.", ("uniform", "normal")),
+        "path_index": _Key(int, 0),
+        "volume_mode": _Key(str, "impact", None, ("impact", "lognormal", "none")),
+        "avg_trade_size": _Key(float, 100.0),
+        "log_mean": _Key(float, 0.0), "log_sigma": _Key(float, 1.0),
     },
     "curve": {
-        "bars": (str, None), "quotes": (str, None), "trades": (str, None),
-        "window": (float, 60.0), "buckets": (int, 25), "min_count": (int, 20),
-        "lo_percentile": (float, 1.0), "hi_percentile": (float, 99.0),
+        "bars": _Key(str, None, "Bar CSV input (high-low spreads)."),
+        "quotes": _Key(str, None, "Quote CSV input (bid-ask spreads); requires --trades."),
+        "trades": _Key(str, None, "Trade CSV used for trailing volume."),
+        "window": _Key(float, 60.0, "Trailing volume window (time units)."),
+        "buckets": _Key(int, 25), "min_count": _Key(int, 20),
+        "lo_percentile": _Key(float, 1.0), "hi_percentile": _Key(float, 99.0),
     },
     "calibrate": {
-        "curve": (str, None), "kind": (str, "bidask"), "n": (float, None),
-        "sigma": (float, None), "price": (float, None), "volume": (float, 0.0),
-        "tau0": (float, 1.0), "strict_product": (bool, False), "min_count": (int, 20),
+        "curve": _Key(str, None, "Curve CSV produced by the curve command."),
+        "kind": _Key(str, "bidask", None, ("bidask", "bar")),
+        "n": _Key(float, None, "Average trade size."),
+        "sigma": _Key(float, None,
+                      "Volatility (per reference time, or per horizon for bars)."),
+        "price": _Key(float, None, "Price scale."),
+        "volume": _Key(float, 0.0, "Volume rate (optional)."),
+        "tau0": _Key(float, 1.0, "Fixed time constant."),
+        "strict_product": _Key(bool, False, "Fit rho*tau0 as a single parameter."),
+        "min_count": _Key(int, 20),
     },
     "scale": {
-        "base_spread": (float, None), "eta": (float, None), "lam": (float, None),
-        "t2_max": (float, None), "t_steps": (int, 50), "surface": (bool, False),
-        "lambda_risk": (float, None), "rho_risk": (float, None),
-        "sigma_tau": (float, None), "n": (float, None), "tau0": (float, 1.0),
-        "price": (float, 1.0), "v_lo": (float, None), "v_hi": (float, None),
-        "nv": (int, 50), "t_lo": (float, None), "t_hi": (float, None), "nt": (int, 20),
+        "base_spread": _Key(float, None, "Spread at the base horizon."),
+        "eta": _Key(float, None, "Per-sqrt-horizon volatility at the base horizon."),
+        "lam": _Key(float, None, "Risk-aversion level."),
+        "t2_max": _Key(float, None, "Largest horizon."),
+        "t_steps": _Key(int, 50),
+        "surface": _Key(bool, False, "Emit the (T, v) spread surface instead of the table."),
+        "lambda_risk": _Key(float), "rho_risk": _Key(float), "sigma_tau": _Key(float),
+        "n": _Key(float), "tau0": _Key(float, 1.0), "price": _Key(float, 1.0),
+        "v_lo": _Key(float), "v_hi": _Key(float), "nv": _Key(int, 50),
+        "t_lo": _Key(float), "t_hi": _Key(float), "nt": _Key(int, 20),
     },
     "optimize": {
-        "a_coeff": (float, None), "alpha": (float, 0.0), "lambda0": (float, None),
-        "lambda_ref": (float, None), "calibration": (str, None),
-        "v_lo": (float, None), "v_hi": (float, None), "v_points": (int, 41),
+        "a_coeff": _Key(float, None, "Dimensionless curve coefficient a (analytic law mode)."),
+        "alpha": _Key(float, 0.0, "Round-trip commission in spread units."),
+        "lambda0": _Key(float, None, "Execution scale."),
+        "lambda_ref": _Key(float, None, "Reference level the market curve is anchored at."),
+        "calibration": _Key(str, None, "calibration.json from the calibrate command."),
+        "v_lo": _Key(float), "v_hi": _Key(float), "v_points": _Key(int, 41),
     },
 }
 
@@ -131,7 +168,10 @@ _MAX_COUNT = np.iinfo(np.intp).max // 8
 # config resolution
 # --------------------------------------------------------------------------
 
-def _coerce(key: str, value, typ: type):
+def _coerce(key: str, value, spec: _Key):
+    """``value`` of config key ``key`` as its type; the one parser of flags,
+    environment variables and config-file values."""
+    typ = spec.type
     try:
         if typ is bool:
             if isinstance(value, bool):
@@ -150,11 +190,15 @@ def _coerce(key: str, value, typ: type):
             return int(value)
         if typ is float:
             return float(value)
-        return str(value)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise InputFormatError(
             f"config key {key!r}: cannot interpret {value!r} as {typ.__name__}"
         ) from None
+    value = str(value)
+    if spec.choices is not None and value not in spec.choices:
+        raise InputFormatError(
+            f"config key {key!r}: {value!r} is not one of {', '.join(spec.choices)}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -191,30 +235,26 @@ def resolve_config(
 ) -> dict:
     """Merge defaults, config file, environment, and explicit flags.
 
-    Raises DomainError for a horizon that is not finite and > 0, or a
-    quantile outside (0, 1].
+    Every value, whatever its source, is parsed by ``_coerce``: one that its
+    key's type or choices refuse raises InputFormatError.  Raises
+    DomainError for a horizon that is not finite and > 0, or a quantile
+    outside (0, 1].
     """
     keys = {**_GLOBAL_KEYS, **_COMMAND_KEYS[command]}
-    resolved = {key: default for key, (_, default) in keys.items()}
+    resolved = {key: spec.default for key, spec in keys.items()}
 
-    if config_path is not None:
-        data = _load_config_file(config_path)
-        unknown = sorted(set(data) - set(keys))
-        if unknown:
-            raise InputFormatError(
-                f"unknown config keys for {command}: {', '.join(unknown)}"
-            )
-        for key, value in data.items():
-            resolved[key] = _coerce(key, value, keys[key][0])
-
-    for key, (typ, _) in keys.items():
-        env_value = os.environ.get(_ENV_PREFIX + key.upper())
-        if env_value is not None:
-            resolved[key] = _coerce(key, env_value, typ)
-
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = value
+    data = {} if config_path is None else _load_config_file(config_path)
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise InputFormatError(
+            f"unknown config keys for {command}: {', '.join(unknown)}"
+        )
+    env = {key: os.environ[_ENV_PREFIX + key.upper()] for key in keys
+           if _ENV_PREFIX + key.upper() in os.environ}
+    given = {key: value for key, value in flags.items() if value is not None}
+    for source in (data, env, given):  # later sources override earlier ones
+        for key, value in source.items():
+            resolved[key] = _coerce(key, value, keys[key])
 
     # The global numeric settings, checked once for every command.
     check_finite("horizon", resolved["horizon"], above=0.0)
@@ -283,6 +323,9 @@ def _run_body(command: str, body: Callable[[], None]) -> None:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(EXIT_IO)
+    except MemoryError:
+        click.echo(f"error: {command}: not enough memory for the requested sizes", err=True)
+        raise SystemExit(EXIT_INVALID_INPUT)
     except OverflowError:
         # Python-float arithmetic on an extreme parameter (e.g. x ** 2).
         click.echo(f"error: numerical failure: {command}: a parameter overflowed "
@@ -293,92 +336,74 @@ def _run_body(command: str, body: Callable[[], None]) -> None:
         raise SystemExit(EXIT_NUMERICAL)
 
 
-def _global_options(fn):
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(), help="JSON or YAML config file.")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Root seed for all randomness.")(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                      help="Output directory (default: current).")(fn)
-    fn = click.option("--quantile", type=float, default=None,
-                      help="Quantile level for spread curves.")(fn)
-    fn = click.option("--horizon", type=float, default=None,
-                      help="Horizon T (bars) where a command needs one.")(fn)
-    return fn
-
-
-def _flags(kwargs: dict) -> dict:
-    kwargs = dict(kwargs)
-    kwargs.pop("config_path", None)
-    return kwargs
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="spreadwave")
 def main() -> None:
     """Spread modeling, calibration, and quoting-policy toolkit."""
 
 
+def _command(name: str):
+    """Register ``fn(cfg)`` on ``main`` as command ``name``.
+
+    The command takes ``--config`` and one ``--key-name`` flag per config
+    key.  Flags stay text: ``resolve_config`` parses them with ``_coerce``,
+    as it does environment and file values.
+    """
+    def register(fn: Callable[[dict], None]):
+        def callback(config_path, **flags) -> None:
+            _run_body(name, lambda: fn(resolve_config(name, config_path, flags)))
+
+        params = [click.Option(["--config", "config_path"], metavar="FILE",
+                               help="JSON or YAML config file.")]
+        for key, spec in {**_GLOBAL_KEYS, **_COMMAND_KEYS[name]}.items():
+            metavar = (f"[{'|'.join(spec.choices)}]" if spec.choices
+                       else spec.type.__name__.upper())
+            params.append(click.Option(["--" + key.replace("_", "-")], metavar=metavar,
+                                       help=spec.help))
+        main.add_command(click.Command(name, callback=callback, params=params,
+                                       help=fn.__doc__))
+        return fn
+
+    return register
+
+
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
 
-@main.command("simulate")
-@_global_options
-@click.option("--steps", type=int, default=None, help="Number of bars.")
-@click.option("--s0", type=float, default=None, help="Starting price.")
-@click.option("--sigma-step", type=float, default=None,
-              help="Per-step mid-price volatility.")
-@click.option("--xi-mean", type=float, default=None)
-@click.option("--xi-std", type=float, default=None)
-@click.option("--kappa-mean", type=float, default=None)
-@click.option("--kappa-std", type=float, default=None)
-@click.option("--tau0", type=float, default=None)
-@click.option("--rule", type=click.Choice(["uniform", "normal"]), default=None,
-              help="Last-price placement rule.")
-@click.option("--path-index", type=int, default=None)
-@click.option("--volume-mode", type=click.Choice(["impact", "lognormal", "none"]),
-              default=None)
-@click.option("--avg-trade-size", type=float, default=None)
-@click.option("--log-mean", type=float, default=None)
-@click.option("--log-sigma", type=float, default=None)
-def cmd_simulate(config_path, **kwargs) -> None:
+@_command("simulate")
+def cmd_simulate(cfg: dict) -> None:
     """Generate a bar series and a summary report."""
+    params = CoupledWaveParams(
+        sigma_step=cfg["sigma_step"],
+        xi_mean=cfg["xi_mean"], xi_std=cfg["xi_std"],
+        kappa_mean=cfg["kappa_mean"], kappa_std=cfg["kappa_std"],
+        tau0=cfg["tau0"],
+        last_price_rule=LastPriceRule(cfg["rule"]),
+        seed=cfg["seed"],
+    )
+    volume = VolumeConfig(
+        mode=cfg["volume_mode"], avg_trade_size=cfg["avg_trade_size"],
+        log_mean=cfg["log_mean"], log_sigma=cfg["log_sigma"],
+    )
+    _require_count(cfg, "steps")
+    n = cfg["steps"]
+    blocks = simulate_blocks(params, cfg["s0"], n, path_index=cfg["path_index"],
+                             volume=volume)
+    report = _report_envelope("simulate", cfg, [])
+    bars_path = _out_path(cfg, "bars.csv")
+    # bars.csv appears only once the whole path and its summary are good.
+    with replaced_on_success(bars_path) as tmp_path:
+        summary = _write_and_summarize(tmp_path, blocks, params, cfg["s0"], n)
+        # Squares of finite bars can overflow: refuse before writing anything.
+        _require_finite("simulate summary",
+                        *(v for v in summary.values() if v is not None))
 
-    def body() -> None:
-        cfg = resolve_config("simulate", config_path, _flags(kwargs))
-        params = CoupledWaveParams(
-            sigma_step=cfg["sigma_step"],
-            xi_mean=cfg["xi_mean"], xi_std=cfg["xi_std"],
-            kappa_mean=cfg["kappa_mean"], kappa_std=cfg["kappa_std"],
-            tau0=cfg["tau0"],
-            last_price_rule=LastPriceRule(cfg["rule"]),
-            seed=cfg["seed"],
-        )
-        volume = VolumeConfig(
-            mode=cfg["volume_mode"], avg_trade_size=cfg["avg_trade_size"],
-            log_mean=cfg["log_mean"], log_sigma=cfg["log_sigma"],
-        )
-        _require_count(cfg, "steps")
-        n = cfg["steps"]
-        blocks = simulate_blocks(params, cfg["s0"], n, path_index=cfg["path_index"],
-                                 volume=volume)
-        report = _report_envelope("simulate", cfg, [])
-        bars_path = _out_path(cfg, "bars.csv")
-        # bars.csv appears only once the whole path and its summary are good.
-        with replaced_on_success(bars_path) as tmp_path:
-            summary = _write_and_summarize(tmp_path, blocks, params, cfg["s0"], n)
-            # Squares of finite bars can overflow: refuse before writing anything.
-            _require_finite("simulate summary",
-                            *(v for v in summary.values() if v is not None))
-
-        report["outputs"] = {"bars": "bars.csv"}
-        report["units"] = {"prices": "input money units", "volume": "shares per bar"}
-        report["summary"] = summary
-        write_json_report(_out_path(cfg, "simulate_report.json"), report)
-        click.echo(f"wrote {bars_path} ({n} bars)")
-
-    _run_body("simulate", body)
+    report["outputs"] = {"bars": "bars.csv"}
+    report["units"] = {"prices": "input money units", "volume": "shares per bar"}
+    report["summary"] = summary
+    write_json_report(_out_path(cfg, "simulate_report.json"), report)
+    click.echo(f"wrote {bars_path} ({n} bars)")
 
 
 def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float,
@@ -428,71 +453,54 @@ def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float
 # curve
 # --------------------------------------------------------------------------
 
-@main.command("curve")
-@_global_options
-@click.option("--bars", type=click.Path(), default=None,
-              help="Bar CSV input (high-low spreads).")
-@click.option("--quotes", type=click.Path(), default=None,
-              help="Quote CSV input (bid-ask spreads); requires --trades.")
-@click.option("--trades", type=click.Path(), default=None,
-              help="Trade CSV used for trailing volume.")
-@click.option("--window", type=float, default=None,
-              help="Trailing volume window (time units).")
-@click.option("--buckets", type=int, default=None)
-@click.option("--min-count", type=int, default=None)
-@click.option("--lo-percentile", type=float, default=None)
-@click.option("--hi-percentile", type=float, default=None)
-def cmd_curve(config_path, **kwargs) -> None:
+@_command("curve")
+def cmd_curve(cfg: dict) -> None:
     """Build the quantile spread-volume curve from quotes or bars."""
-
-    def body() -> None:
-        cfg = resolve_config("curve", config_path, _flags(kwargs))
-        # Checked for bars too, which do not use it: the report echoes it.
-        check_finite("window", cfg["window"], above=0.0)
-        have_bars = cfg["bars"] is not None
-        have_quotes = cfg["quotes"] is not None
-        if have_bars == have_quotes:
-            raise InputFormatError(
-                "provide exactly one input: --bars, or --quotes with --trades"
-            )
-        if have_quotes:
-            _require(cfg, "trades")
-        spec = BucketSpec(
-            n_buckets=cfg["buckets"],
-            lo_percentile=cfg["lo_percentile"],
-            hi_percentile=cfg["hi_percentile"],
+    # Checked for bars too, which do not use it: the report echoes it.
+    check_finite("window", cfg["window"], above=0.0)
+    have_bars = cfg["bars"] is not None
+    have_quotes = cfg["quotes"] is not None
+    if have_bars == have_quotes:
+        raise InputFormatError(
+            "provide exactly one input: --bars, or --quotes with --trades"
         )
-        inputs = [cfg["bars"]] if have_bars else [cfg["quotes"], cfg["trades"]]
-        report = _report_envelope("curve", cfg, inputs)
-        if have_bars:
-            samples = bar_blocks_to_samples(read_bar_blocks(cfg["bars"]))
-        else:
-            samples = quotes_to_samples(
-                read_quotes(cfg["quotes"]), read_trades(cfg["trades"]),
-                window=cfg["window"],
-            )
-        curve = build_spread_volume_curve(
-            samples, bucket_spec=spec,
-            quantile_level=cfg["quantile"], min_count=cfg["min_count"],
+    if have_quotes:
+        _require(cfg, "trades")
+    _require_count(cfg, "buckets")
+    spec = BucketSpec(
+        n_buckets=cfg["buckets"],
+        lo_percentile=cfg["lo_percentile"],
+        hi_percentile=cfg["hi_percentile"],
+    )
+    inputs = [cfg["bars"]] if have_bars else [cfg["quotes"], cfg["trades"]]
+    report = _report_envelope("curve", cfg, inputs)
+    if have_bars:
+        samples = bar_blocks_to_samples(read_bar_blocks(cfg["bars"]))
+    else:
+        samples = quotes_to_samples(
+            read_quotes(cfg["quotes"]), read_trades(cfg["trades"]),
+            window=cfg["window"],
         )
-        curve_path = _out_path(cfg, "curve.csv")
-        write_curve_csv(curve_path, curve)
-        write_histogram_csv(_out_path(cfg, "curve_hist.csv"), curve)
+    curve = build_spread_volume_curve(
+        samples, bucket_spec=spec,
+        quantile_level=cfg["quantile"], min_count=cfg["min_count"],
+    )
+    curve_path = _out_path(cfg, "curve.csv")
+    write_curve_csv(curve_path, curve)
+    write_histogram_csv(_out_path(cfg, "curve_hist.csv"), curve)
 
-        report["outputs"] = {"curve": "curve.csv", "histogram": "curve_hist.csv"}
-        report["units"] = {"spread_q": "input money units",
-                           "volume": "input volume units"}
-        report["summary"] = {
-            "source": curve.source.value,
-            "n_accepted": curve.n_accepted,
-            "n_rejected": curve.n_rejected,
-            "n_buckets": len(curve.buckets),
-            "n_usable": len(curve.usable()),
-        }
-        write_json_report(_out_path(cfg, "curve_report.json"), report)
-        click.echo(f"wrote {curve_path} ({len(curve.usable())} usable buckets)")
-
-    _run_body("curve", body)
+    report["outputs"] = {"curve": "curve.csv", "histogram": "curve_hist.csv"}
+    report["units"] = {"spread_q": "input money units",
+                       "volume": "input volume units"}
+    report["summary"] = {
+        "source": curve.source.value,
+        "n_accepted": curve.n_accepted,
+        "n_rejected": curve.n_rejected,
+        "n_buckets": len(curve.buckets),
+        "n_usable": len(curve.usable()),
+    }
+    write_json_report(_out_path(cfg, "curve_report.json"), report)
+    click.echo(f"wrote {curve_path} ({len(curve.usable())} usable buckets)")
 
 
 # --------------------------------------------------------------------------
@@ -515,278 +523,216 @@ def _calibration_payload(result: CalibrationResult) -> dict:
     }
 
 
-@main.command("calibrate")
-@_global_options
-@click.option("--curve", "curve_path", type=click.Path(), default=None,
-              help="Curve CSV produced by the curve command.")
-@click.option("--kind", type=click.Choice(["bidask", "bar"]), default=None)
-@click.option("--n", type=float, default=None, help="Average trade size.")
-@click.option("--sigma", type=float, default=None,
-              help="Volatility (per reference time, or per horizon for bars).")
-@click.option("--price", type=float, default=None, help="Price scale.")
-@click.option("--volume", type=float, default=None, help="Volume rate (optional).")
-@click.option("--tau0", type=float, default=None, help="Fixed time constant.")
-@click.option("--strict-product", type=click.BOOL, default=None,
-              help="Fit rho*tau0 as a single parameter.")
-@click.option("--min-count", type=int, default=None)
-def cmd_calibrate(config_path, curve_path, **kwargs) -> None:
+@_command("calibrate")
+def cmd_calibrate(cfg: dict) -> None:
     """Fit the spread law to a curve CSV and write the result JSON."""
+    _require(cfg, "curve", "n", "sigma", "price")
+    source = CurveSource.BAR if cfg["kind"] == "bar" else CurveSource.BID_ASK
+    curve = read_curve(cfg["curve"], quantile_level=cfg["quantile"],
+                       source=source, min_count=cfg["min_count"])
+    flow = FlowStats(n=cfg["n"], V=cfg["volume"], sigma=cfg["sigma"],
+                     mean_price=cfg["price"])
 
-    def body() -> None:
-        flags = _flags(kwargs)
-        flags["curve"] = curve_path
-        cfg = resolve_config("calibrate", config_path, flags)
-        _require(cfg, "curve", "n", "sigma", "price")
-        source = CurveSource.BAR if cfg["kind"] == "bar" else CurveSource.BID_ASK
-        curve = read_curve(cfg["curve"], quantile_level=cfg["quantile"],
-                           source=source, min_count=cfg["min_count"])
-        flow = FlowStats(n=cfg["n"], V=cfg["volume"], sigma=cfg["sigma"],
-                         mean_price=cfg["price"])
-
-        report = _report_envelope("calibrate", cfg, [cfg["curve"]])
-        report["units"] = {"lambda_hat": "dimensionless",
-                           "rho_hat": "dimensionless",
-                           "spread_model": "input money units"}
-        result_path = _out_path(cfg, "calibration.json")
-        try:
-            if source is CurveSource.BAR:
-                result = fit_bar_curve(curve, horizon_T=cfg["horizon"],
-                                       flow=flow, tau0=cfg["tau0"],
+    report = _report_envelope("calibrate", cfg, [cfg["curve"]])
+    report["units"] = {"lambda_hat": "dimensionless",
+                       "rho_hat": "dimensionless",
+                       "spread_model": "input money units"}
+    result_path = _out_path(cfg, "calibration.json")
+    try:
+        if source is CurveSource.BAR:
+            result = fit_bar_curve(curve, horizon_T=cfg["horizon"],
+                                   flow=flow, tau0=cfg["tau0"],
+                                   strict_product=cfg["strict_product"])
+        else:
+            result = fit_bid_ask_curve(curve, flow=flow, tau0=cfg["tau0"],
                                        strict_product=cfg["strict_product"])
-            else:
-                result = fit_bid_ask_curve(curve, flow=flow, tau0=cfg["tau0"],
-                                           strict_product=cfg["strict_product"])
-        except FitConvergenceError as exc:
-            report["error"] = str(exc)
-            if exc.best_so_far is not None:
-                report["result"] = _calibration_payload(exc.best_so_far)
-            write_json_report(result_path, report)
-            click.echo(f"error: numerical failure: {exc}", err=True)
-            raise SystemExit(EXIT_NUMERICAL)
-
-        usable = curve.usable()
-        # Only the fitted curve delta_ref is used; lambda_ref plays no part.
-        fitted = calibrated_law(result, flow, source, 1.0, horizon_T=cfg["horizon"])
-        model_values = flow.mean_price * fitted.delta_ref(np.array([b.v_mid for b in usable]))
-        write_overlay_csv(_out_path(cfg, "overlay.csv"), curve,
-                          [float(m) for m in model_values])
-
-        report["outputs"] = {"calibration": "calibration.json",
-                             "overlay": "overlay.csv"}
-        report["result"] = _calibration_payload(result)
-        report["flow"] = {"n": flow.n, "sigma": flow.sigma,
-                          "price": flow.mean_price, "volume": flow.V}
-        report["kind"] = cfg["kind"]
-        report["horizon"] = cfg["horizon"] if source is CurveSource.BAR else None
-        report["v_range"] = {"lo": usable[0].v_lo, "hi": usable[-1].v_hi}
+    except FitConvergenceError as exc:
+        report["error"] = str(exc)
+        if exc.best_so_far is not None:
+            report["result"] = _calibration_payload(exc.best_so_far)
         write_json_report(result_path, report)
-        click.echo(
-            f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
-            f"residual={result.residual_norm:.6g}"
-        )
+        raise
 
-    _run_body("calibrate", body)
+    usable = curve.usable()
+    # Only the fitted curve delta_ref is used; lambda_ref plays no part.
+    fitted = calibrated_law(result, flow, source, 1.0, horizon_T=cfg["horizon"])
+    model_values = flow.mean_price * fitted.delta_ref(np.array([b.v_mid for b in usable]))
+    write_overlay_csv(_out_path(cfg, "overlay.csv"), curve,
+                      [float(m) for m in model_values])
+
+    report["outputs"] = {"calibration": "calibration.json",
+                         "overlay": "overlay.csv"}
+    report["result"] = _calibration_payload(result)
+    report["flow"] = {"n": flow.n, "sigma": flow.sigma,
+                      "price": flow.mean_price, "volume": flow.V}
+    report["kind"] = cfg["kind"]
+    report["horizon"] = cfg["horizon"] if source is CurveSource.BAR else None
+    report["v_range"] = {"lo": usable[0].v_lo, "hi": usable[-1].v_hi}
+    write_json_report(result_path, report)
+    click.echo(
+        f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
+        f"residual={result.residual_norm:.6g}"
+    )
 
 
 # --------------------------------------------------------------------------
 # scale
 # --------------------------------------------------------------------------
 
-@main.command("scale")
-@_global_options
-@click.option("--base-spread", type=float, default=None,
-              help="Spread at the base horizon.")
-@click.option("--eta", type=float, default=None,
-              help="Per-sqrt-horizon volatility at the base horizon.")
-@click.option("--lam", type=float, default=None, help="Risk-aversion level.")
-@click.option("--t2-max", type=float, default=None, help="Largest horizon.")
-@click.option("--t-steps", type=int, default=None)
-@click.option("--surface", type=click.BOOL, default=None,
-              help="Emit the (T, v) spread surface instead of the table.")
-@click.option("--lambda-risk", type=float, default=None)
-@click.option("--rho-risk", type=float, default=None)
-@click.option("--sigma-tau", type=float, default=None)
-@click.option("--n", type=float, default=None)
-@click.option("--tau0", type=float, default=None)
-@click.option("--price", type=float, default=None)
-@click.option("--v-lo", type=float, default=None)
-@click.option("--v-hi", type=float, default=None)
-@click.option("--nv", type=int, default=None)
-@click.option("--t-lo", type=float, default=None)
-@click.option("--t-hi", type=float, default=None)
-@click.option("--nt", type=int, default=None)
-def cmd_scale(config_path, **kwargs) -> None:
+@_command("scale")
+def cmd_scale(cfg: dict) -> None:
     """Scale a spread across horizons, or emit the full (T, v) surface."""
-
-    def body() -> None:
-        cfg = resolve_config("scale", config_path, _flags(kwargs))
-        if cfg["surface"]:
-            _require(cfg, "lambda_risk", "rho_risk", "sigma_tau", "n",
-                     "v_lo", "v_hi", "t_lo", "t_hi")
-            _require_count(cfg, "nv", "nt")
-            params = SpreadSurfaceParams(
-                lambda_risk=cfg["lambda_risk"], rho_risk=cfg["rho_risk"],
-                sigma_tau=cfg["sigma_tau"], n=cfg["n"], tau0=cfg["tau0"],
+    if cfg["surface"]:
+        _require(cfg, "lambda_risk", "rho_risk", "sigma_tau", "n",
+                 "v_lo", "v_hi", "t_lo", "t_hi")
+        _require_count(cfg, "nv", "nt")
+        params = SpreadSurfaceParams(
+            lambda_risk=cfg["lambda_risk"], rho_risk=cfg["rho_risk"],
+            sigma_tau=cfg["sigma_tau"], n=cfg["n"], tau0=cfg["tau0"],
+        )
+        v_grid, t_grid = default_surface_grids(
+            cfg["v_lo"], cfg["v_hi"], cfg["t_lo"], cfg["t_hi"], cfg["nv"], cfg["nt"])
+        surface = spread_surface(params, cfg["price"], v_grid, t_grid)
+        _require_finite("surface", surface)
+        report = _report_envelope("scale", cfg, [])
+        out_path = _out_path(cfg, "surface.csv")
+        write_surface_csv(out_path, t_grid, v_grid, surface)
+        report["outputs"] = {"surface": "surface.csv"}
+        report["units"] = {"delta": "input money units"}
+        report["summary"] = {"nv": int(cfg["nv"]), "nt": int(cfg["nt"])}
+    else:
+        _require(cfg, "base_spread", "eta", "lam", "t2_max")
+        _require_count(cfg, "t_steps")
+        t1 = cfg["horizon"]
+        check_finite("t2_max", cfg["t2_max"], at_least=t1)
+        # geomspace can round interior points an ulp outside [t1, t2_max].
+        t_grid = np.clip(np.geomspace(t1, cfg["t2_max"], cfg["t_steps"]),
+                         t1, cfg["t2_max"])
+        rows = [
+            (
+                float(t2),
+                scale_spread_time(cfg["base_spread"], cfg["eta"],
+                                  cfg["lam"], t1, float(t2)),
+                classical_scale(cfg["base_spread"], t1, float(t2)),
             )
-            v_grid, t_grid = default_surface_grids(
-                cfg["v_lo"], cfg["v_hi"], cfg["t_lo"], cfg["t_hi"], cfg["nv"], cfg["nt"])
-            surface = spread_surface(params, cfg["price"], v_grid, t_grid)
-            _require_finite("surface", surface)
-            report = _report_envelope("scale", cfg, [])
-            out_path = _out_path(cfg, "surface.csv")
-            write_surface_csv(out_path, t_grid, v_grid, surface)
-            report["outputs"] = {"surface": "surface.csv"}
-            report["units"] = {"delta": "input money units"}
-            report["summary"] = {"nv": int(cfg["nv"]), "nt": int(cfg["nt"])}
-        else:
-            _require(cfg, "base_spread", "eta", "lam", "t2_max")
-            _require_count(cfg, "t_steps")
-            t1 = cfg["horizon"]
-            check_finite("t2_max", cfg["t2_max"], at_least=t1)
-            # geomspace can round interior points an ulp outside [t1, t2_max].
-            t_grid = np.clip(np.geomspace(t1, cfg["t2_max"], cfg["t_steps"]),
-                             t1, cfg["t2_max"])
-            rows = [
-                (
-                    float(t2),
-                    scale_spread_time(cfg["base_spread"], cfg["eta"],
-                                      cfg["lam"], t1, float(t2)),
-                    classical_scale(cfg["base_spread"], t1, float(t2)),
-                )
-                for t2 in t_grid
-            ]
-            final_ratio = rows[-1][1] / rows[-1][2]
-            _require_finite("scale table", rows, final_ratio)
-            report = _report_envelope("scale", cfg, [])
-            out_path = _out_path(cfg, "scale.csv")
-            write_scale_csv(out_path, rows)
-            report["outputs"] = {"scale": "scale.csv"}
-            report["units"] = {"delta_quantum": "input money units",
-                               "delta_classical": "input money units"}
-            report["summary"] = {
-                "t1": t1,
-                "t2_max": cfg["t2_max"],
-                "rows": len(rows),
-                "final_ratio": final_ratio,
-            }
-        write_json_report(_out_path(cfg, "scale_report.json"), report)
-        click.echo(f"wrote {out_path}")
-
-    _run_body("scale", body)
+            for t2 in t_grid
+        ]
+        final_ratio = rows[-1][1] / rows[-1][2]
+        _require_finite("scale table", rows, final_ratio)
+        report = _report_envelope("scale", cfg, [])
+        out_path = _out_path(cfg, "scale.csv")
+        write_scale_csv(out_path, rows)
+        report["outputs"] = {"scale": "scale.csv"}
+        report["units"] = {"delta_quantum": "input money units",
+                           "delta_classical": "input money units"}
+        report["summary"] = {
+            "t1": t1,
+            "t2_max": cfg["t2_max"],
+            "rows": len(rows),
+            "final_ratio": final_ratio,
+        }
+    write_json_report(_out_path(cfg, "scale_report.json"), report)
+    click.echo(f"wrote {out_path}")
 
 
 # --------------------------------------------------------------------------
 # optimize
 # --------------------------------------------------------------------------
 
-@main.command("optimize")
-@_global_options
-@click.option("--a-coeff", type=float, default=None,
-              help="Dimensionless curve coefficient a (analytic law mode).")
-@click.option("--alpha", type=float, default=None,
-              help="Round-trip commission in spread units.")
-@click.option("--lambda0", type=float, default=None, help="Execution scale.")
-@click.option("--lambda-ref", type=float, default=None,
-              help="Reference level the market curve is anchored at.")
-@click.option("--calibration", type=click.Path(), default=None,
-              help="calibration.json from the calibrate command.")
-@click.option("--v-lo", type=float, default=None)
-@click.option("--v-hi", type=float, default=None)
-@click.option("--v-points", type=int, default=None)
-def cmd_optimize(config_path, **kwargs) -> None:
+@_command("optimize")
+def cmd_optimize(cfg: dict) -> None:
     """Compute the optimal quoting policy over a volume grid."""
+    _require(cfg, "lambda0")
+    have_a = cfg["a_coeff"] is not None
+    have_cal = cfg["calibration"] is not None
+    if have_a == have_cal:
+        raise InputFormatError(
+            "provide exactly one of --a-coeff or --calibration"
+        )
+    lambda0 = cfg["lambda0"]
+    lambda_ref = cfg["lambda_ref"]
+    if lambda_ref is None:
+        lambda_ref = DEFAULT_LAMBDA_REF_FRACTION * lambda0
+    inputs: list[str] = []
 
-    def body() -> None:
-        cfg = resolve_config("optimize", config_path, _flags(kwargs))
-        _require(cfg, "lambda0")
-        have_a = cfg["a_coeff"] is not None
-        have_cal = cfg["calibration"] is not None
-        if have_a == have_cal:
+    if have_a:
+        a = cfg["a_coeff"]
+        check_finite("a_coeff", a, above=0.0)
+        law = dimensionless_law(a, lambda_ref)
+        v_min = (0.5 * a) ** (1.0 / 3.0)
+        v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_min / 4.0
+        v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else 4.0 * v_min
+    else:
+        inputs.append(cfg["calibration"])
+        rep = read_json_report(cfg["calibration"])
+        try:
+            res = rep["result"]
+            fit = {key: float(res[key]) for key in
+                   ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")}
+            measured = {key: float(rep["flow"][key])
+                        for key in ("n", "volume", "sigma", "price")}
+            kind = rep["kind"]
+            v_range = {key: float(rep["v_range"][key]) for key in ("lo", "hi")}
+            horizon = rep.get("horizon")
+            horizon = None if horizon is None else float(horizon)
+        except KeyError as exc:
             raise InputFormatError(
-                "provide exactly one of --a-coeff or --calibration"
-            )
-        lambda0 = cfg["lambda0"]
-        lambda_ref = cfg["lambda_ref"]
-        if lambda_ref is None:
-            lambda_ref = DEFAULT_LAMBDA_REF_FRACTION * lambda0
-        inputs: list[str] = []
+                f"{cfg['calibration']}: missing key {exc} "
+                "(not a calibration report?)"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(
+                f"{cfg['calibration']}: a field is not a number: {exc}"
+            ) from exc
+        kinds = _COMMAND_KEYS["calibrate"]["kind"].choices
+        if kind not in kinds:
+            raise InputFormatError(f"{cfg['calibration']}: kind must be one of "
+                                   f"{', '.join(kinds)}, got {kind!r}")
+        flow = FlowStats(n=measured["n"], V=measured["volume"],
+                         sigma=measured["sigma"], mean_price=measured["price"])
+        result = CalibrationResult(**fit, n_used=flow.n, sigma_used=flow.sigma,
+                                   covariance_diag=(0.0, 0.0))
+        check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
+        check_finite("rho_hat", result.rho_hat, at_least=0.0)
+        check_finite("tau0_hat", result.tau0_hat, above=0.0)
+        source = CurveSource.BAR if kind == "bar" else CurveSource.BID_ASK
+        if source is CurveSource.BAR:
+            horizon = cfg["horizon"] if horizon is None else horizon
+            check_finite("horizon", horizon, above=0.0)
+        law = calibrated_law(result, flow, source, lambda_ref,
+                             horizon_T=horizon)
+        v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_range["lo"]
+        v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else v_range["hi"]
 
-        if have_a:
-            a = cfg["a_coeff"]
-            check_finite("a_coeff", a, above=0.0)
-            law = dimensionless_law(a, lambda_ref)
-            v_min = (0.5 * a) ** (1.0 / 3.0)
-            v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_min / 4.0
-            v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else 4.0 * v_min
-        else:
-            inputs.append(cfg["calibration"])
-            rep = read_json_report(cfg["calibration"])
-            try:
-                res = rep["result"]
-                fit = {key: float(res[key]) for key in
-                       ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")}
-                measured = {key: float(rep["flow"][key])
-                            for key in ("n", "volume", "sigma", "price")}
-                kind = rep["kind"]
-                v_range = {key: float(rep["v_range"][key]) for key in ("lo", "hi")}
-                horizon = rep.get("horizon")
-                horizon = None if horizon is None else float(horizon)
-            except KeyError as exc:
-                raise InputFormatError(
-                    f"{cfg['calibration']}: missing key {exc} "
-                    "(not a calibration report?)"
-                ) from exc
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(
-                    f"{cfg['calibration']}: a field is not a number: {exc}"
-                ) from exc
-            flow = FlowStats(n=measured["n"], V=measured["volume"],
-                             sigma=measured["sigma"], mean_price=measured["price"])
-            result = CalibrationResult(**fit, n_used=flow.n, sigma_used=flow.sigma,
-                                       covariance_diag=(0.0, 0.0))
-            check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
-            check_finite("rho_hat", result.rho_hat, at_least=0.0)
-            check_finite("tau0_hat", result.tau0_hat, above=0.0)
-            source = CurveSource.BAR if kind == "bar" else CurveSource.BID_ASK
-            if source is CurveSource.BAR:
-                horizon = cfg["horizon"] if horizon is None else horizon
-                check_finite("horizon", horizon, above=0.0)
-            law = calibrated_law(result, flow, source, lambda_ref,
-                                 horizon_T=horizon)
-            v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_range["lo"]
-            v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else v_range["hi"]
+    check_finite("v_lo", v_lo, above=0.0)
+    check_finite("v_hi", v_hi, above=v_lo)
+    _require_count(cfg, "v_points")
+    grid = np.geomspace(v_lo, v_hi, cfg["v_points"])
+    model = ExecutionModel(lambda0=lambda0)
+    policy = policy_curve(grid, model, law, cfg["alpha"])
+    ratio = policy.spread_opt / law.delta(lambda_ref, policy.v)
+    _require_finite("policy", policy.lambda_opt, policy.spread_opt, policy.exec_rate,
+                    policy.pnl_opt, policy.pnl_naive, ratio)
 
-        check_finite("v_lo", v_lo, above=0.0)
-        check_finite("v_hi", v_hi, above=v_lo)
-        _require_count(cfg, "v_points")
-        grid = np.geomspace(v_lo, v_hi, cfg["v_points"])
-        model = ExecutionModel(lambda0=lambda0)
-        policy = policy_curve(grid, model, law, cfg["alpha"])
-        ratio = policy.spread_opt / law.delta(lambda_ref, policy.v)
-        _require_finite("policy", policy.lambda_opt, policy.spread_opt, policy.exec_rate,
-                        policy.pnl_opt, policy.pnl_naive, ratio)
-
-        report = _report_envelope("optimize", cfg, inputs)
-        policy_path = _out_path(cfg, "policy.csv")
-        write_policy_csv(policy_path, policy)
-        report["outputs"] = {"policy": "policy.csv"}
-        report["units"] = {"spread_opt": "dimensionless spread",
-                           "pnl": "dimensionless spread x volume"}
-        report["summary"] = {
-            "lambda0": lambda0,
-            "lambda_ref": lambda_ref,
-            "alpha": cfg["alpha"],
-            "v_lo": v_lo,
-            "v_hi": v_hi,
-            "halt_fraction": float(np.mean(policy.halt)),
-            "n_failures": len(policy.failures),
-            "median_spread_ratio": float(np.nanmedian(ratio)),
-            "median_exec_rate": float(np.nanmedian(policy.exec_rate)),
-        }
-        write_json_report(_out_path(cfg, "optimize_report.json"), report)
-        click.echo(f"wrote {policy_path} ({len(grid)} volume points)")
-
-    _run_body("optimize", body)
+    report = _report_envelope("optimize", cfg, inputs)
+    policy_path = _out_path(cfg, "policy.csv")
+    write_policy_csv(policy_path, policy)
+    report["outputs"] = {"policy": "policy.csv"}
+    report["units"] = {"spread_opt": "dimensionless spread",
+                       "pnl": "dimensionless spread x volume"}
+    report["summary"] = {
+        "lambda0": lambda0,
+        "lambda_ref": lambda_ref,
+        "alpha": cfg["alpha"],
+        "v_lo": v_lo,
+        "v_hi": v_hi,
+        "halt_fraction": float(np.mean(policy.halt)),
+        "n_failures": len(policy.failures),
+        "median_spread_ratio": float(np.nanmedian(ratio)),
+        "median_exec_rate": float(np.nanmedian(policy.exec_rate)),
+    }
+    write_json_report(_out_path(cfg, "optimize_report.json"), report)
+    click.echo(f"wrote {policy_path} ({len(grid)} volume points)")
 
 
 if __name__ == "__main__":

@@ -327,6 +327,7 @@ def simulate_blocks(
     check_finite("s0", s0, above=0.0)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
+    check_finite("path_index", path_index, at_least=0)
     return _simulated_blocks(params, float(s0), n_steps, path_index,
                              volume if volume is not None else VolumeConfig(mode="none"))
 
@@ -602,6 +603,7 @@ def evolve_fluctuating(
     check_finite("dt", dt, above=0.0)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
+    check_finite("path_index", path_index, at_least=0)
 
     rng = path_rng(params.seed, path_index)
     psi_high, psi_low = state0.psi_high, state0.psi_low

@@ -202,3 +202,16 @@ def test_optimize_calibration_fuzz(calibration_report, kind, changed):
         json.dump(report, fh)
     run_hostile(["optimize", "--calibration", path, "--alpha", "0.001", "--lambda0", "3",
                  "--v-points", "7"], os.path.join(work, "out"))
+
+
+@pytest.mark.parametrize("kind", ["bogus", "BAR", None, 1, []])
+def test_optimize_rejects_unknown_report_kind(calibration_report, kind):
+    work, report = calibration_report
+    path = os.path.join(work, "calibration.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**report, "kind": kind}, fh)
+    res = CliRunner().invoke(main, ["optimize", "--calibration", path, "--lambda0", "3",
+                                    "--out", os.path.join(work, "out")])
+    assert res.exit_code == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: kind must be one of")

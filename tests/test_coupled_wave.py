@@ -360,6 +360,15 @@ def test_simulate_path_rejects_bad_start_price(s0):
         simulate_path(CoupledWaveParams(), s0, 10)
 
 
+def test_negative_path_index_rejected():
+    # numpy's SeedSequence would raise a bare ValueError on the first draw.
+    with pytest.raises(DomainError, match="path_index"):
+        simulate_path(CoupledWaveParams(), 100.0, 10, path_index=-1)
+    with pytest.raises(DomainError, match="path_index"):
+        evolve_fluctuating(AmplitudeState(1.0 + 0j, 0j), CoupledWaveParams(), 100.0,
+                           0.01, 10, path_index=-1)
+
+
 def test_simulate_path_rejects_overflowing_prices():
     p = CoupledWaveParams(sigma_step=1e300, seed=1)
     with pytest.raises(DomainError, match="overflowed"):

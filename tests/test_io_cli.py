@@ -26,6 +26,7 @@ from spreadwave import (
     VolumeConfig,
     simulate_path,
 )
+from spreadwave import cli
 from spreadwave.calibration import (
     SpreadSamples,
     build_spread_volume_curve,
@@ -213,6 +214,67 @@ def test_config_infinite_integer_exit_3_one_line(tmp_path, name, text):
     assert len(lines) == 1 and lines[0].startswith("error: config key 'steps': cannot interpret")
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "rule"), ("simulate", "volume_mode"), ("calibrate", "kind"),
+])
+def test_bad_choice_exit_3_one_line(tmp_path, monkeypatch, command, key, source):
+    args = [command, "--out", str(tmp_path / "out")]
+    if source == "flag":
+        args += ["--" + key.replace("_", "-"), "bogus"]
+    elif source == "env":
+        monkeypatch.setenv("SPREADWAVE_" + key.upper(), "bogus")
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        args += ["--config", str(cfg)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: 'bogus'")
+    assert not (tmp_path / "out").exists()
+
+
+def _sample(spec) -> tuple[str, object]:
+    """A valid value other than the default: as flag or variable text, and as parsed."""
+    if spec.choices:
+        return spec.choices[-1], spec.choices[-1]
+    return {bool: ("on", True), int: ("7", 7), float: ("0.25", 0.25),
+            str: ("somewhere", "somewhere")}[spec.type]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMAND_KEYS))
+def test_every_key_parses_alike_from_flag_env_and_file(tmp_path, monkeypatch, command):
+    keys = {**cli._GLOBAL_KEYS, **cli._COMMAND_KEYS[command]}
+    samples = {key: _sample(spec) for key, spec in keys.items()}
+    expected = {key: value for key, (_, value) in samples.items()}
+    assert all(value != keys[key].default for key, value in expected.items())
+    seen = []
+
+    def capture(*args):
+        seen.append(resolve_config(*args))
+        raise InputFormatError("stop before the command runs")
+
+    monkeypatch.setattr(cli, "resolve_config", capture)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(expected))
+    flags = [x for key, (text, _) in samples.items()
+             for x in ("--" + key.replace("_", "-"), text)]
+    for args in (flags, ["--config", str(cfg)]):
+        assert CliRunner().invoke(main, [command, *args]).exit_code == 3
+    with monkeypatch.context() as env:
+        for key, (text, _) in samples.items():
+            env.setenv("SPREADWAVE_" + key.upper(), text)
+        assert CliRunner().invoke(main, [command]).exit_code == 3
+    assert seen == [expected] * 3
+
+    help_text = CliRunner().invoke(main, [command, "--help"]).output
+    for key, spec in keys.items():
+        assert f"--{key.replace('_', '-')} " in help_text
+        if spec.choices:
+            assert f"[{'|'.join(spec.choices)}]" in help_text
+
+
 # --------------------------------------------------------------------------
 # CLI contract
 # --------------------------------------------------------------------------
@@ -392,6 +454,16 @@ def test_optimize_requires_one_source(tmp_path):
     assert res.exit_code == 3
 
 
+def test_memory_error_exit_3_one_line(tmp_path, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate_blocks", out_of_memory)
+    res = CliRunner().invoke(main, ["simulate", "--steps", "10", "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert stderr_lines(res) == ["error: simulate: not enough memory for the requested sizes"]
+
+
 def test_unwritable_output_exit_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -462,6 +534,12 @@ _HUGE = "4611686018427387904"  # 2**62
     (["scale", "--surface", "true", "--lambda-risk", "1.5", "--rho-risk", "1",
       "--sigma-tau", "0.02", "--n", "100", "--v-lo", "1", "--v-hi", "100",
       "--t-lo", "1", "--t-hi", "10", "--nt", _HUGE], "nt"),
+    (["curve", "--bars", "missing.csv", "--buckets", _HUGE], "buckets"),
+    (["simulate", "--steps", "10", "--path-index", "-1"], "path_index"),
+    # Flags are parsed by the config parser, not by click's usage errors (exit 2).
+    (["simulate", "--steps", "abc"], "steps"),
+    (["scale", "--surface", "maybe"], "surface"),
+    (["simulate", "--seed", "1.5"], "seed"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
