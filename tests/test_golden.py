@@ -13,10 +13,14 @@ README's two ``scale`` invocations; like the pipeline golden they may
 change only deliberately, with the cause in CHANGES.md.  The quote-path
 goldens run ``curve --quotes --trades`` on tapes built from integer
 arithmetic, with ISO-8601, numeric and mixed timestamps; like the I/O
-goldens they must never move.
+goldens they must never move.  The bid-ask goldens run ``calibrate --kind
+bidask``, plain and with the strict product, and ``optimize`` on its
+report; like the pipeline golden they depend on the fit, so they hold for
+one numpy version and may change only deliberately.
 """
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -185,6 +189,63 @@ def test_readme_pipeline_golden(tmp_path, monkeypatch):
         res = CliRunner().invoke(main, command, catch_exceptions=False)
         assert res.exit_code == 0, f"{command[0]}: {res.output}"
     assert {name: _digest(name) for name in _README_DIGESTS} == _README_DIGESTS
+
+
+# The bid-ask calibration path: ``calibrate --kind bidask`` on a curve CSV
+# built from correctly rounded arithmetic alone, plain and with the strict
+# product, each followed by ``optimize --calibration``.  Like the pipeline
+# golden these hold for one numpy version.
+_BIDASK_CURVE_BUCKETS = 12
+
+
+def _bidask_curve_text():
+    """Curve CSV of the bid-ask law at n=100, sigma=0.02, price=50, lambda=3.5,
+    rho*tau0=0.012, with +-5% LCG noise; the first bucket is too thin to fit."""
+    noise, counts = (_uniforms(_BIDASK_CURVE_BUCKETS, seed) for seed in (9, 10))
+    lines = ["v_lo,v_hi,v_mid,spread_q,count"]
+    for i, (a, b) in enumerate(zip(noise, counts)):
+        lo, hi = 10.0 * 3 ** i / 2 ** i, 10.0 * 3 ** (i + 1) / 2 ** (i + 1)
+        mid = math.sqrt(lo * hi)
+        law = math.sqrt(0.49 / mid + 2.0 * (0.012 * math.pi / 100.0) ** 2 * mid * mid)
+        spread = 50.0 * law * (1.0 + 0.1 * (a - 0.5))
+        lines.append(f"{lo!r},{hi!r},{mid!r},{spread!r},{5 if i == 0 else 30 + int(300 * b)}")
+    return "\n".join(lines) + "\n"
+
+
+_BIDASK_DIGESTS = {
+    "plain": {
+        "calibration.json": "f8e3434df576a1c6c1a6dd1c1df623ddd54ed780bade9c626e98a4af0af7d477",
+        "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
+        "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
+        "optimize_report.json":
+            "76fe8d6d7bbff9367a10ee52cafde3d264e4bba0fd73438d63bb895221d133d2",
+    },
+    "strict": {
+        "calibration.json": "b1af5ec46139ba357e54014fc3a951c66527d6daf33e1562d613f52c9bfe080e",
+        "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
+        "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
+        "optimize_report.json":
+            "27ad62f31f71b3128fa738726cfadec748dabe16d3e1ff3d13e23070ae909703",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BIDASK_DIGESTS))
+def test_bidask_calibrate_optimize_golden(tmp_path, monkeypatch, case):
+    for key in [k for k in os.environ if k.startswith("SPREADWAVE_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.csv").write_text(_bidask_curve_text(), encoding="utf-8")
+    strict = ["--strict-product", "true"] if case == "strict" else []
+    for command in (
+        ["calibrate", "--curve", "curve.csv", "--kind", "bidask", "--n", "100",
+         "--sigma", "0.02", "--price", "50", "--tau0", "0.01", *strict],
+        ["optimize", "--calibration", "calibration.json", "--alpha", "0.001",
+         "--lambda0", "3.0"],
+    ):
+        res = CliRunner().invoke(main, command, catch_exceptions=False)
+        assert res.exit_code == 0, f"{command[0]}: {res.output}"
+    assert {name: _digest(name) for name in _BIDASK_DIGESTS[case]} == _BIDASK_DIGESTS[case]
 
 
 _README_SCALE = {
