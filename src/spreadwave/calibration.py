@@ -8,12 +8,16 @@ form two-column non-negative least-squares start on the squared spreads,
 refined by a Levenberg-Marquardt iteration in numpy.  Flow statistics
 (average trade size, volume rate, volatility) come straight from the trade
 tape.
+
+A fit leaves the package as a calibration report (``calibration.json``):
+``calibration_report`` builds its entries and ``parse_calibration_report``
+checks and reads them back, so the report's schema lives only here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -22,6 +26,7 @@ import numpy as np
 from .errors import (
     DomainError,
     FitConvergenceError,
+    InputFormatError,
     InsufficientDataError,
     check_finite,
 )
@@ -180,8 +185,6 @@ class CalibrationResult:
     rho_hat: float
     tau0_hat: float
     residual_norm: float
-    n_used: float
-    sigma_used: float
     covariance_diag: tuple[float, float]
     converged: bool = True
     rho_tau0_product: float | None = None
@@ -462,36 +465,20 @@ def _run_spread_fit(
             mu *= nu
             nu *= 2.0
 
-    lam_hat, rho_like = float(x[0]), float(x[1])
-    res_norm = math.sqrt(cost)
-    dof = max(len(v) - 2, 1)
+    rho_like = float(x[1])  # the product rho * tau0 itself when strict
     jac = jacobian(x, f)
-    cov = cost / dof * np.linalg.pinv(jac.T @ jac)
-    cov_diag = (float(cov[0, 0]), float(cov[1, 1]))
-
+    cov = cost / max(len(v) - 2, 1) * np.linalg.pinv(jac.T @ jac)
+    result = CalibrationResult(
+        lambda_hat=float(x[0]), rho_hat=rho_like / tau0 if strict_product else rho_like,
+        tau0_hat=tau0, residual_norm=math.sqrt(cost),
+        covariance_diag=(float(cov[0, 0]), float(cov[1, 1])), converged=bool(converged),
+        rho_tau0_product=rho_like if strict_product else None,
+    )
     if not converged:
         why = "" if math.isfinite(cost) else " (non-finite residuals)"
         raise FitConvergenceError(
-            f"spread fit did not converge in {nfev} evaluations{why}",
-            best_so_far=CalibrationResult(
-                lambda_hat=lam_hat, rho_hat=rho_like, tau0_hat=tau0,
-                residual_norm=res_norm, n_used=flow.n, sigma_used=flow.sigma,
-                covariance_diag=cov_diag, converged=False,
-            ),
-        )
-
-    if strict_product:
-        # The second parameter was the product rho * tau0 itself.
-        return CalibrationResult(
-            lambda_hat=lam_hat, rho_hat=rho_like / tau0, tau0_hat=tau0,
-            residual_norm=res_norm, n_used=flow.n, sigma_used=flow.sigma,
-            covariance_diag=cov_diag, rho_tau0_product=rho_like,
-        )
-    return CalibrationResult(
-        lambda_hat=lam_hat, rho_hat=rho_like, tau0_hat=tau0,
-        residual_norm=res_norm, n_used=flow.n, sigma_used=flow.sigma,
-        covariance_diag=cov_diag,
-    )
+            f"spread fit did not converge in {nfev} evaluations{why}", best_so_far=result)
+    return result
 
 
 def fit_bid_ask_curve(
@@ -542,6 +529,82 @@ def fit_bar_curve(
             return s * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, horizon_T)
 
     return _run_spread_fit(v, y, w, model, flow, tau0, strict_product)
+
+
+# --------------------------------------------------------------------------
+# calibration report
+# --------------------------------------------------------------------------
+
+# Each curve kind a report names, and the curve source it stands for.
+REPORT_KINDS = {"bidask": CurveSource.BID_ASK, "bar": CurveSource.BAR}
+
+
+def calibration_report(result: CalibrationResult, flow: FlowStats | None = None,
+                       source: CurveSource | None = None, horizon: float | None = None,
+                       v_range: tuple[float, float] | None = None) -> dict:
+    """The calibration report's entries for a fit: ``result`` and its units.
+
+    With ``flow``, also the ``flow``, ``kind``, ``horizon`` and ``v_range``
+    entries that ``parse_calibration_report`` reads back; without it, the
+    entries of a failed fit.  The horizon is recorded for bar curves only.
+    """
+    lam_var, rho_var = result.covariance_diag
+    entries = {
+        "units": {"lambda_hat": "dimensionless", "rho_hat": "dimensionless",
+                  "spread_model": "input money units"},
+        "result": {**asdict(result), "uncertainties": {
+            "lambda": math.sqrt(max(lam_var, 0.0)), "rho": math.sqrt(max(rho_var, 0.0))}},
+    }
+    if flow is not None:
+        entries["flow"] = {"n": flow.n, "sigma": flow.sigma,
+                           "price": flow.mean_price, "volume": flow.V}
+        entries["kind"] = next(k for k, s in REPORT_KINDS.items() if s is source)
+        entries["horizon"] = horizon if source is CurveSource.BAR else None
+        entries["v_range"] = {"lo": v_range[0], "hi": v_range[1]}
+    return entries
+
+
+def parse_calibration_report(report: dict, path: str, horizon: float) -> tuple[
+        CalibrationResult, FlowStats, CurveSource, float | None, tuple[float, float]]:
+    """``(result, flow, source, horizon, (v_lo, v_hi))`` from a parsed report.
+
+    ``path`` names the report in the error lines.  A bar report whose
+    horizon is null takes ``horizon``.  Raises InputFormatError for a
+    missing key, a field that is not a number or an unknown kind, and
+    DomainError for a value out of its range.
+    """
+    try:
+        res = report["result"]
+        fit = [float(res[key]) for key in
+               ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")]
+        lam_var, rho_var = map(float, res["covariance_diag"])
+        product = res["rho_tau0_product"]
+        result = CalibrationResult(
+            *fit, covariance_diag=(lam_var, rho_var), converged=res["converged"] is True,
+            rho_tau0_product=None if product is None else float(product))
+        n, volume, sigma, price = [float(report["flow"][key])
+                                   for key in ("n", "volume", "sigma", "price")]
+        kind = report["kind"]
+        v_range = (float(report["v_range"]["lo"]), float(report["v_range"]["hi"]))
+        stored = report.get("horizon")
+        stored = None if stored is None else float(stored)
+    except KeyError as exc:
+        raise InputFormatError(
+            f"{path}: missing key {exc} (not a calibration report?)") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{path}: a field is not a number: {exc}") from exc
+    source = REPORT_KINDS.get(kind) if isinstance(kind, str) else None
+    if source is None:
+        raise InputFormatError(f"{path}: kind must be one of "
+                               f"{', '.join(REPORT_KINDS)}, got {kind!r}")
+    flow = FlowStats(n=n, V=volume, sigma=sigma, mean_price=price)
+    check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
+    check_finite("rho_hat", result.rho_hat, at_least=0.0)
+    check_finite("tau0_hat", result.tau0_hat, above=0.0)
+    if source is CurveSource.BAR:
+        stored = horizon if stored is None else stored
+        check_finite("horizon", stored, above=0.0)
+    return result, flow, source, stored, v_range
 
 
 def fit_execution_scale(spreads) -> float:

@@ -14,7 +14,6 @@ input or config, 4 numerical failure.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from typing import Callable, NamedTuple
@@ -24,14 +23,16 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    REPORT_KINDS,
     BucketSpec,
-    CalibrationResult,
     CurveSource,
     FlowStats,
     bar_blocks_to_samples,
     build_spread_volume_curve,
+    calibration_report,
     fit_bar_curve,
     fit_bid_ask_curve,
+    parse_calibration_report,
     quotes_to_samples,
 )
 from .coupled_wave import (
@@ -128,7 +129,7 @@ _COMMAND_KEYS: dict[str, dict[str, _Key]] = {
     },
     "calibrate": {
         "curve": _Key(str, None, "Curve CSV produced by the curve command."),
-        "kind": _Key(str, "bidask", None, ("bidask", "bar")),
+        "kind": _Key(str, "bidask", None, tuple(REPORT_KINDS)),
         "n": _Key(float, None, "Average trade size."),
         "sigma": _Key(float, None,
                       "Volatility (per reference time, or per horizon for bars)."),
@@ -190,11 +191,12 @@ def _coerce(key: str, value, spec: _Key):
             return int(value)
         if typ is float:
             return float(value)
+        if not isinstance(value, str):  # a file's null, list or number
+            raise TypeError(value)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise InputFormatError(
             f"config key {key!r}: cannot interpret {value!r} as {typ.__name__}"
         ) from None
-    value = str(value)
     if spec.choices is not None and value not in spec.choices:
         raise InputFormatError(
             f"config key {key!r}: {value!r} is not one of {', '.join(spec.choices)}")
@@ -507,49 +509,27 @@ def cmd_curve(cfg: dict) -> None:
 # calibrate
 # --------------------------------------------------------------------------
 
-def _calibration_payload(result: CalibrationResult) -> dict:
-    return {
-        "lambda_hat": result.lambda_hat,
-        "rho_hat": result.rho_hat,
-        "tau0_hat": result.tau0_hat,
-        "rho_tau0_product": result.rho_tau0_product,
-        "residual_norm": result.residual_norm,
-        "covariance_diag": list(result.covariance_diag),
-        "uncertainties": {
-            "lambda": math.sqrt(max(result.covariance_diag[0], 0.0)),
-            "rho": math.sqrt(max(result.covariance_diag[1], 0.0)),
-        },
-        "converged": result.converged,
-    }
-
-
 @_command("calibrate")
 def cmd_calibrate(cfg: dict) -> None:
     """Fit the spread law to a curve CSV and write the result JSON."""
     _require(cfg, "curve", "n", "sigma", "price")
-    source = CurveSource.BAR if cfg["kind"] == "bar" else CurveSource.BID_ASK
+    source = REPORT_KINDS[cfg["kind"]]
     curve = read_curve(cfg["curve"], quantile_level=cfg["quantile"],
                        source=source, min_count=cfg["min_count"])
     flow = FlowStats(n=cfg["n"], V=cfg["volume"], sigma=cfg["sigma"],
                      mean_price=cfg["price"])
 
     report = _report_envelope("calibrate", cfg, [cfg["curve"]])
-    report["units"] = {"lambda_hat": "dimensionless",
-                       "rho_hat": "dimensionless",
-                       "spread_model": "input money units"}
     result_path = _out_path(cfg, "calibration.json")
+    fit = {"flow": flow, "tau0": cfg["tau0"], "strict_product": cfg["strict_product"]}
     try:
         if source is CurveSource.BAR:
-            result = fit_bar_curve(curve, horizon_T=cfg["horizon"],
-                                   flow=flow, tau0=cfg["tau0"],
-                                   strict_product=cfg["strict_product"])
+            result = fit_bar_curve(curve, horizon_T=cfg["horizon"], **fit)
         else:
-            result = fit_bid_ask_curve(curve, flow=flow, tau0=cfg["tau0"],
-                                       strict_product=cfg["strict_product"])
+            result = fit_bid_ask_curve(curve, **fit)
     except FitConvergenceError as exc:
         report["error"] = str(exc)
-        if exc.best_so_far is not None:
-            report["result"] = _calibration_payload(exc.best_so_far)
+        report.update(calibration_report(exc.best_so_far))
         write_json_report(result_path, report)
         raise
 
@@ -560,19 +540,12 @@ def cmd_calibrate(cfg: dict) -> None:
     write_overlay_csv(_out_path(cfg, "overlay.csv"), curve,
                       [float(m) for m in model_values])
 
-    report["outputs"] = {"calibration": "calibration.json",
-                         "overlay": "overlay.csv"}
-    report["result"] = _calibration_payload(result)
-    report["flow"] = {"n": flow.n, "sigma": flow.sigma,
-                      "price": flow.mean_price, "volume": flow.V}
-    report["kind"] = cfg["kind"]
-    report["horizon"] = cfg["horizon"] if source is CurveSource.BAR else None
-    report["v_range"] = {"lo": usable[0].v_lo, "hi": usable[-1].v_hi}
+    report["outputs"] = {"calibration": "calibration.json", "overlay": "overlay.csv"}
+    report.update(calibration_report(result, flow, source, cfg["horizon"],
+                                     (usable[0].v_lo, usable[-1].v_hi)))
     write_json_report(result_path, report)
-    click.echo(
-        f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
-        f"residual={result.residual_norm:.6g}"
-    )
+    click.echo(f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
+               f"residual={result.residual_norm:.6g}")
 
 
 # --------------------------------------------------------------------------
@@ -646,63 +619,25 @@ def cmd_optimize(cfg: dict) -> None:
     have_a = cfg["a_coeff"] is not None
     have_cal = cfg["calibration"] is not None
     if have_a == have_cal:
-        raise InputFormatError(
-            "provide exactly one of --a-coeff or --calibration"
-        )
+        raise InputFormatError("provide exactly one of --a-coeff or --calibration")
     lambda0 = cfg["lambda0"]
     lambda_ref = cfg["lambda_ref"]
     if lambda_ref is None:
         lambda_ref = DEFAULT_LAMBDA_REF_FRACTION * lambda0
-    inputs: list[str] = []
+    inputs = [] if have_a else [cfg["calibration"]]
 
     if have_a:
         a = cfg["a_coeff"]
         check_finite("a_coeff", a, above=0.0)
         law = dimensionless_law(a, lambda_ref)
         v_min = (0.5 * a) ** (1.0 / 3.0)
-        v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_min / 4.0
-        v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else 4.0 * v_min
+        v_bounds = (v_min / 4.0, 4.0 * v_min)
     else:
-        inputs.append(cfg["calibration"])
-        rep = read_json_report(cfg["calibration"])
-        try:
-            res = rep["result"]
-            fit = {key: float(res[key]) for key in
-                   ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")}
-            measured = {key: float(rep["flow"][key])
-                        for key in ("n", "volume", "sigma", "price")}
-            kind = rep["kind"]
-            v_range = {key: float(rep["v_range"][key]) for key in ("lo", "hi")}
-            horizon = rep.get("horizon")
-            horizon = None if horizon is None else float(horizon)
-        except KeyError as exc:
-            raise InputFormatError(
-                f"{cfg['calibration']}: missing key {exc} "
-                "(not a calibration report?)"
-            ) from exc
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(
-                f"{cfg['calibration']}: a field is not a number: {exc}"
-            ) from exc
-        kinds = _COMMAND_KEYS["calibrate"]["kind"].choices
-        if kind not in kinds:
-            raise InputFormatError(f"{cfg['calibration']}: kind must be one of "
-                                   f"{', '.join(kinds)}, got {kind!r}")
-        flow = FlowStats(n=measured["n"], V=measured["volume"],
-                         sigma=measured["sigma"], mean_price=measured["price"])
-        result = CalibrationResult(**fit, n_used=flow.n, sigma_used=flow.sigma,
-                                   covariance_diag=(0.0, 0.0))
-        check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
-        check_finite("rho_hat", result.rho_hat, at_least=0.0)
-        check_finite("tau0_hat", result.tau0_hat, above=0.0)
-        source = CurveSource.BAR if kind == "bar" else CurveSource.BID_ASK
-        if source is CurveSource.BAR:
-            horizon = cfg["horizon"] if horizon is None else horizon
-            check_finite("horizon", horizon, above=0.0)
-        law = calibrated_law(result, flow, source, lambda_ref,
-                             horizon_T=horizon)
-        v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_range["lo"]
-        v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else v_range["hi"]
+        result, flow, source, horizon, v_bounds = parse_calibration_report(
+            read_json_report(cfg["calibration"]), cfg["calibration"], cfg["horizon"])
+        law = calibrated_law(result, flow, source, lambda_ref, horizon_T=horizon)
+    v_lo = cfg["v_lo"] if cfg["v_lo"] is not None else v_bounds[0]
+    v_hi = cfg["v_hi"] if cfg["v_hi"] is not None else v_bounds[1]
 
     check_finite("v_lo", v_lo, above=0.0)
     check_finite("v_hi", v_hi, above=v_lo)

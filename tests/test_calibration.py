@@ -22,6 +22,7 @@ from spreadwave import (
     bars_to_samples,
     bidask_spread_model,
     build_spread_volume_curve,
+    calibrated_law,
     fit_bar_curve,
     fit_bid_ask_curve,
     fit_execution_scale,
@@ -30,7 +31,8 @@ from spreadwave import (
 )
 from spreadwave import calibration
 from spreadwave.cli import main
-from spreadwave.data_io import read_curve, read_json_report, write_curve_csv
+from spreadwave.data_io import (read_curve, read_json_report, write_curve_csv,
+                                write_json_report)
 from spreadwave.synthetic import synthetic_spread_curve, synthetic_trades
 
 
@@ -421,6 +423,19 @@ def test_fit_evaluation_cap_raises_with_best_so_far(monkeypatch):
     assert best.lambda_hat > 0.0 and best.rho_hat > 0.0
 
 
+def test_strict_fit_evaluation_cap_reports_rho_and_the_product(monkeypatch):
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    fitted = fit_bid_ask_curve(curve, FLOW, tau0=0.01, strict_product=True)
+    monkeypatch.setattr(calibration, "_MAX_FIT_EVALS", 2)
+    with pytest.raises(FitConvergenceError) as info:
+        fit_bid_ask_curve(curve, FLOW, tau0=0.01, strict_product=True)
+    best = info.value.best_so_far
+    assert best.converged is False
+    assert best.rho_hat == best.rho_tau0_product / 0.01
+    assert best.rho_hat == pytest.approx(fitted.rho_hat, rel=1e-3)
+    assert best.rho_tau0_product == pytest.approx(fitted.rho_tau0_product, rel=1e-3)
+
+
 def test_fit_evaluation_cap_via_cli(tmp_path, monkeypatch):
     curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
     path = str(tmp_path / "curve.csv")
@@ -436,3 +451,36 @@ def test_fit_evaluation_cap_via_cli(tmp_path, monkeypatch):
     assert "did not converge" in report["error"]
     assert report["result"]["converged"] is False
     assert not (tmp_path / "overlay.csv").exists()
+
+
+# --------------------------------------------------------------------------
+# calibration report
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", ["bidask", "bar"])
+def test_calibration_report_round_trip(tmp_path, kind, strict):
+    source = calibration.REPORT_KINDS[kind]
+    horizon = 2.0 if source is CurveSource.BAR else None
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3,
+                                   source=source, horizon_T=horizon)
+    if source is CurveSource.BAR:
+        result = fit_bar_curve(curve, horizon, FLOW, tau0=0.01, strict_product=strict)
+    else:
+        result = fit_bid_ask_curve(curve, FLOW, tau0=0.01, strict_product=strict)
+    usable = curve.usable()
+    v_range = (usable[0].v_lo, usable[-1].v_hi)
+    path = str(tmp_path / "calibration.json")
+    write_json_report(path, calibration.calibration_report(result, FLOW, source, horizon, v_range))
+    report = read_json_report(path)
+
+    # The horizon argument is only the fallback for a bar report without one.
+    parsed = calibration.parse_calibration_report(report, path, horizon=5.0)
+    assert parsed == (result, FLOW, source, horizon, v_range)
+    v = np.geomspace(5.0, 2000.0, 50)
+    built = calibrated_law(result, FLOW, source, 1.0, horizon_T=horizon).delta_ref(v)
+    read = calibrated_law(*parsed[:3], 1.0, horizon_T=parsed[3]).delta_ref(v)
+    assert np.array_equal(built, read)
+    if source is CurveSource.BAR:
+        report["horizon"] = None
+        assert calibration.parse_calibration_report(report, path, horizon=5.0)[3] == 5.0

@@ -203,15 +203,22 @@ def test_config_bad_type_rejected(tmp_path):
     ("c.yaml", "steps: .inf\n"),
     ("c.yaml", "steps: -.inf\n"),
     ("c.json", '{"steps": 1e400}'),
+    # A string key takes a string only: not a list, a null or a number.
+    ("c.json", '{"out": ["a", 1]}'),
+    ("c.json", '{"curve": null}'),
+    ("c.yaml", "curve: 2024\n"),
 ])
 def test_config_infinite_integer_exit_3_one_line(tmp_path, name, text):
+    key = re.match(r"\W*(\w+)", text).group(1)
+    command = "calibrate" if key == "curve" else "simulate"
     cfg = tmp_path / name
     cfg.write_text(text)
-    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg),
+    res = CliRunner().invoke(main, [command, "--config", str(cfg),
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
     lines = stderr_lines(res)
-    assert len(lines) == 1 and lines[0].startswith("error: config key 'steps': cannot interpret")
+    assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: cannot interpret")
+    assert os.listdir(tmp_path) == [name]
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

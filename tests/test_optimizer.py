@@ -165,7 +165,7 @@ def test_policy_curve_zero_commission_never_halts():
 def test_calibrated_law_wraps_fit_result():
     result = CalibrationResult(
         lambda_hat=3.5, rho_hat=1.2, tau0_hat=0.01, residual_norm=0.0,
-        n_used=100.0, sigma_used=0.02, covariance_diag=(0.0, 0.0),
+        covariance_diag=(0.0, 0.0),
     )
     flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=50.0)
     law = calibrated_law(result, flow, CurveSource.BID_ASK, lambda_ref=1.4)
@@ -180,7 +180,7 @@ def test_calibrated_law_wraps_fit_result():
 def test_calibrated_bar_law_requires_horizon():
     result = CalibrationResult(
         lambda_hat=1.0, rho_hat=1.0, tau0_hat=1.0, residual_norm=0.0,
-        n_used=1.0, sigma_used=1.0, covariance_diag=(0.0, 0.0),
+        covariance_diag=(0.0, 0.0),
     )
     flow = FlowStats(n=1.0, V=0.0, sigma=1.0, mean_price=1.0)
     with pytest.raises(DomainError):
@@ -215,7 +215,7 @@ class NumericOnly:
 def _bar_law():
     result = CalibrationResult(
         lambda_hat=1.5, rho_hat=1.0, tau0_hat=1.0, residual_norm=0.0,
-        n_used=100.0, sigma_used=0.02, covariance_diag=(0.0, 0.0),
+        covariance_diag=(0.0, 0.0),
     )
     flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=100.0)
     return calibrated_law(result, flow, CurveSource.BAR, lambda_ref=1.2, horizon_T=1.0)
