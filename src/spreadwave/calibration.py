@@ -40,6 +40,8 @@ _MAX_FIT_EVALS = 500
 _FIT_TOL = 1e-12               # relative tolerance on the cost and the step
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# np.linalg.pinv's default cutoff, relative to the largest singular value.
+_PINV_RCOND = 1e-15
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +402,25 @@ def _nnls2(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return min(candidates, key=lambda x: float(np.sum((m @ x - b) ** 2)))
 
 
+def _pinv2(g: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv`` of a symmetric positive semi-definite 2x2 matrix,
+    in closed form.
+
+    The eigenvalues are the singular values, and the smaller one, det / big,
+    is kept when it exceeds ``_PINV_RCOND`` times the larger one, big.  Full
+    rank gives adj(g) / det, rank 1 gives g / tr(g)^2 (the inverse on g's
+    range) and zero gives zero.
+    """
+    a, b, d = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
+    det, tr = a * d - b * b, a + d
+    big = 0.5 * tr + math.hypot(0.5 * (a - d), b)
+    if det > _PINV_RCOND * big * big:
+        return np.array([[d, -b], [-b, a]]) / det
+    if tr > 0.0:
+        return np.array([[a, b], [b, d]]) / (tr * tr)
+    return np.zeros((2, 2))
+
+
 def _run_spread_fit(
     v: np.ndarray,
     y: np.ndarray,
@@ -467,11 +488,13 @@ def _run_spread_fit(
 
     rho_like = float(x[1])  # the product rho * tau0 itself when strict
     jac = jacobian(x, f)
-    cov = cost / max(len(v) - 2, 1) * np.linalg.pinv(jac.T @ jac)
+    cov = cost / max(len(v) - 2, 1) * _pinv2(jac.T @ jac)
+    rho_var = float(cov[1, 1])  # the product's variance when strict
     result = CalibrationResult(
         lambda_hat=float(x[0]), rho_hat=rho_like / tau0 if strict_product else rho_like,
         tau0_hat=tau0, residual_norm=math.sqrt(cost),
-        covariance_diag=(float(cov[0, 0]), float(cov[1, 1])), converged=bool(converged),
+        covariance_diag=(float(cov[0, 0]), rho_var / tau0 / tau0 if strict_product else rho_var),
+        converged=bool(converged),
         rho_tau0_product=rho_like if strict_product else None,
     )
     if not converged:

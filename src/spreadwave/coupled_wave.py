@@ -28,10 +28,11 @@ uses them directly.
 ``_BLOCK_ROWS`` steps, which hold the values of its per-step scalar draws.
 At a non-positive mid it rewinds the generator to the block's start, draws
 the block's normals up to that dz again and finishes the step with scalar
-redraws, so the stream stays that of the per-step loop.  Each step rotates
-plain complex amplitudes with ``_rotate``, the arithmetic that
-``evolve_amplitudes`` checks and wraps, so the result equals a loop of
-``evolve_amplitudes`` calls bit for bit.
+redraws, so the stream stays that of the per-step loop and the draws equal
+those of a loop of ``evolve_amplitudes`` calls bit for bit.  It builds each
+block's per-step unitaries as arrays and multiplies them together, so its
+amplitudes match that loop's within 1e-12, not bit for bit.  ``_rotate``
+and ``evolve_amplitudes`` stay the scalar arithmetic of one step.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -534,7 +535,7 @@ def suggest_amplitude_dt(
 
 def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
                         s_mid: float, n_steps: int):
-    """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as lists per block.
+    """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as arrays per block.
 
     A block draws the (dz, xi, kappa) normals of up to ``_BLOCK_ROWS`` steps
     as one array, which holds the values that three scalar draws per step
@@ -570,8 +571,56 @@ def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
             raise DomainError(_PRICE_OVERFLOW)
         rows = normals[:len(mids)]
         n_steps -= len(mids)
-        yield (mids, (params.xi_mean + params.xi_std * rows[:, 1]).tolist(),
-               (params.kappa_mean + params.kappa_std * rows[:, 2]).tolist())
+        yield (np.array(mids), params.xi_mean + params.xi_std * rows[:, 1],
+               params.kappa_mean + params.kappa_std * rows[:, 2])
+
+
+def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
+                   s: float, tau0: float, t: float) -> tuple[np.ndarray, ...]:
+    """The entries (u00, u01, u10, u11) of each step's ``_rotate`` matrix,
+    as complex arrays: psi' = U psi with psi = (psi_high, psi_low)."""
+    phase = np.exp(-1j * (mids * t / (tau0 * s)))
+    h = np.hypot(xis, kappas)
+    theta = h * t / (2.0 * tau0 * s)
+    # h == 0 only where xi == kappa == 0: the step is a pure phase.
+    with np.errstate(invalid="ignore"):
+        sin_h = np.where(h == 0.0, 0.0, np.sin(theta) / h)
+    cos_t = np.cos(theta)
+    off = phase * (-1j * kappas * sin_h)
+    return (phase * (cos_t - 1j * xis * sin_h), off, off, phase * (cos_t + 1j * xis * sin_h))
+
+
+def _mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Element-wise 2x2 products a @ b of matrices given as their four entries."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _reduce(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """The product m[n-1] @ ... @ m[0] of a block's matrices, as one-element
+    entries, by pairwise reduction."""
+    # Operands are lists: tuple() of a generator over-allocates and shrinks,
+    # and each shrunk tuple joins the interpreter's free list, which then
+    # grows with the number of steps.
+    while m[0].size > 1:
+        even = m[0].size // 2 * 2
+        pairs = _mul([x[1:even:2] for x in m], [x[:even:2] for x in m])
+        m = pairs if even == m[0].size else \
+            [np.concatenate((p, x[even:])) for p, x in zip(pairs, m)]
+    return m
+
+
+def _scan(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+    """The inclusive prefix products m[i] @ ... @ m[0] of a block's matrices,
+    by a Hillis-Steele scan."""
+    d = 1
+    while d < m[0].size:
+        pairs = _mul([x[d:] for x in m], [x[:-d] for x in m])
+        m = [np.concatenate((x[:d], p)) for x, p in zip(m, pairs)]
+        d *= 2
+    return m
 
 
 def evolve_fluctuating(
@@ -592,9 +641,13 @@ def evolve_fluctuating(
     constant within a step (see suggest_amplitude_dt).
 
     The normals come in blocks of ``_BLOCK_ROWS`` steps, rewound at a
-    redraw (see ``_coefficient_blocks``), and each step applies ``_rotate``,
-    the arithmetic of ``evolve_amplitudes``: the result equals a loop of
-    ``evolve_amplitudes`` calls with three scalar draws per step bit for bit.
+    redraw (see ``_coefficient_blocks``), so the (s_mid, xi, kappa) of every
+    step equal those of a loop of ``evolve_amplitudes`` calls with three
+    scalar draws per step bit for bit.  Each block's per-step unitaries
+    (``_step_matrices``) are multiplied together as arrays, by a pairwise
+    reduction, or by a prefix scan when the trajectory is wanted.  The
+    products are reassociated, so the amplitudes match that loop's within
+    1e-12, not bit for bit.
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.
@@ -607,21 +660,19 @@ def evolve_fluctuating(
 
     rng = path_rng(params.seed, path_index)
     psi_high, psi_low = state0.psi_high, state0.psi_low
-    tau0 = params.tau0
     trajectory = np.empty((n_steps + 1, 2)) if return_trajectory else None
     if trajectory is not None:
         trajectory[0] = state0.populations()
     row = 1
     for mids, xis, kappas in _coefficient_blocks(rng, params, s_scale, n_steps):
-        populations = []
-        for s_mid, xi, kappa in zip(mids, xis, kappas):
-            psi_high, psi_low = _rotate(psi_high, psi_low, s_mid, xi, kappa,
-                                        s_scale, tau0, dt)
-            if trajectory is not None:
-                populations.append(AmplitudeState(psi_high, psi_low).populations())
+        steps = _step_matrices(mids, xis, kappas, s_scale, params.tau0, dt)
+        u00, u01, u10, u11 = _reduce(steps) if trajectory is None else _scan(steps)
+        highs, lows = u00 * psi_high + u01 * psi_low, u10 * psi_high + u11 * psi_low
         if trajectory is not None:
-            trajectory[row:row + len(mids)] = populations
-        row += len(mids)
+            trajectory[row:row + mids.size, 0] = highs.real ** 2 + highs.imag ** 2
+            trajectory[row:row + mids.size, 1] = lows.real ** 2 + lows.imag ** 2
+            row += mids.size
+        psi_high, psi_low = complex(highs[-1]), complex(lows[-1])
 
     state = AmplitudeState(psi_high, psi_low)
     if trajectory is not None:

@@ -46,7 +46,7 @@ _GRID_POINTS = 4001
 _GRID_SPAN = (1e-6, 50.0)       # in units of lambda0
 # Volume points per grid block.  A block's float arrays take 128 kB each, and
 # a 1000-volume search peaks at about 0.47 MB under tracemalloc (2.1 MB with
-# 32 points); fewer points add per-block work, such as the lambda row's rate.
+# 32 points); fewer points add per-block work, such as the law's own lambda row.
 _BLOCK_POINTS = 4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps that shrink a two-cell grid bracket to about one ulp.
@@ -291,11 +291,14 @@ def _numeric_optimum(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarra
 
     lams = lam0 * np.geomspace(_GRID_SPAN[0], _GRID_SPAN[1], _GRID_POINTS)
     block = np.empty((min(v.size, _BLOCK_POINTS), lams.size))
+    # _pnl's arithmetic, with the lambda row's rate computed once for all blocks.
+    half_rate = 0.5 * _rate(lams[None, :], lam0)
 
     def best_levels(vv):
         # One lambda row serves the block, so a law separable in (lambda, v)
         # works per row, not cell.
-        score = _pnl(law, lams[None, :], vv[:, None], alpha, lam0, out=block[:vv.size])
+        score = np.multiply(half_rate, vv[:, None], out=block[:vv.size])
+        score *= law.delta(lams[None, :], vv[:, None]) - alpha
         best = np.argmax(score, axis=1)
         # argmax stops at a NaN or +inf: only such rows are searched again,
         # over their finite P&L; -1 marks a row with none.

@@ -1,8 +1,8 @@
 """The bars path in bounded memory: the block streams of the simulator and
 the bar reader, the block-wise writers, the chunked quote scan of the bar
 reader, and the ``simulate`` and ``curve --bars`` commands built on them;
-and the block-wise working sets of ``spread_surface`` and of the numeric
-policy search.
+and the block-wise working sets of ``spread_surface``, of the numeric
+policy search and of the amplitude kernel.
 
 The memory guards use tracemalloc, which slows every allocation, so they run
 on a path of 16 row blocks: enough for a per-row cost to dwarf a per-block one.
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spreadwave import BarSeries, CoupledWaveParams, LastPriceRule, VolumeConfig, simulate_path
+from spreadwave import (AmplitudeState, BarSeries, CoupledWaveParams, LastPriceRule,
+                        VolumeConfig, evolve_fluctuating, simulate_path)
 from spreadwave import coupled_wave, data_io, optimizer, scaling
 from spreadwave import cli
 from spreadwave.cli import main
@@ -461,3 +462,19 @@ def test_numeric_policy_curve_peak_is_a_few_block_arrays():
     _, _, peak = _traced(lambda: optimizer.policy_curve(grid, model, _Saturating(), 1.0))
     block = optimizer._BLOCK_POINTS * optimizer._GRID_POINTS * 8
     assert peak <= 5 * block, peak / block
+
+
+def test_evolve_fluctuating_peak_is_a_few_blocks_whatever_the_steps():
+    # The final-state path keeps one block of draws and step matrices, and
+    # reduces them to one matrix: 100k steps (about 49 blocks) peak no
+    # higher than 3 blocks do, and below 1 MB.
+    p = CoupledWaveParams(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=1)
+    state0 = AmplitudeState(1.0 + 0.0j, 0.0j)
+    evolve_fluctuating(state0, p, 100.0, 1.0, 10)  # warm-up
+
+    def peak(n):
+        return _traced(lambda: evolve_fluctuating(state0, p, 100.0, 1.0, n))[2]
+
+    few, many = peak(3 * _B), peak(100_000)
+    assert many <= 1_000_000, many
+    assert many <= 1.1 * few, (many, few)

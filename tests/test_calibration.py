@@ -374,9 +374,9 @@ def test_fit_objective_no_worse_than_scipy(name, readme_curve):
 
 
 def test_fit_covariance_is_the_gauss_newton_estimate():
-    # res_var * (J^T J)^-1 with J from central differences of the law.
+    # res_var * (J^T J)^-1 with J from central differences of the law in
+    # (lambda, rho): a strict-product fit reports rho's variance too.
     curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
-    result = fit_bid_ask_curve(curve, FLOW, tau0=0.01)
     usable = curve.usable()
     v = np.array([b.v_mid for b in usable])
     y = np.array([b.spread_q for b in usable])
@@ -386,15 +386,47 @@ def test_fit_covariance_is_the_gauss_newton_estimate():
         return w * (FLOW.mean_price * bidask_spread_model(v, lam, rho, FLOW.sigma,
                                                           FLOW.n, 0.01) - y)
 
-    lam, rho = result.lambda_hat, result.rho_hat
-    h_lam, h_rho = 1e-6 * lam, 1e-6 * rho
-    jac = np.column_stack([
-        (residuals(lam + h_lam, rho) - residuals(lam - h_lam, rho)) / (2.0 * h_lam),
-        (residuals(lam, rho + h_rho) - residuals(lam, rho - h_rho)) / (2.0 * h_rho),
-    ])
-    res = residuals(lam, rho)
-    cov = res @ res / (len(v) - 2) * np.linalg.inv(jac.T @ jac)
-    assert result.covariance_diag == pytest.approx(np.diag(cov), rel=1e-6)
+    for strict in (False, True):
+        result = fit_bid_ask_curve(curve, FLOW, tau0=0.01, strict_product=strict)
+        lam, rho = result.lambda_hat, result.rho_hat
+        h_lam, h_rho = 1e-6 * lam, 1e-6 * rho
+        jac = np.column_stack([
+            (residuals(lam + h_lam, rho) - residuals(lam - h_lam, rho)) / (2.0 * h_lam),
+            (residuals(lam, rho + h_rho) - residuals(lam, rho - h_rho)) / (2.0 * h_rho),
+        ])
+        res = residuals(lam, rho)
+        cov = res @ res / (len(v) - 2) * np.linalg.inv(jac.T @ jac)
+        assert result.covariance_diag == pytest.approx(np.diag(cov), rel=1e-6), strict
+
+
+def _gram(*columns):
+    jac = np.column_stack(columns)
+    return jac.T @ jac
+
+
+_RNG = np.random.default_rng(11)
+
+
+@pytest.mark.parametrize("g", [
+    _gram(_RNG.standard_normal(9), _RNG.standard_normal(9)),
+    _gram(_RNG.standard_normal(9) * 1e-3, _RNG.standard_normal(9) * 1e4),
+    _gram(np.zeros(9), _RNG.standard_normal(9)),
+    _gram(_RNG.standard_normal(9), np.zeros(9)),
+    np.zeros((2, 2)),
+    # Singular values 5 and 7.3e-13, above pinv's cutoff, and 5 and 1.8e-16,
+    # below it; every entry and the determinant are exact.
+    np.array([[4.0, 2.0], [2.0, 1.0 + 2.0 ** -40]]),
+    np.array([[4.0, 2.0], [2.0, 1.0 + 2.0 ** -52]]),
+], ids=["spd", "spd-scaled", "rank1-lambda", "rank1-rho", "zero", "near-singular",
+        "below-cutoff"])
+def test_closed_form_pinv_is_numpys(g):
+    want = np.linalg.pinv(g)
+    # pinv's own rounding, relative to its largest entry, grows as eps times
+    # the condition number of the part it inverts.
+    big, small = np.linalg.svd(g, compute_uv=False)
+    cond = big / small if small > 1e-15 * big else 1.0
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(calibration._pinv2(g) - want)) <= 4.0 * np.finfo(float).eps * cond * scale
 
 
 @pytest.mark.parametrize("kind", ["bidask", "bar"])

@@ -425,11 +425,12 @@ def test_simulate_path_redraw_cap_matches_step_price(monkeypatch, rule, seed):
 # --------------------------------------------------------------------------
 
 def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_index=0,
-                                 trajectory=None, redraws=None):
+                                 trajectory=None, redraws=None, draws=None):
     """The per-step loop with the uncapped redraw it had before the cap.
 
-    Appends the populations after each step to ``trajectory``, and a step's
-    index to ``redraws`` once per redraw of its mid, when given.
+    Appends the populations after each step to ``trajectory``, a step's
+    index to ``redraws`` once per redraw of its mid, and each step's
+    (s_mid, xi, kappa) to ``draws``, when given.
     """
     rng = path_rng(params.seed, path_index)
     state, s_mid = state0, s_scale
@@ -442,34 +443,59 @@ def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_inde
         s_mid = s_mid + step
         xi = params.xi_mean + params.xi_std * rng.standard_normal()
         kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
+        if draws is not None:
+            draws.append((s_mid, xi, kappa))
         state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
         if trajectory is not None:
             trajectory.append(state.populations())
     return state
 
 
+# The kernel multiplies a block's step unitaries in another order than the
+# loop does, so its amplitudes and populations match the loop's within this
+# bound, not bit for bit; its draws match bit for bit.
+_AMPLITUDE_TOL = 1e-12
+
+
+def _kernel_draws(params, n_steps, path_index=0):
+    """The (s_mid, xi, kappa) of every step, as ``evolve_fluctuating`` draws them."""
+    blocks = coupled_wave._coefficient_blocks(path_rng(params.seed, path_index), params,
+                                              100.0, n_steps)
+    return [step for block in blocks for step in zip(*(x.tolist() for x in block))]
+
+
+def _assert_close(state, expected):
+    assert abs(state.psi_high - expected.psi_high) <= _AMPLITUDE_TOL, (state, expected)
+    assert abs(state.psi_low - expected.psi_low) <= _AMPLITUDE_TOL, (state, expected)
+
+
 def test_evolve_fluctuating_capped_redraws_keep_the_stream():
     # sigma_step 0.9 redraws on about one step in eight.
     p = CoupledWaveParams(sigma_step=0.9, xi_std=0.3, kappa_std=0.3, seed=5)
-    state0 = AmplitudeState(1.0 + 0.0j, 0.0j)
-    assert (evolve_fluctuating(state0, p, 100.0, 0.01, 2000)
-            == evolve_fluctuating_reference(state0, p, 100.0, 0.01, 2000))
+    state0, draws = AmplitudeState(1.0 + 0.0j, 0.0j), []
+    expected = evolve_fluctuating_reference(state0, p, 100.0, 0.01, 2000, draws=draws)
+    assert _kernel_draws(p, 2000) == draws
+    _assert_close(evolve_fluctuating(state0, p, 100.0, 0.01, 2000), expected)
 
 
 _SMALL_B = 8
 
 
 def _assert_kernel_equals_loop(state0, params, n_steps, path_index=0):
-    """``evolve_fluctuating`` equals the reference loop bit for bit, with and
-    without its trajectory; returns the reference's ``redraws``."""
-    populations, redraws = [state0.populations()], []
+    """``evolve_fluctuating`` draws what the reference loop draws, bit for bit,
+    and ends within ``_AMPLITUDE_TOL`` of its amplitudes and populations,
+    with and without its trajectory; returns the reference's ``redraws``."""
+    populations, redraws, draws = [state0.populations()], [], []
     expected = evolve_fluctuating_reference(state0, params, 100.0, 0.01, n_steps, path_index,
-                                            populations, redraws)
+                                            populations, redraws, draws)
+    assert _kernel_draws(params, n_steps, path_index) == draws
     state, trajectory = evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index,
                                            return_trajectory=True)
-    assert state == expected
-    assert np.array_equal(trajectory, populations)
-    assert evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index) == expected
+    _assert_close(state, expected)
+    assert trajectory.shape == (n_steps + 1, 2)
+    assert np.max(np.abs(trajectory - populations)) <= _AMPLITUDE_TOL
+    _assert_close(evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index),
+                  expected)
     return redraws
 
 
@@ -514,6 +540,18 @@ def test_evolve_fluctuating_redraws_at_block_edges_equal_the_loop(monkeypatch):
     monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", most - 1)
     with pytest.raises(DomainError, match="redraw limit"):
         evolve_fluctuating(state0, p, 100.0, 0.01, n)
+
+
+def test_evolve_fluctuating_keeps_the_norm_over_100k_steps():
+    # The benchmark's amplitude run: about 49 blocks of reassociated products.
+    p = CoupledWaveParams(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=1)
+    dt = suggest_amplitude_dt(p, 100.0)
+    state0 = AmplitudeState(0.6 + 0.0j, 0.8j)
+    state = evolve_fluctuating(state0, p, 100.0, dt, 100_000)
+    assert abs(state.norm_sq() - 1.0) <= 1e-12
+    end, trajectory = evolve_fluctuating(state0, p, 100.0, dt, 100_000, return_trajectory=True)
+    assert np.max(np.abs(trajectory.sum(axis=1) - 1.0)) <= 1e-12
+    _assert_close(end, state)
 
 
 def test_evolve_fluctuating_redraw_cap(monkeypatch):

@@ -174,10 +174,10 @@ _README_DIGESTS = {
     "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
     "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
     "curve_report.json": "02c89b6d3964018e92a06c01c8bbefecbfe1e9b96ee63a007ffbf485facb55ae",
-    "calibration.json": "ff18804e90625478a96040f3dfce480c0fe58c6b99730c9521ec798670a03a3a",
+    "calibration.json": "2765d0534f86d4f318103c55ed03e6f82e9d2f6e95322c3aeb18d28b00a6bc76",
     "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
     "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",
-    "optimize_report.json": "27abf983f2a6a62afe7d8086add68e390131ec8d3bed1655892fa553705d1df2",
+    "optimize_report.json": "70336b6833c5c28d5394f17e772406d789e8d32602e12da0bce1341b47ef4399",
 }
 
 
@@ -214,18 +214,18 @@ def _bidask_curve_text():
 
 _BIDASK_DIGESTS = {
     "plain": {
-        "calibration.json": "f8e3434df576a1c6c1a6dd1c1df623ddd54ed780bade9c626e98a4af0af7d477",
+        "calibration.json": "1e9c907c76dcfd0e05c589bae2c65345fd738953b3241f42556d42b46703cb55",
         "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
         "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
         "optimize_report.json":
-            "76fe8d6d7bbff9367a10ee52cafde3d264e4bba0fd73438d63bb895221d133d2",
+            "5becb1d829294edda80c5275026ebbfd965dbe657d032f58a5dff6ca89901b0e",
     },
     "strict": {
-        "calibration.json": "b1af5ec46139ba357e54014fc3a951c66527d6daf33e1562d613f52c9bfe080e",
+        "calibration.json": "866f9d262898a527c8896453be656a5e699ced0ae4e7af24fd420590c051f3a5",
         "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
         "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
         "optimize_report.json":
-            "27ad62f31f71b3128fa738726cfadec748dabe16d3e1ff3d13e23070ae909703",
+            "3fe4c2aa34f5e5cfb89416887240b298049fdda05fcaa2cab98dcfa4b085f779",
     },
 }
 
