@@ -69,6 +69,8 @@ _MAX_REDRAWS = 10_000
 _BLOCK_ROWS = 2048
 _PRICE_OVERFLOW = ("simulated prices overflowed; step volatility or bar height is "
                    "too large for this price")
+_ANGLE_OVERFLOW = ("an amplitude step's phase or rotation angle is not finite; "
+                   "the step is too long for this tau0 and price scale")
 
 
 class LastPriceRule(str, Enum):
@@ -478,12 +480,16 @@ def bar_height_rayleigh_scale(h: np.ndarray) -> float:
 def _rotate(psi_high: complex, psi_low: complex, s_mid: float, xi: float, kappa: float,
             s: float, tau0: float, t: float) -> tuple[complex, complex]:
     """The amplitudes (psi_high, psi_low) after ``evolve_amplitudes``' step,
-    on plain numbers and unchecked."""
-    phase = cmath.exp(-1j * s_mid * t / (tau0 * s))
+    on plain numbers; only a phase or rotation angle that is not finite is
+    refused."""
+    angle = s_mid * t / (tau0 * s)
     h = math.hypot(xi, kappa)
+    theta = h * t / (2.0 * tau0 * s)
+    if not (math.isfinite(angle) and math.isfinite(theta)):
+        raise DomainError(_ANGLE_OVERFLOW)
+    phase = cmath.exp(-1j * angle)
     if h == 0.0:
         return phase * psi_high, phase * psi_low
-    theta = h * t / (2.0 * tau0 * s)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     xi_h = xi / h
@@ -507,7 +513,8 @@ def evolve_amplitudes(
 
     The rotation angle is h * t / (2 tau0 s) with h = sqrt(xi^2 + kappa^2);
     s_mid contributes only a global phase.  Norm is conserved exactly up to
-    rounding.  For h = 0 the evolution is a pure phase.
+    rounding.  For h = 0 the evolution is a pure phase.  A phase or rotation
+    angle that is not finite raises ``DomainError``.
     """
     if not (s > 0.0):
         raise DomainError(f"s must be > 0, got {s!r}")
@@ -578,10 +585,18 @@ def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
 def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
                    s: float, tau0: float, t: float) -> tuple[np.ndarray, ...]:
     """The entries (u00, u01, u10, u11) of each step's ``_rotate`` matrix,
-    as complex arrays: psi' = U psi with psi = (psi_high, psi_low)."""
-    phase = np.exp(-1j * (mids * t / (tau0 * s)))
+    as complex arrays: psi' = U psi with psi = (psi_high, psi_low).
+
+    Raises ``DomainError`` if a step's phase or rotation angle is not finite.
+    """
     h = np.hypot(xis, kappas)
-    theta = h * t / (2.0 * tau0 * s)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        angle = mids * t / (tau0 * s)
+        theta = h * t / (2.0 * tau0 * s)
+    # Both angles are >= 0 or NaN, so their maximum is finite only where both are.
+    if not np.isfinite(np.maximum(angle, theta)).all():
+        raise DomainError(_ANGLE_OVERFLOW)
+    phase = np.exp(-1j * angle)
     # h == 0 only where xi == kappa == 0: the step is a pure phase.
     with np.errstate(invalid="ignore"):
         sin_h = np.where(h == 0.0, 0.0, np.sin(theta) / h)
@@ -647,7 +662,8 @@ def evolve_fluctuating(
     (``_step_matrices``) are multiplied together as arrays, by a pairwise
     reduction, or by a prefix scan when the trajectory is wanted.  The
     products are reassociated, so the amplitudes match that loop's within
-    1e-12, not bit for bit.
+    1e-12, not bit for bit.  A step whose phase or rotation angle is not
+    finite raises ``DomainError``, as in ``evolve_amplitudes``.
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.

@@ -6,18 +6,17 @@ Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
 rejections instead of failing.  One block reader serves bars, quotes and
-trades: it parses well-formed files with ``np.loadtxt`` and falls back to
-the strict row parser for anything else, so malformed files still fail
-with their line number.
+trades: it parses each block of a well-formed file with ``np.loadtxt`` and
+hands a block that ``np.loadtxt`` refuses, alone, to the strict row parser,
+so malformed files still fail with their line number.
 
 Every writer formats one block of rows at a time, and the reader scans for
-quotes in fixed-size chunks, then parses one block of rows per
-``np.loadtxt`` call, so both work in bounded memory beyond the arrays they
-write or return.  The bar writer and reader also stream:
-``write_bar_blocks`` writes blocks as they are produced and
-``read_bar_blocks`` yields them as they are parsed, so a caller that keeps
-only some columns holds only those.  (The strict fallback still holds one
-tuple per row.)
+quotes in fixed-size chunks, then parses one block of rows at a time (a
+quoted file goes row by row through ``csv``, a block at a time too), so
+both work in bounded memory beyond the arrays they write or return.  The
+bar writer and reader also stream: ``write_bar_blocks`` writes blocks as
+they are produced and ``read_bar_blocks`` yields them as they are parsed,
+so a caller that keeps only some columns holds only those.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -94,22 +94,28 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _open_rows(path: str, required: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
-    """Data rows with their line numbers; blank lines are skipped."""
+@contextlib.contextmanager
+def _csv_errors(path: str) -> Iterator[None]:
+    """Undecodable bytes and malformed CSV in ``path``, as ``InputFormatError``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            if header is None:
-                raise InputFormatError(f"{path}: empty file, no header row")
-            for col in required:
-                if col not in header:
-                    raise InputFormatError(f"{path}: missing column {col!r}")
-            return [(reader.line_num, row) for row in reader]
+        yield
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise InputFormatError(f"{path}: malformed CSV: {exc}") from exc
+
+
+def _open_rows(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Data rows with their line numbers, read one at a time; blank lines are skipped."""
+    with _csv_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise InputFormatError(f"{path}: empty file, no header row")
+        for col in required:
+            if col not in header:
+                raise InputFormatError(f"{path}: missing column {col!r}")
+        yield from ((reader.line_num, row) for row in reader)
 
 
 def _cell_float(row: dict[str, str], col: str, path: str, line: int) -> float:
@@ -135,32 +141,45 @@ def _cell_timestamp(row: dict[str, str], path: str, line: int) -> float:
 # readers
 # --------------------------------------------------------------------------
 
-def _read_strict(path: str, kind: type[_Columns]) -> _Columns:
-    """Row-by-row table reader: ISO or numeric timestamps, errors name path:line."""
+def _strict_table(rows: Iterable[tuple[int, dict[str, str]]], names: Sequence[str],
+                  path: str) -> np.ndarray:
+    """The strict row parser: numbered csv rows as one row of floats per
+    column in ``names``.  Timestamps may be ISO-8601 or numeric; a bad cell
+    fails with ``path`` and its line."""
+    values = [(_cell_timestamp(row, path, line),
+               *(_cell_float(row, col, path, line) for col in names[1:]))
+              for line, row in rows]
+    return np.array(values, dtype=float).reshape(len(values), len(names)).T
+
+
+def _strict_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
+    """A ``kind`` table's CSV read row by row through ``csv``, in blocks of
+    at most ``_BLOCK_ROWS`` rows; errors name the path and the line."""
     names = kind.names()
-    rows = [
-        (_cell_timestamp(row, path, line),
-         *(_cell_float(row, col, path, line) for col in names[1:]))
-        for line, row in _open_rows(path, names)
-    ]
-    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return kind(*table.T)
+    rows = _open_rows(path, names)
+    while (table := _strict_table(itertools.islice(rows, _BLOCK_ROWS), names, path)).size:
+        yield kind(*map(np.ascontiguousarray, table))
+
+
+def _read_strict(path: str, kind: type[_Columns]) -> _Columns:
+    """A whole table by the strict row parser alone: ``_strict_blocks``, joined."""
+    return kind(*join_blocks(_strict_blocks(path, kind), kind.names()))
 
 
 def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
     """A ``kind`` table's CSV as consecutive blocks of at most ``_BLOCK_ROWS``
     rows, whatever the order of its columns.
 
-    A file with no quotes and no malformed cells is parsed one block per
-    ``np.loadtxt`` call, after a scan for quotes that reads ``_SCAN_CHUNK``
-    bytes at a time; every block's columns are arrays of their own.  Numeric
-    timestamps are parsed by ``np.loadtxt`` itself; a file whose first block
-    fails that way is read again with ``parse_timestamp`` as the timestamp's
-    converter, which reads ISO-8601 stamps (and would slow a numeric file
-    down).  Any other file goes through ``_read_strict``, which gives the
-    same rows or fails with the offending path and line; when a block fails
-    to parse after earlier blocks were yielded, the rows after them follow
-    as one block.
+    A scan reads the file ``_SCAN_CHUNK`` bytes at a time for quotes.  A
+    file with a quote, or without one of the columns, goes to
+    ``_strict_blocks``.  Any other file is read ``_BLOCK_ROWS`` lines at a
+    time, and each block is parsed alone by the first of these that accepts
+    it: ``np.loadtxt``; ``np.loadtxt`` with ``parse_timestamp`` as the
+    timestamp's converter, which reads ISO-8601 stamps (and would slow a
+    numeric block down); and the strict row parser, which gives the same rows
+    or fails with the offending path and line.  Nothing but the line number
+    passes from one block to the next, and every block's columns are arrays
+    of their own.
     """
     names = kind.names()
     with open(path, "rb") as fh:
@@ -168,36 +187,36 @@ def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
         quoted = b'"' in header or any(
             b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
     try:
-        header_names = header.rstrip(b"\r\n").decode("utf-8").split(",")
+        fields = header.rstrip(b"\r\n").decode("utf-8").split(",")
     except UnicodeDecodeError:
-        header_names = []
-    position = {name: i for i, name in enumerate(header_names)}  # last one wins, as in csv
-    done = 0
-    if not quoted and all(col in position for col in names):
-        usecols = [position[col] for col in names]
-        # numpy keys a converter by the column's index in the file.
-        for converters in (None, {position["timestamp"]: parse_timestamp}):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    fh.readline()
-                    while (table := _load_rows(fh, usecols, converters)) is not None:
-                        yield kind(*map(np.ascontiguousarray, table))
-                        done += len(table[0])
-                return
-            except ValueError:
-                if done:
+        fields = []
+    position = {name: i for i, name in enumerate(fields)}  # last one wins, as in csv
+    if quoted or not all(col in position for col in names):
+        yield from _strict_blocks(path, kind)
+        return
+    usecols = [position[col] for col in names]
+    # numpy keys a converter by the column's index in the file.
+    iso = {position["timestamp"]: parse_timestamp}
+    with _csv_errors(path), open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        before = 1  # lines before the block
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            for converters in (None, iso):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols,
+                                           ndmin=2, converters=converters).T
                     break
-    rest = _read_strict(path, kind)
-    yield kind(*(getattr(rest, col)[done:] for col in names))
-
-
-def _load_rows(fh, usecols: list[int], converters: dict | None) -> np.ndarray | None:
-    """The next block of rows of an open CSV file, one row per column; None at the end."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        table = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols,
-                           ndmin=2, max_rows=_BLOCK_ROWS, converters=converters)
-    return table.T if len(table) else None
+                except ValueError:
+                    pass
+            else:
+                rows = csv.DictReader(lines, fields)
+                table = _strict_table(((before + rows.line_num, row) for row in rows),
+                                      names, path)
+            if table.size:
+                yield kind(*map(np.ascontiguousarray, table))
+            before += len(lines)
 
 
 def _read_table(path: str, kind: type[_Columns]) -> _Columns:
@@ -233,12 +252,9 @@ def read_curve(
 ) -> SpreadVolumeCurve:
     """Rebuild a curve from its CSV; flags are recomputed from the counts."""
     check_finite("min_count", min_count, at_least=0)
-    rows = _open_rows(path, _CURVE_COLUMNS)
-    if not rows:
-        raise InputFormatError(f"{path}: curve has no buckets")
     buckets = []
     accepted = 0
-    for i, row in rows:
+    for i, row in _open_rows(path, _CURVE_COLUMNS):
         raw_count = row.get("count", "")
         try:
             count = int(raw_count)
@@ -256,6 +272,8 @@ def read_curve(
             count=count,
             flagged=count < min_count or not math.isfinite(spread_q),
         ))
+    if not buckets:
+        raise InputFormatError(f"{path}: curve has no buckets")
     return SpreadVolumeCurve(
         buckets=tuple(buckets), quantile_level=quantile_level,
         source=source, n_accepted=accepted, n_rejected=0,

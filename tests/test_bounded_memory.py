@@ -100,14 +100,15 @@ def _with_quoted_note(data: bytes, at: int) -> tuple[bytes, int]:
 
 
 def _strict_calls(monkeypatch) -> list:
+    """The paths the strict parser is asked to read as a whole file."""
     calls = []
-    strict = data_io._read_strict
+    strict = data_io._strict_blocks
 
     def spy(path, kind):
         calls.append(path)
         return strict(path, kind)
 
-    monkeypatch.setattr(data_io, "_read_strict", spy)
+    monkeypatch.setattr(data_io, "_strict_blocks", spy)
     return calls
 
 
@@ -253,33 +254,39 @@ def _bars_csv(path, n, seed=1):
     return path
 
 
-def test_bar_blocks_after_a_failed_block_come_from_the_strict_parser(tmp_path, monkeypatch):
+def test_a_refused_bar_block_is_parsed_alone_by_the_strict_parser(tmp_path, monkeypatch):
     path = _bars_csv(tmp_path / "bars.csv", 3 * _B)
     expected = read_bars(str(path))
-    # An ISO timestamp in the second block: np.loadtxt fails there, and the
-    # strict parser supplies that block and the rest.
-    row = _B + 5
+    # The second block holds a volume that only Python's float reads, so
+    # both np.loadtxt passes refuse the block and the strict row parser
+    # reads it alone.  The third holds an ISO stamp, which the timestamp
+    # converter reads.  No row is read twice and no block is larger.
+    strict_row, iso_row = _B + 5, 2 * _B + 7
     lines = path.read_text().splitlines(keepends=True)
-    lines[row + 1] = "1970-01-01T00:00:00Z" + lines[row + 1][lines[row + 1].index(","):]
+    lines[strict_row + 1] = lines[strict_row + 1].rsplit(",", 1)[0] + ",1_5\n"
+    lines[iso_row + 1] = "1970-01-01T00:00:00Z" + lines[iso_row + 1][lines[iso_row + 1].index(","):]
     path.write_text("".join(lines))
     calls = _strict_calls(monkeypatch)
     blocks = list(read_bar_blocks(str(path)))
-    assert calls == [str(path)]
-    assert [len(b) for b in blocks] == [_B, 2 * _B]
+    assert calls == []
+    assert [len(b) for b in blocks] == [_B, _B, _B]
     got = data_io.BarColumns(*(np.concatenate([getattr(b, name) for b in blocks])
                                for name in data_io._BAR_COLUMNS))
-    assert got.timestamp[row] == 0.0
-    got.timestamp[row] = expected.timestamp[row]
+    assert got.volume[strict_row] == 15.0 and got.timestamp[iso_row] == 0.0
+    got.volume[strict_row] = expected.volume[strict_row]
+    got.timestamp[iso_row] = expected.timestamp[iso_row]
     _assert_same_bars(got, expected, len(expected))
 
 
-def _quote_tape(path, n, iso_from):
+def _quote_tape(path, n, iso_from, quoted_at=None):
     """A quote CSV of ``n`` rows, stamped in seconds before row ``iso_from`` and
-    in ISO-8601 text (1970-01-01 plus the same seconds) from it on."""
+    in ISO-8601 text (1970-01-01 plus the same seconds) from it on; the bid
+    of row ``quoted_at``, if given, is a quoted cell."""
     lines = ["timestamp,bid,ask"]
     for i in range(n):
         iso = f"1970-01-01T{i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d}.25Z"
-        lines.append(f"{iso if i >= iso_from else f'{i}.25'},{100.0 + i / 7!r},{100.5 + i / 7!r}")
+        bid = f'"{100.0 + i / 7!r}"' if i == quoted_at else repr(100.0 + i / 7)
+        lines.append(f"{iso if i >= iso_from else f'{i}.25'},{bid},{100.5 + i / 7!r}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -378,20 +385,25 @@ def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
 def test_curve_quotes_body_holds_a_few_columns_per_row(tmp_path):
     """Above a one-block tape, the peak of ``curve --quotes --trades`` grows by
     at most 2 x the 64 B a row of the two whole tapes' columns (48 B) and the
-    accepted pairs (16 B) take.  The quotes are ISO-stamped and the trades
-    numeric, so both take the ``np.loadtxt`` path."""
-    peaks = {}
-    for blocks in (1, 16):
-        n = blocks * _B
-        quotes = _quote_tape(tmp_path / f"quotes{blocks}.csv", n, iso_from=0)
-        trades = tmp_path / f"trades{blocks}.csv"
-        trades.write_text("timestamp,price,size\n"
-                          + "".join(f"{i}.5,100.25,{1 + i % 7}\n" for i in range(n)))
-        curve = ["curve", "--quotes", quotes, "--trades", str(trades), "--window", "30",
-                 "--out", str(tmp_path / str(blocks))]
-        CliRunner().invoke(main, curve)  # warm-up: lazy imports and caches
-        peaks[blocks] = _traced_peak(curve)
-    assert peaks[16] - peaks[1] <= 2.0 * 64 * 15 * _B, (peaks, 15 * _B)
+    accepted pairs (16 B) take.  The trades are numeric.  The quotes are
+    ISO-stamped, or stamped in seconds for their first half (both read block
+    by block with np.loadtxt), or hold one quoted cell, which sends the whole
+    tape to the strict parser, a block at a time."""
+    for tape in ("iso", "numeric_then_iso", "one_quoted_cell"):
+        peaks = {}
+        for blocks in (1, 16):
+            n = blocks * _B
+            quotes = _quote_tape(tmp_path / f"{tape}{blocks}.csv", n,
+                                 iso_from=n // 2 if tape == "numeric_then_iso" else 0,
+                                 quoted_at=n // 2 if tape == "one_quoted_cell" else None)
+            trades = tmp_path / f"trades{blocks}.csv"
+            trades.write_text("timestamp,price,size\n"
+                              + "".join(f"{i}.5,100.25,{1 + i % 7}\n" for i in range(n)))
+            curve = ["curve", "--quotes", quotes, "--trades", str(trades), "--window", "30",
+                     "--out", str(tmp_path / str(blocks))]
+            CliRunner().invoke(main, curve)  # warm-up: lazy imports and caches
+            peaks[blocks] = _traced_peak(curve)
+        assert peaks[16] - peaks[1] <= 2.0 * 64 * 15 * _B, (tape, peaks, 15 * _B)
 
 
 # --------------------------------------------------------------------------

@@ -571,6 +571,20 @@ def test_evolve_fluctuating_rejects_an_overflowing_mid_walk(sigma_step, s_scale,
         evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), p, s_scale, 0.01, n_steps)
 
 
+@pytest.mark.parametrize("xi_kappa", [(0.3, 0.3), (0.0, 0.0)], ids=["rotation", "pure_phase"])
+@pytest.mark.parametrize("t", [1.5e308, math.inf, math.nan])
+def test_evolve_rejects_a_step_whose_angle_is_not_finite(t, xi_kappa):
+    # A finite t can still overflow the angles; neither kernel may then
+    # return NaN amplitudes, warn, or raise anything but DomainError.
+    state = AmplitudeState(1.0 + 0.0j, 0.0j)
+    with pytest.raises(DomainError, match="phase or rotation angle"):
+        evolve_amplitudes(state, 100.0, *xi_kappa, 100.0, 1.0, t)
+    if math.isfinite(t):
+        p = CoupledWaveParams(xi_std=xi_kappa[0], kappa_std=xi_kappa[1])
+        with pytest.raises(DomainError, match="phase or rotation angle"):
+            evolve_fluctuating(state, p, 100.0, t, 5)
+
+
 @pytest.mark.parametrize("name, value", [
     ("s_scale", math.inf), ("s_scale", math.nan), ("s_scale", 0.0),
     ("dt", math.inf), ("dt", math.nan), ("dt", -1.0),

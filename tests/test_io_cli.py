@@ -32,6 +32,7 @@ from spreadwave.calibration import (
     build_spread_volume_curve,
 )
 from spreadwave.cli import main, resolve_config
+from spreadwave.coupled_wave import _BLOCK_ROWS
 from spreadwave.data_io import (
     _read_strict,
     format_float,
@@ -677,6 +678,32 @@ def test_simulate_report_redraw_rate(tmp_path):
     summary = read_json_report(str(tmp_path / "simulate_report.json"))["summary"]
     assert summary["redraws"] > 0
     assert summary["redraw_rate"] == summary["redraws"] / 500
+
+
+def test_simulate_redraw_rate_warning_reaches_stderr(tmp_path):
+    # Logging's last-resort handler prints the warning; pytest's log capture
+    # would hide it from CliRunner, so the command runs in a child process.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run(
+        [sys.executable, "-m", "spreadwave.cli", "simulate", "--steps", "3000",
+         "--sigma-step", "0.5", "--xi-std", "2", "--kappa-std", "2", "--s0", "1",
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == [
+        "mid-price redraw rate 0.131 exceeds 0.001; results may be biased"]
+
+
+@pytest.mark.parametrize("line", [0, 2 * _BLOCK_ROWS + 10], ids=["header", "later_block"])
+def test_invalid_utf8_in_a_table_exit_3_one_line(tmp_path, line):
+    path = tmp_path / "bars.csv"
+    write_bars_csv(str(path), simulate_path(CoupledWaveParams(seed=1), 100.0, 3 * _BLOCK_ROWS))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line] = b"\xff" + lines[line]
+    path.write_bytes(b"".join(lines))
+    res = run_cli(["curve", "--bars", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    [message] = res.stderr.splitlines()
+    assert message.startswith(f"error: {path}: not valid UTF-8")
 
 
 # --------------------------------------------------------------------------
