@@ -356,8 +356,6 @@ def build_spread_volume_curve(
             v_mid=float(math.sqrt(edges[b] * edges[b + 1])),
             spread_q=q, count=count, flagged=count < min_count,
         ))
-    if all(b.count == 0 for b in buckets):  # pragma: no cover - guarded above
-        raise InsufficientDataError("all buckets are empty")
     return SpreadVolumeCurve(
         buckets=tuple(buckets), quantile_level=quantile_level,
         source=samples.source, n_accepted=int(volumes.size), n_rejected=rejected,
@@ -425,12 +423,12 @@ def _run_spread_fit(
     v: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    model,                      # model(V, lam, x) -> spread (same units as y)
+    law,                        # law(V, lam, rho, tau0) -> spread (same units as y)
     flow: FlowStats,
     tau0: float,
     strict_product: bool,
 ) -> CalibrationResult:
-    """Weighted least squares of ``model`` on (lam, x) >= 0.
+    """Weighted least squares of ``law`` on (lam, x) >= 0.
 
     Both laws have the form f = sqrt(lam^2 A(V) + x^2 B(V)), with
     A = model(V, 1, 0)^2 and B = model(V, 0, 1)^2.  The start value is the
@@ -441,6 +439,9 @@ def _run_spread_fit(
     column of (A, B) is zero on every bucket (lambda when sigma = 0) is not
     identified and raises DomainError.
     """
+    def model(V, lam, x):  # x is rho, or when strict rho * tau0, taken as tau0 with rho = 1
+        return law(V, lam, 1.0, x) if strict_product else law(V, lam, x, tau0)
+
     basis = np.column_stack([model(v, 1.0, 0.0), model(v, 0.0, 1.0)]) ** 2
     for name, column in zip(("lambda", "rho_tau0_product" if strict_product else "rho"),
                             basis.T):
@@ -519,12 +520,11 @@ def fit_bid_ask_curve(
     check_finite("tau0", tau0, above=0.0)
     v, y, w = _usable_curve_arrays(curve)
     s = flow.mean_price
-    scale = 1.0 if strict_product else tau0
 
-    def model(V, lam, x):  # x is rho, or the product rho * tau0 when strict
-        return s * bidask_spread_model(V, lam, x, flow.sigma, flow.n, scale)
+    def law(V, lam, rho, tau0):
+        return s * bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
 
-    return _run_spread_fit(v, y, w, model, flow, tau0, strict_product)
+    return _run_spread_fit(v, y, w, law, flow, tau0, strict_product)
 
 
 def fit_bar_curve(
@@ -544,14 +544,10 @@ def fit_bar_curve(
     v, y, w = _usable_curve_arrays(curve)
     s = flow.mean_price
 
-    if strict_product:
-        def model(V, lam, prod):
-            return s * bar_spread_model(V, lam, 1.0, flow.sigma, flow.n, prod, horizon_T)
-    else:
-        def model(V, lam, rho):
-            return s * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, horizon_T)
+    def law(V, lam, rho, tau0):
+        return s * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, horizon_T)
 
-    return _run_spread_fit(v, y, w, model, flow, tau0, strict_product)
+    return _run_spread_fit(v, y, w, law, flow, tau0, strict_product)
 
 
 # --------------------------------------------------------------------------

@@ -82,6 +82,7 @@ from .optimizer import (
 )
 from .scaling import (SpreadSurfaceParams, classical_scale, default_surface_grids,
                       scale_spread_time, spread_surface)
+from .spread_models import spread_minimum
 
 _ENV_PREFIX = "SPREADWAVE_"
 
@@ -630,7 +631,7 @@ def cmd_optimize(cfg: dict) -> None:
         a = cfg["a_coeff"]
         check_finite("a_coeff", a, above=0.0)
         law = dimensionless_law(a, lambda_ref)
-        v_min = (0.5 * a) ** (1.0 / 3.0)
+        v_min = spread_minimum(a).v_min
         v_bounds = (v_min / 4.0, 4.0 * v_min)
     else:
         result, flow, source, horizon, v_bounds = parse_calibration_report(

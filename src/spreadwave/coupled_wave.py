@@ -480,11 +480,14 @@ def bar_height_rayleigh_scale(h: np.ndarray) -> float:
 def _rotate(psi_high: complex, psi_low: complex, s_mid: float, xi: float, kappa: float,
             s: float, tau0: float, t: float) -> tuple[complex, complex]:
     """The amplitudes (psi_high, psi_low) after ``evolve_amplitudes``' step,
-    on plain numbers; only a phase or rotation angle that is not finite is
-    refused."""
-    angle = s_mid * t / (tau0 * s)
+    on plain numbers; only a phase or rotation angle that is not finite
+    (tau0 * s may underflow to 0) is refused."""
     h = math.hypot(xi, kappa)
-    theta = h * t / (2.0 * tau0 * s)
+    try:
+        angle = s_mid * t / (tau0 * s)
+        theta = h * t / (2.0 * tau0 * s)
+    except ZeroDivisionError:
+        raise DomainError(_ANGLE_OVERFLOW) from None
     if not (math.isfinite(angle) and math.isfinite(theta)):
         raise DomainError(_ANGLE_OVERFLOW)
     phase = cmath.exp(-1j * angle)

@@ -6,17 +6,17 @@ Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
 rejections instead of failing.  One block reader serves bars, quotes and
-trades: it parses each block of a well-formed file with ``np.loadtxt`` and
-hands a block that ``np.loadtxt`` refuses, alone, to the strict row parser,
-so malformed files still fail with their line number.
+trades: it parses each block of a file with ``np.loadtxt``, which reads CSV
+quoting as ``csv`` does, and hands a block that ``np.loadtxt`` refuses,
+alone, to the strict row parser, so malformed files still fail with their
+line number.
 
-Every writer formats one block of rows at a time, and the reader scans for
-quotes in fixed-size chunks, then parses one block of rows at a time (a
-quoted file goes row by row through ``csv``, a block at a time too), so
-both work in bounded memory beyond the arrays they write or return.  The
-bar writer and reader also stream: ``write_bar_blocks`` writes blocks as
-they are produced and ``read_bar_blocks`` yields them as they are parsed,
-so a caller that keeps only some columns holds only those.
+Every writer formats one block of rows at a time, and the reader parses one
+block of lines at a time, so both work in bounded memory beyond the arrays
+they write or return.  The bar writer and reader also stream:
+``write_bar_blocks`` writes blocks as they are produced and
+``read_bar_blocks`` yields them as they are parsed, so a caller that keeps
+only some columns holds only those.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import os
 import warnings
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -52,7 +52,7 @@ _BAR_COLUMNS = BarColumns.names()
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
-# Bytes the bar reader's quote scan and sha256_file read at a time.
+# Bytes sha256_file reads at a time.
 _SCAN_CHUNK = 1 << 16
 
 
@@ -95,10 +95,21 @@ def sha256_file(path: str) -> str:
 
 
 @contextlib.contextmanager
-def _csv_errors(path: str) -> Iterator[None]:
-    """Undecodable bytes and malformed CSV in ``path``, as ``InputFormatError``."""
+def _open_table(path: str, required: Sequence[str]) -> Iterator[tuple[TextIO, csv.DictReader]]:
+    """``path`` open as text, and a ``csv.DictReader`` over it that has read
+    a header row naming every ``required`` column.  Undecodable bytes and
+    malformed CSV met inside the ``with`` block raise ``InputFormatError``."""
     try:
-        yield
+        # Not newline="": lines come twice as fast, and a CR or CRLF inside a
+        # quoted cell reads as LF, which no numeric cell minds.
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise InputFormatError(f"{path}: empty file, no header row")
+            for col in required:
+                if col not in reader.fieldnames:
+                    raise InputFormatError(f"{path}: missing column {col!r}")
+            yield fh, reader
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
@@ -107,14 +118,7 @@ def _csv_errors(path: str) -> Iterator[None]:
 
 def _open_rows(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
     """Data rows with their line numbers, read one at a time; blank lines are skipped."""
-    with _csv_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise InputFormatError(f"{path}: empty file, no header row")
-        for col in required:
-            if col not in header:
-                raise InputFormatError(f"{path}: missing column {col!r}")
+    with _open_table(path, required) as (_, reader):
         yield from ((reader.line_num, row) for row in reader)
 
 
@@ -152,68 +156,62 @@ def _strict_table(rows: Iterable[tuple[int, dict[str, str]]], names: Sequence[st
     return np.array(values, dtype=float).reshape(len(values), len(names)).T
 
 
-def _strict_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
-    """A ``kind`` table's CSV read row by row through ``csv``, in blocks of
-    at most ``_BLOCK_ROWS`` rows; errors name the path and the line."""
-    names = kind.names()
-    rows = _open_rows(path, names)
-    while (table := _strict_table(itertools.islice(rows, _BLOCK_ROWS), names, path)).size:
-        yield kind(*map(np.ascontiguousarray, table))
+def _ends_in_quote(lines: list[str]) -> bool:
+    """Whether ``lines`` end inside a quoted cell, as ``csv`` reads them: a
+    blank line after them is then read into that cell, not as a record."""
+    if '"' not in "".join(lines):
+        return False
+    reader = csv.reader([*lines, "\n"])
+    # line_num is the last line of the record just read.
+    return len(lines) not in (reader.line_num for _ in reader)
 
 
 def _read_strict(path: str, kind: type[_Columns]) -> _Columns:
-    """A whole table by the strict row parser alone: ``_strict_blocks``, joined."""
-    return kind(*join_blocks(_strict_blocks(path, kind), kind.names()))
+    """A whole table by the strict row parser alone: the tests' oracle."""
+    names = kind.names()
+    return kind(*_strict_table(_open_rows(path, names), names, path))
 
 
 def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
     """A ``kind`` table's CSV as consecutive blocks of at most ``_BLOCK_ROWS``
     rows, whatever the order of its columns.
 
-    A scan reads the file ``_SCAN_CHUNK`` bytes at a time for quotes.  A
-    file with a quote, or without one of the columns, goes to
-    ``_strict_blocks``.  Any other file is read ``_BLOCK_ROWS`` lines at a
-    time, and each block is parsed alone by the first of these that accepts
-    it: ``np.loadtxt``; ``np.loadtxt`` with ``parse_timestamp`` as the
-    timestamp's converter, which reads ISO-8601 stamps (and would slow a
-    numeric block down); and the strict row parser, which gives the same rows
-    or fails with the offending path and line.  Nothing but the line number
-    passes from one block to the next, and every block's columns are arrays
-    of their own.
+    The file is read ``_BLOCK_ROWS`` lines at a time, and each block is
+    parsed alone by the first of these that accepts it: ``np.loadtxt``;
+    ``np.loadtxt`` with ``parse_timestamp`` as the timestamp's converter,
+    which reads ISO-8601 stamps (and would slow a numeric block down); and
+    the strict row parser, which gives the same rows or fails with the
+    offending path and line.  ``np.loadtxt`` reads quoted cells as ``csv``
+    does; a quoted cell that holds a line break reads within one block, and
+    one that runs past the last line of a block fails with that line.
+    Nothing but the line number passes from one block to the next, and
+    every block's columns are arrays of their own.
     """
     names = kind.names()
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        quoted = b'"' in header or any(
-            b'"' in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""))
-    try:
-        fields = header.rstrip(b"\r\n").decode("utf-8").split(",")
-    except UnicodeDecodeError:
-        fields = []
-    position = {name: i for i, name in enumerate(fields)}  # last one wins, as in csv
-    if quoted or not all(col in position for col in names):
-        yield from _strict_blocks(path, kind)
-        return
-    usecols = [position[col] for col in names]
-    # numpy keys a converter by the column's index in the file.
-    iso = {position["timestamp"]: parse_timestamp}
-    with _csv_errors(path), open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        before = 1  # lines before the block
+    with _open_table(path, names) as (fh, header):
+        # A name given twice means its last column, as in csv.
+        position = {name: i for i, name in enumerate(header.fieldnames)}
+        usecols = [position[col] for col in names]
+        # numpy keys a converter by the column's index in the file.
+        iso = {position["timestamp"]: parse_timestamp}
+        before = header.line_num  # lines before the block
         while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
             for converters in (None, iso):
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols,
-                                           ndmin=2, converters=converters).T
+                        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                                           usecols=usecols, ndmin=2, converters=converters).T
                     break
                 except ValueError:
                     pass
             else:
-                rows = csv.DictReader(lines, fields)
+                rows = csv.DictReader(lines, header.fieldnames)
                 table = _strict_table(((before + rows.line_num, row) for row in rows),
                                       names, path)
+            if _ends_in_quote(lines) and fh.readline():
+                raise InputFormatError(f"{path}:{before + len(lines)}: a quoted cell runs "
+                                       f"past the end of a {_BLOCK_ROWS}-line block")
             if table.size:
                 yield kind(*map(np.ascontiguousarray, table))
             before += len(lines)

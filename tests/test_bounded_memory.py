@@ -1,6 +1,6 @@
 """The bars path in bounded memory: the block streams of the simulator and
-the bar reader, the block-wise writers, the chunked quote scan of the bar
-reader, and the ``simulate`` and ``curve --bars`` commands built on them;
+the table reader (quoted cells included), the block-wise writers, and the
+``simulate`` and ``curve --bars`` commands built on them;
 and the block-wise working sets of ``spread_surface``, of the numeric
 policy search and of the amplitude kernel.
 
@@ -70,11 +70,10 @@ def test_policy_and_surface_writers_match_whole_array_reference(tmp_path, n):
 
 @pytest.fixture(scope="module")
 def bars_file(tmp_path_factory):
-    """A bar CSV of a little more than one quote-scan chunk, and its rows."""
-    series = simulate_path(_PARAMS, 100.0, data_io._SCAN_CHUNK // 80, volume=VolumeConfig())
+    """A bar CSV of a little more than two row blocks, and its rows."""
+    series = simulate_path(_PARAMS, 100.0, 2 * _B + 3, volume=VolumeConfig())
     path = tmp_path_factory.mktemp("bars") / "bars.csv"
     write_bars_csv(str(path), series)
-    assert path.stat().st_size > data_io._SCAN_CHUNK
     return path.read_bytes(), read_bars(str(path))
 
 
@@ -83,9 +82,9 @@ def _with_quoted_note(data: bytes, at: int) -> tuple[bytes, int]:
     of the one quoted cell.
 
     The first row that starts at or after byte ``at`` has the note
-    ``"1,2"``, every other row the note ``1``.  Split on every comma, as
-    ``np.loadtxt`` splits, the quoted row shifts by one column and still
-    parses as numbers: only the strict parser reads it right.
+    ``"1,2"``, every other row the note ``1``.  Split on every comma, as a
+    parser that does not know CSV quoting splits, the quoted row shifts by
+    one column and still parses as numbers.
     """
     lines = data.splitlines(keepends=True)
     out = [b"note,pad," + lines[0]]
@@ -99,17 +98,18 @@ def _with_quoted_note(data: bytes, at: int) -> tuple[bytes, int]:
     return b"".join(out), quote_at
 
 
-def _strict_calls(monkeypatch) -> list:
-    """The paths the strict parser is asked to read as a whole file."""
-    calls = []
-    strict = data_io._strict_blocks
+def _strict_rows(monkeypatch) -> list:
+    """The line numbers of the rows the strict row parser is asked to read."""
+    lines = []
+    strict = data_io._strict_table
 
-    def spy(path, kind):
-        calls.append(path)
-        return strict(path, kind)
+    def spy(rows, names, path):
+        rows = list(rows)
+        lines.extend(line for line, _ in rows)
+        return strict(rows, names, path)
 
-    monkeypatch.setattr(data_io, "_strict_blocks", spy)
-    return calls
+    monkeypatch.setattr(data_io, "_strict_table", spy)
+    return lines
 
 
 def _assert_same_bars(got, want, rows: int) -> None:
@@ -119,34 +119,54 @@ def _assert_same_bars(got, want, rows: int) -> None:
         assert getattr(got, name).tobytes() == getattr(want, name)[:rows].tobytes(), name
 
 
-def test_quote_after_the_first_scan_chunk_goes_to_the_strict_parser(
-        tmp_path, monkeypatch, bars_file):
+def test_quoted_cell_in_a_later_block_is_read_by_loadtxt(tmp_path, monkeypatch, bars_file):
     data, expected = bars_file
     quoted, at = _with_quoted_note(data, len(data) - 200)
-    assert at > data_io._SCAN_CHUNK
+    assert quoted[:at].count(b"\n") > _B  # the quoted row is after the first block
     path = tmp_path / "quoted.csv"
     path.write_bytes(quoted)
-    calls = _strict_calls(monkeypatch)
+    rows = _strict_rows(monkeypatch)
     _assert_same_bars(read_bars(str(path)), expected, len(expected))
-    assert calls == [str(path)]
+    assert rows == []
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["open_quote_ends_chunk", "open_quote_starts_chunk"])
-def test_quoted_cell_across_a_scan_chunk_edge_goes_to_the_strict_parser(
-        tmp_path, monkeypatch, bars_file, side):
+@pytest.mark.parametrize("side", [0, 1], ids=["ends_block", "starts_block"])
+def test_quoted_cell_at_a_block_edge_is_read_by_loadtxt(tmp_path, monkeypatch, bars_file, side):
     data, expected = bars_file
     data = data[:data.index(b"\n", 4000) + 1]
     quoted, at = _with_quoted_note(data, 1000)
     path = tmp_path / "quoted.csv"
     path.write_bytes(quoted)
-    header = quoted.index(b"\n") + 1
-    # The first chunk after the header ends just after (or just before) the
-    # opening quote; the closing quote lies in the next chunk.
-    monkeypatch.setattr(data_io, "_SCAN_CHUNK", at - header + 1 - side)
-    calls = _strict_calls(monkeypatch)
+    # The first block ends with (or just before) the quoted row.
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", quoted[:at].count(b"\n") - side)
+    rows = _strict_rows(monkeypatch)
     bars = read_bars(str(path))
-    assert calls == [str(path)]
+    assert rows == []
     _assert_same_bars(bars, expected, data.count(b"\n") - 1)
+
+
+# Blocks of 4 lines: lines 2-5 of the file, then 6-9 and 10-11.
+@pytest.mark.parametrize("line, cell, reads", [
+    (2, '"{}\n"', True),   # on lines 2 and 3, inside the first block
+    (5, '"{}\n"', False),  # on lines 5 and 6, across the first block's end
+    (5, '"{}', False),     # never closed: csv reads the rest of the file into it
+], ids=["inside", "across", "unterminated"])
+def test_quoted_line_break_at_a_block_edge_exit_3_one_line(tmp_path, monkeypatch,
+                                                           line, cell, reads):
+    path = _bars_csv(tmp_path / "bars.csv", 10)
+    expected = read_bars(str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    head, volume = lines[line - 1].rsplit(",", 1)
+    lines[line - 1] = f"{head},{cell.format(volume.strip())}\n"
+    path.write_text("".join(lines))
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", 4)
+    if reads:
+        _assert_same_bars(read_bars(str(path)), expected, len(expected))
+        return
+    res = CliRunner().invoke(main, ["curve", "--bars", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert res.stderr.splitlines() == [
+        f"error: {path}:5: a quoted cell runs past the end of a 4-line block"]
 
 
 def _traced(fn):
@@ -266,9 +286,9 @@ def test_a_refused_bar_block_is_parsed_alone_by_the_strict_parser(tmp_path, monk
     lines[strict_row + 1] = lines[strict_row + 1].rsplit(",", 1)[0] + ",1_5\n"
     lines[iso_row + 1] = "1970-01-01T00:00:00Z" + lines[iso_row + 1][lines[iso_row + 1].index(","):]
     path.write_text("".join(lines))
-    calls = _strict_calls(monkeypatch)
+    rows = _strict_rows(monkeypatch)
     blocks = list(read_bar_blocks(str(path)))
-    assert calls == []
+    assert rows == list(range(_B + 2, 2 * _B + 2))  # the second block's lines
     assert [len(b) for b in blocks] == [_B, _B, _B]
     got = data_io.BarColumns(*(np.concatenate([getattr(b, name) for b in blocks])
                                for name in data_io._BAR_COLUMNS))
@@ -293,9 +313,9 @@ def _quote_tape(path, n, iso_from, quoted_at=None):
 
 def test_iso_stamped_tape_is_read_in_blocks_without_the_strict_parser(tmp_path, monkeypatch):
     path = _quote_tape(tmp_path / "quotes.csv", 2 * _B + 5, iso_from=0)
-    calls = _strict_calls(monkeypatch)
+    rows = _strict_rows(monkeypatch)
     blocks = list(data_io._read_blocks(path, data_io.QuoteColumns))
-    assert calls == []
+    assert rows == []
     assert [len(b) for b in blocks] == [_B, _B, 5]
     quotes = read_quotes(path)
     assert quotes.timestamp.tolist() == [i + 0.25 for i in range(2 * _B + 5)]
@@ -386,9 +406,8 @@ def test_curve_quotes_body_holds_a_few_columns_per_row(tmp_path):
     """Above a one-block tape, the peak of ``curve --quotes --trades`` grows by
     at most 2 x the 64 B a row of the two whole tapes' columns (48 B) and the
     accepted pairs (16 B) take.  The trades are numeric.  The quotes are
-    ISO-stamped, or stamped in seconds for their first half (both read block
-    by block with np.loadtxt), or hold one quoted cell, which sends the whole
-    tape to the strict parser, a block at a time."""
+    ISO-stamped, or stamped in seconds for their first half, or hold one
+    quoted cell; all three are read block by block with np.loadtxt."""
     for tape in ("iso", "numeric_then_iso", "one_quoted_cell"):
         peaks = {}
         for blocks in (1, 16):

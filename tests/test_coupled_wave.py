@@ -572,17 +572,23 @@ def test_evolve_fluctuating_rejects_an_overflowing_mid_walk(sigma_step, s_scale,
 
 
 @pytest.mark.parametrize("xi_kappa", [(0.3, 0.3), (0.0, 0.0)], ids=["rotation", "pure_phase"])
-@pytest.mark.parametrize("t", [1.5e308, math.inf, math.nan])
-def test_evolve_rejects_a_step_whose_angle_is_not_finite(t, xi_kappa):
+@pytest.mark.parametrize("t, tau0, s", [
+    pytest.param(1.5e308, 1.0, 100.0, id="1.5e+308"),
+    pytest.param(math.inf, 1.0, 100.0, id="inf"),
+    pytest.param(math.nan, 1.0, 100.0, id="nan"),
+    # tau0 * s underflows to 0, so the angles divide by zero.
+    pytest.param(1.0, 1e-200, 1e-200, id="tau0_s_underflow"),
+])
+def test_evolve_rejects_a_step_whose_angle_is_not_finite(t, tau0, s, xi_kappa):
     # A finite t can still overflow the angles; neither kernel may then
     # return NaN amplitudes, warn, or raise anything but DomainError.
     state = AmplitudeState(1.0 + 0.0j, 0.0j)
     with pytest.raises(DomainError, match="phase or rotation angle"):
-        evolve_amplitudes(state, 100.0, *xi_kappa, 100.0, 1.0, t)
+        evolve_amplitudes(state, 100.0, *xi_kappa, s, tau0, t)
     if math.isfinite(t):
-        p = CoupledWaveParams(xi_std=xi_kappa[0], kappa_std=xi_kappa[1])
+        p = CoupledWaveParams(xi_std=xi_kappa[0], kappa_std=xi_kappa[1], tau0=tau0)
         with pytest.raises(DomainError, match="phase or rotation angle"):
-            evolve_fluctuating(state, p, 100.0, t, 5)
+            evolve_fluctuating(state, p, s, t, 5)
 
 
 @pytest.mark.parametrize("name, value", [

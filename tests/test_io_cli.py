@@ -729,6 +729,14 @@ _altered = st.one_of(
     st.tuples(_space, _number, _space).map("".join),           # padded
     st.one_of(_number, _odd).map(lambda c: f'"{c}"'),          # quoted
     _odd,
+    # Quote forms np.loadtxt must read as csv does: a quote mid-field, a
+    # doubled quote, an unterminated quote, a quote after a space, and a
+    # quoted cell that holds a line break.
+    st.builds(lambda a, b: f'{a}"{b}', _number, _number),
+    st.builds(lambda a, b: f'"{a}""{b}"', _number, _number),
+    _number.map(lambda c: f'"{c}'),
+    _number.map(lambda c: f' "{c}"'),
+    st.builds(lambda a, b: f'"{a}\n{b}"', _number, st.one_of(_space, _number)),
 )
 
 
