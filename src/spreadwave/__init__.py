@@ -19,6 +19,7 @@ from .calibration import (
     CurveSource,
     FlowStats,
     QuoteColumns,
+    Rejections,
     SpreadSamples,
     SpreadVolumeCurve,
     TradeColumns,
@@ -121,7 +122,7 @@ __all__ = [
     "bar_spread_dimensionless", "spread_surface", "default_surface_grids",
     # calibration
     "TradeColumns", "QuoteColumns", "BarColumns", "CurveSource", "FlowStats",
-    "SpreadSamples", "CurveBucket", "BucketSpec", "SpreadVolumeCurve",
+    "Rejections", "SpreadSamples", "CurveBucket", "BucketSpec", "SpreadVolumeCurve",
     "CalibrationResult", "measure_flow_stats", "bars_to_samples",
     "quotes_to_samples", "build_spread_volume_curve", "bidask_spread_model",
     "bar_spread_model", "fit_bid_ask_curve", "fit_bar_curve",

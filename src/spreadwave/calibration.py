@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,6 +130,21 @@ class FlowStats:
         check_finite("V", self.V, at_least=0.0)
 
 
+class Rejections(NamedTuple):
+    """Rejected samples by cause, each counted under the first that applies."""
+
+    non_finite: int = 0           # a non-finite volume or spread
+    non_positive_volume: int = 0  # for a quote: no trailing flow
+    negative_spread: int = 0
+
+    @property
+    def total(self) -> int:
+        return sum(self)
+
+    def plus(self, other: Rejections) -> Rejections:
+        return Rejections(*(a + b for a, b in zip(self, other)))
+
+
 @dataclass(frozen=True)
 class SpreadSamples:
     """Paired (volume, spread) observations ready for bucketing."""
@@ -137,7 +152,11 @@ class SpreadSamples:
     volumes: np.ndarray
     spreads: np.ndarray
     source: CurveSource
-    n_rejected: int = 0
+    rejected: Rejections = Rejections()
+
+    @property
+    def n_rejected(self) -> int:
+        return self.rejected.total
 
 
 @dataclass(frozen=True)
@@ -176,6 +195,8 @@ class SpreadVolumeCurve:
     source: CurveSource
     n_accepted: int
     n_rejected: int
+    # Unknown (all zero) for a curve read back from its CSV.
+    rejected: Rejections = Rejections()
 
     def usable(self) -> tuple[CurveBucket, ...]:
         return tuple(b for b in self.buckets if not b.flagged)
@@ -238,6 +259,20 @@ def _accepted(volumes: np.ndarray, spreads: np.ndarray) -> np.ndarray:
     return (volumes > 0.0) & np.isfinite(volumes) & (spreads >= 0.0) & np.isfinite(spreads)
 
 
+def _rejections(keep: np.ndarray, volumes: np.ndarray, spreads: np.ndarray) -> Rejections:
+    """The samples outside the mask ``keep``, counted by cause in the order
+    of ``Rejections``; a rejected finite sample with a positive volume has a
+    negative spread."""
+    dropped = ~keep
+    n_dropped = int(np.count_nonzero(dropped))
+    if not n_dropped:
+        return Rejections()
+    finite = np.isfinite(volumes) & np.isfinite(spreads)
+    non_finite = int(np.count_nonzero(dropped & ~finite))
+    non_positive = int(np.count_nonzero(dropped & finite & ~(volumes > 0.0)))
+    return Rejections(non_finite, non_positive, n_dropped - non_finite - non_positive)
+
+
 def bars_to_samples(bars: BarColumns) -> SpreadSamples:
     """High-low ranges paired with per-bar volume.
 
@@ -249,7 +284,7 @@ def bars_to_samples(bars: BarColumns) -> SpreadSamples:
     keep = _accepted(bars.volume, ranges)
     return SpreadSamples(
         volumes=bars.volume[keep], spreads=ranges[keep],
-        source=CurveSource.BAR, n_rejected=len(bars) - int(np.count_nonzero(keep)),
+        source=CurveSource.BAR, rejected=_rejections(keep, bars.volume, ranges),
     )
 
 
@@ -258,17 +293,17 @@ def bar_blocks_to_samples(blocks: Iterable[BarColumns]) -> SpreadSamples:
 
     Only each block's accepted (volume, range) pairs outlive it.
     """
-    rejected = 0
+    rejected = Rejections()
 
     def accepted():
         nonlocal rejected
         for samples in map(bars_to_samples, blocks):
-            rejected += samples.n_rejected
+            rejected = rejected.plus(samples.rejected)
             yield samples
 
     volumes, spreads = join_blocks(accepted(), ("volumes", "spreads"))
     return SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR,
-                         n_rejected=rejected)
+                         rejected=rejected)
 
 
 def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
@@ -293,7 +328,7 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
     keep = (spreads >= 0.0) & np.isfinite(spreads) & (volumes > 0.0)
     return SpreadSamples(
         volumes=volumes[keep], spreads=spreads[keep], source=CurveSource.BID_ASK,
-        n_rejected=len(quotes) - int(np.count_nonzero(keep)),
+        rejected=_rejections(keep, volumes, spreads),
     )
 
 
@@ -321,11 +356,11 @@ def build_spread_volume_curve(
 
     volumes, spreads = samples.volumes, samples.spreads
     keep = _accepted(volumes, spreads)
-    n_bad = volumes.size - int(np.count_nonzero(keep))
-    if n_bad:
+    bad = _rejections(keep, volumes, spreads)
+    if bad.total:
         volumes, spreads = volumes[keep], spreads[keep]
     del keep
-    rejected = samples.n_rejected + n_bad
+    rejected = samples.rejected.plus(bad)
     if volumes.size == 0:
         raise InsufficientDataError("no usable (volume, spread) samples")
 
@@ -358,7 +393,8 @@ def build_spread_volume_curve(
         ))
     return SpreadVolumeCurve(
         buckets=tuple(buckets), quantile_level=quantile_level,
-        source=samples.source, n_accepted=int(volumes.size), n_rejected=rejected,
+        source=samples.source, n_accepted=int(volumes.size), n_rejected=rejected.total,
+        rejected=rejected,
     )
 
 

@@ -499,6 +499,7 @@ def cmd_curve(cfg: dict) -> None:
         "source": curve.source.value,
         "n_accepted": curve.n_accepted,
         "n_rejected": curve.n_rejected,
+        "rejected_by": curve.rejected._asdict(),
         "n_buckets": len(curve.buckets),
         "n_usable": len(curve.usable()),
     }

@@ -1,7 +1,14 @@
 """CSV and JSON input/output with byte-stable formatting.
 
-All writers emit "\n" line endings and repr-based float formatting, so a
-rerun with identical inputs produces identical bytes on any platform.
+All writers emit "\n" line endings, ``repr``'s text for every float and
+``str``'s for every int, so a rerun with identical inputs produces identical
+bytes on any platform.  One block formatter writes every table CSV: orjson
+formats a whole block of floats at once with a shortest round-trip algorithm
+(Adams, "Ryū", PLDI 2018), whose text is ``repr``'s for zero and for every
+magnitude in [1e-4, 1e16), the range where ``repr`` writes no exponent; a
+row with any other cell (NaN, an infinity, a subnormal, a tiny or a huge
+value) is formatted by ``repr`` itself.
+
 Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
@@ -33,6 +40,7 @@ from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from .calibration import (
     BarColumns,
@@ -52,8 +60,6 @@ _BAR_COLUMNS = BarColumns.names()
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
-# Bytes sha256_file reads at a time.
-_SCAN_CHUNK = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -87,11 +93,8 @@ def parse_timestamp(text: str) -> float:
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @contextlib.contextmanager
@@ -282,37 +285,61 @@ def read_curve(
 # writers
 # --------------------------------------------------------------------------
 
-def _write_blocks(path: str, header: Sequence[str],
-                  blocks: Iterable[Sequence[Iterable[str]]]) -> None:
-    """Write rows one block at a time, as ``blocks`` produces them.
+def _json_rows(block: np.ndarray) -> list[bytes]:
+    """orjson's text of each row of a 2-D array of at least one row, its
+    cells joined by commas."""
+    text = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[2:-2].split(b"],[")
 
-    Each block gives the cells of consecutive rows, one iterable of
-    formatted strings per column.  Only one block of cells is alive at a
-    time, so memory does not grow with the row count.  A block of no rows
-    writes nothing.
+
+def _format_block(floats: np.ndarray, lead: Sequence = (), trail: Sequence = ()) -> bytes:
+    """CSV rows, each ending in "\n", of a 2-D float block with the int
+    columns ``lead`` before its cells and ``trail`` after them.
+
+    Floats read as ``format_float`` writes them and ints as ``str`` does.
+    orjson's text equals ``repr``'s for zero and for magnitudes in
+    [1e-4, 1e16); it writes ``null``, ``0.00001`` and ``1e16`` where ``repr``
+    writes ``nan``, ``1e-05`` and ``1e+16``, so a row with a cell outside
+    that range is formatted by ``repr``.  A block of no rows gives no bytes.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for cells in blocks:
-            # The empty last item ends every row with "\n" and leaves no line
-            # for a block of no rows.
-            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
+    floats = np.asarray(floats, dtype=float)
+    if not len(floats):
+        return b""
+    rows = _json_rows(floats)
+    size = np.abs(floats)
+    plain = (size == 0.0) | (size >= 1e-4) & (size < 1e16)
+    caught = np.flatnonzero(~plain.all(axis=1))
+    for i, row in zip(caught.tolist(), floats[caught].tolist()):
+        rows[i] = ",".join(map(repr, row)).encode()
+    if lead or trail:
+        ints = [_json_rows(np.asarray(col, dtype=np.int64).reshape(-1, 1))
+                for col in (*lead, *trail)]
+        rows = list(map(b",".join, zip(*ints[:len(lead)], rows, *ints[len(lead):])))
+    return b"\n".join([*rows, b""])
+
+
+def _write_blocks(path: str, header: Sequence[str], blocks: Iterable[bytes]) -> None:
+    """Write the header, then each block of rows (see ``_format_block``) as
+    ``blocks`` produces it.  Only one block is alive at a time, so memory
+    does not grow with the row count."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        fh.writelines(blocks)
 
 
 def _write_columns(path: str, header: Sequence[str], n_rows: int,
-                   block: Callable[[slice], Sequence[Iterable[str]]]) -> None:
-    """Write ``n_rows`` rows; ``block(rows)`` gives the cells of the slice ``rows``."""
+                   block: Callable[[slice], bytes]) -> None:
+    """Write ``n_rows`` rows; ``block(rows)`` gives the rows of the slice ``rows``."""
     _write_blocks(path, header, map(block, row_blocks(n_rows)))
 
 
 def _write_table(path: str, header: Sequence[str], floats: Sequence,
                  ints: Sequence = ()) -> None:
-    """Write equal-length columns: ``floats`` (``format_float``), then ``ints`` (``str``)."""
+    """Write equal-length columns: ``floats``, then ``ints``."""
     floats = [np.asarray(col, dtype=float) for col in floats]
-    ints = [np.asarray(col, dtype=int) for col in ints]
-    _write_columns(path, header, len(floats[0]), lambda rows: (
-        *(_floats(col[rows]) for col in floats),
-        *(map(str, col[rows].tolist()) for col in ints)))
+    ints = [np.asarray(col, dtype=np.int64) for col in ints]
+    _write_columns(path, header, len(floats[0]), lambda rows: _format_block(
+        np.column_stack([col[rows] for col in floats]), trail=[col[rows] for col in ints]))
 
 
 @contextlib.contextmanager
@@ -332,13 +359,8 @@ def replaced_on_success(path: str) -> Iterator[str]:
     os.replace(tmp, path)
 
 
-def _floats(values) -> Iterable[str]:
-    """``format_float`` over a whole column."""
-    return map(repr, np.asarray(values, dtype=float).ravel().tolist())
-
-
-def _bar_cells(start: int, o, high, low, c, volume):
-    """OHLC cells of consecutive bars, stamped from row index ``start``.
+def _bar_rows(start: int, o, high, low, c, volume) -> bytes:
+    """OHLC rows of consecutive bars, stamped from row index ``start``.
 
     The open is the bar mid (start-of-bar anchor of the walk), the close is
     the last price; high/low are widened to contain both so every row is a
@@ -346,29 +368,29 @@ def _bar_cells(start: int, o, high, low, c, volume):
     """
     hi = np.maximum(np.maximum(high, o), c)
     lo = np.minimum(np.minimum(low, o), c)
-    return (map(str, range(start, start + len(o))),
-            *(_floats(col) for col in (o, hi, lo, c, volume)))
+    return _format_block(np.column_stack((o, hi, lo, c, volume)),
+                         lead=[np.arange(start, start + len(o))])
 
 
 def write_bar_blocks(path: str, blocks: Iterable[BarSeries]) -> None:
-    """Serialize bar blocks to OHLC rows as they are produced (see ``_bar_cells``).
+    """Serialize bar blocks to OHLC rows as they are produced (see ``_bar_rows``).
 
     Rows are stamped with their index in the whole stream.
     """
-    def cells():
+    def rows():
         start = 0
         for block in blocks:
-            yield _bar_cells(start, block.s_mid, block.s_high, block.s_low,
-                             block.s_last, block.volume)
+            yield _bar_rows(start, block.s_mid, block.s_high, block.s_low,
+                            block.s_last, block.volume)
             start += len(block)
 
-    _write_blocks(path, _BAR_COLUMNS, cells())
+    _write_blocks(path, _BAR_COLUMNS, rows())
 
 
 def write_bars_csv(path: str, series: BarSeries) -> None:
-    """Serialize a whole bar series to OHLC rows (see ``_bar_cells``)."""
+    """Serialize a whole bar series to OHLC rows (see ``_bar_rows``)."""
     columns = (series.s_mid, series.s_high, series.s_low, series.s_last, series.volume)
-    _write_columns(path, _BAR_COLUMNS, len(series), lambda rows: _bar_cells(
+    _write_columns(path, _BAR_COLUMNS, len(series), lambda rows: _bar_rows(
         rows.start, *(column[rows] for column in columns)))
 
 
@@ -437,7 +459,7 @@ def write_surface_csv(path: str, t_grid: Sequence[float],
 
     def block(rows: slice):
         t_index, v_index = np.divmod(np.arange(rows.start, rows.stop), len(v_grid))
-        return _floats(t_grid[t_index]), _floats(v_grid[v_index]), _floats(deltas[rows])
+        return _format_block(np.column_stack((t_grid[t_index], v_grid[v_index], deltas[rows])))
 
     _write_columns(path, ("T", "v", "delta"), deltas.size, block)
 

@@ -16,6 +16,7 @@ from spreadwave import (
     FlowStats,
     InsufficientDataError,
     QuoteColumns,
+    Rejections,
     SpreadSamples,
     TradeColumns,
     bar_spread_model,
@@ -97,6 +98,9 @@ def test_bars_to_samples_rejects_bad_rows():
     assert samples.spreads[0] == pytest.approx(2.0)
     assert samples.spreads[1] == 0.0
     assert samples.n_rejected == 6
+    # NaN and infinite volumes and ranges first, then the zero volume.
+    assert samples.rejected == Rejections(non_finite=4, non_positive_volume=1,
+                                          negative_spread=1)
     assert samples.source is CurveSource.BAR
 
 
@@ -112,6 +116,7 @@ def test_quotes_to_samples_trailing_volume():
     assert samples.volumes == pytest.approx([10.0, 10.0])
     assert samples.spreads == pytest.approx([2.0, 1.0])
     assert samples.n_rejected == 2
+    assert samples.rejected == Rejections(non_positive_volume=1, negative_spread=1)
     assert samples.source is CurveSource.BID_ASK
 
 
@@ -222,6 +227,45 @@ def test_degenerate_volume_range():
     usable = curve.usable()
     assert len(usable) >= 1
     assert sum(b.count for b in curve.buckets) == 100
+
+
+def test_rejections_count_each_sample_under_its_first_cause():
+    """A sample that fails several checks counts once, under the first of
+    non-finite, non-positive volume and negative spread; the curve adds the
+    samples' own rejections to those it makes."""
+    nan, inf = math.nan, math.inf
+    volumes = np.array([nan, inf, -1.0, 0.0, -inf, 2.0, 3.0, 4.0, 0.0, 5.0, 6.0])
+    spreads = np.array([-1.0, 1.0, nan, -1.0, 1.0, -0.5, -inf, 1.0, 1.0, 2.0, 0.0])
+    samples = SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR,
+                            rejected=Rejections(1, 2, 3))
+    curve = build_spread_volume_curve(samples, BucketSpec(n_buckets=1), min_count=1)
+    assert curve.rejected == Rejections(non_finite=1 + 5, non_positive_volume=2 + 2,
+                                        negative_spread=3 + 1)
+    assert curve.n_rejected == curve.rejected.total == 14
+    assert curve.n_accepted == 3
+
+
+def test_curve_report_splits_rejections_by_cause(tmp_path):
+    rows = ["timestamp,open,high,low,close,volume"]
+    for i in range(200):
+        high, low, volume = 10.0 + 0.01 * (i % 7), 9.5, 1.0 + i
+        if i % 10 == 1:
+            volume = 0.0
+        elif i % 10 == 2:
+            high = math.inf
+        elif i % 10 == 3:
+            high, low = 9.0, 9.5
+        elif i % 20 == 4:
+            volume = -math.nan
+        rows.append(f"{i},9.75,{high!r},{low!r},9.75,{volume!r}")
+    (tmp_path / "bars.csv").write_text("\n".join(rows) + "\n")
+    res = CliRunner().invoke(main, ["curve", "--bars", str(tmp_path / "bars.csv"),
+                                    "--buckets", "4", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    summary = read_json_report(str(tmp_path / "curve_report.json"))["summary"]
+    assert summary["rejected_by"] == {"non_finite": 30, "non_positive_volume": 20,
+                                      "negative_spread": 20}
+    assert summary["n_rejected"] == 70 and summary["n_accepted"] == 130
 
 
 def test_no_usable_samples_raises():

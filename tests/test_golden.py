@@ -132,10 +132,10 @@ def _write_tape(tmp_path, stamp):
 _CURVE_DIGEST = "5871808e179427e3931e8575e6b5c7fe7732fad32260b810d9fb02e0fbbd0f90"
 _HIST_DIGEST = "1e7854f5374bf1abc9ac8441cf1035d555c81437f6a0aa39a12a04f91c767be9"
 _QUOTE_TAPES = {
-    "iso": (_iso_stamp, "0ebc994847daa9fbf7ad55c70a78d6acb94c92852af3497e79e51d3a6eec1aba"),
+    "iso": (_iso_stamp, "ff670f36da3742580b3cbfb0db3004ff6e2107d9c5ee075867e7c6b974834a0a"),
     "numeric": (_numeric_stamp,
-                "54e87e30a47a98c58d51759aa12651a20814ef48f5f3501860b5232b37e43950"),
-    "mixed": (_mixed_stamp, "a315ba21c2a75b9dc709ecafd2c024e89faa44c88de953b481a4c3bf6e1a0eb0"),
+                "b43f226fab5f308146f4e3519f44007e8ce6e5a371f28b745a8965e0b7f96659"),
+    "mixed": (_mixed_stamp, "7c19e9084737c9f29aab98c4eb1d5becb2c608228879c29596b9c6255551d689"),
 }
 
 
@@ -173,7 +173,7 @@ _README_DIGESTS = {
     "simulate_report.json": "84e59f19287fb00506c4dc7e74add356d225987127b14521f2dc58145bbe22d0",
     "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
     "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
-    "curve_report.json": "02c89b6d3964018e92a06c01c8bbefecbfe1e9b96ee63a007ffbf485facb55ae",
+    "curve_report.json": "73414990703ebaaa5472afbecc05e5d90885608b427160f543bbeed6c567b76a",
     "calibration.json": "2765d0534f86d4f318103c55ed03e6f82e9d2f6e95322c3aeb18d28b00a6bc76",
     "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
     "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",

@@ -1,5 +1,6 @@
 """CSV/JSON round trips and the command-line interface contract."""
 
+import hashlib
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from spreadwave import (
     VolumeConfig,
     simulate_path,
 )
-from spreadwave import cli
+from spreadwave import cli, data_io
 from spreadwave.calibration import (
     SpreadSamples,
     build_spread_volume_curve,
@@ -62,6 +63,66 @@ def test_format_float_round_trips():
             assert text == "nan"
         else:
             assert float(text) == x
+
+
+def _format_block_reference(floats, lead=(), trail=()) -> bytes:
+    """``format_float`` over every float cell and ``str`` over every int cell."""
+    rows = zip(*(map(str, col) for col in lead),
+               (",".join(map(format_float, row)) for row in floats),
+               *(map(str, col) for col in trail))
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+_BIT_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
+              st.lists(_BIT_FLOATS, min_size=width, max_size=width),
+              st.integers(0, 10 ** 6)), max_size=30).map(lambda rows: (width, rows))))
+def test_format_block_matches_format_float(table):
+    """Any float64 bit pattern (NaN and infinities, subnormals, any exponent)
+    reads as ``format_float`` writes it, with the int cells in place."""
+    width, rows = table
+    lead = [[row[0] for row in rows]]
+    floats = np.array([row[1] for row in rows], dtype=float).reshape(len(rows), width)
+    trail = [[row[2] for row in rows]]
+    assert (data_io._format_block(floats, lead, trail)
+            == _format_block_reference(floats.tolist(), lead, trail))
+
+
+_TINY = np.nextafter(1e-4, 0.0)
+
+
+@pytest.mark.parametrize("x", [
+    1e-4, _TINY, -_TINY, 1e16, np.nextafter(1e16, 0.0), -1e16, 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan, 0.1, 1e15])
+def test_format_block_edges_of_the_plain_range(x):
+    """The cells on both sides of the bounds where ``repr`` turns to an
+    exponent, alone and next to a plain cell."""
+    alone = [[x], [2.5]]
+    assert data_io._format_block(np.array(alone)) == _format_block_reference(alone)
+    pair = [[2.5, x]]
+    assert (data_io._format_block(np.array(pair), trail=[[3]])
+            == _format_block_reference(pair, trail=[[3]]))
+
+
+def test_format_block_of_no_rows_is_empty():
+    # orjson writes an empty array as b"[]", which would split into one empty row.
+    assert data_io._format_block(np.empty((0, 3))) == b""
+    assert data_io._format_block(np.empty((0, 2)), lead=[np.arange(0)]) == b""
+
+
+def test_format_block_makes_strided_columns_contiguous():
+    """orjson refuses an array that is not C-contiguous; the formatter copies it."""
+    table = np.arange(24.0).reshape(6, 4) / 7.0
+    counts = np.arange(12)[::2]
+    for floats in (table[:, ::2], table.T[:3], table[::-1]):
+        assert not floats.flags.c_contiguous
+        assert data_io._format_block(floats, trail=[counts[:len(floats)]]) == (
+            _format_block_reference(floats.tolist(), trail=[counts[:len(floats)].tolist()]))
 
 
 def test_parse_timestamp_forms():
@@ -158,6 +219,11 @@ def test_sha256_file(tmp_path):
     # sha256("abc") is a published reference vector
     assert sha256_file(str(path)) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+    # An empty file, and one of over 5 MiB that is not a multiple of 4 kB.
+    for size in (0, 5 * 2 ** 20 + 3):
+        data = np.random.default_rng(size).bytes(size)
+        path.write_bytes(data)
+        assert sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 # --------------------------------------------------------------------------
