@@ -210,7 +210,6 @@ class CalibrationResult:
     residual_norm: float
     covariance_diag: tuple[float, float]
     converged: bool = True
-    rho_tau0_product: float | None = None
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +311,8 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
 
     Each quote's volume is the total trade size in (t - window, t] divided
     by the window length.  Quotes with a negative or non-finite spread are
-    rejected, and so are quotes with no trailing flow (they cannot be placed
-    on a log-volume axis).
+    rejected, and so are quotes with no (or a non-finite) trailing flow:
+    they cannot be placed on a log-volume axis.
     """
     if not (window > 0.0):
         raise DomainError(f"window must be > 0, got {window!r}")
@@ -325,7 +324,7 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
         volumes = (cumsize[np.searchsorted(times, quotes.timestamp, side="right")]
                    - cumsize[np.searchsorted(times, quotes.timestamp - window, side="right")]
                    ) / window
-    keep = (spreads >= 0.0) & np.isfinite(spreads) & (volumes > 0.0)
+    keep = _accepted(volumes, spreads)
     return SpreadSamples(
         volumes=volumes[keep], spreads=spreads[keep], source=CurveSource.BID_ASK,
         rejected=_rejections(keep, volumes, spreads),
@@ -402,18 +401,6 @@ def build_spread_volume_curve(
 # model fits
 # --------------------------------------------------------------------------
 
-def _usable_curve_arrays(curve: SpreadVolumeCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    usable = [b for b in curve.usable() if math.isfinite(b.spread_q)]
-    if len(usable) < 3:
-        raise InsufficientDataError(
-            f"need >= 3 usable buckets to fit, got {len(usable)}"
-        )
-    v = np.array([b.v_mid for b in usable])
-    y = np.array([b.spread_q for b in usable])
-    w = np.sqrt(np.array([b.count for b in usable], dtype=float))
-    return v, y, w
-
-
 def _nnls2(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||m x - b|| over x >= 0 for a two-column ``m``, in closed form.
 
@@ -456,38 +443,40 @@ def _pinv2(g: np.ndarray) -> np.ndarray:
 
 
 def _run_spread_fit(
-    v: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    law,                        # law(V, lam, rho, tau0) -> spread (same units as y)
+    curve: SpreadVolumeCurve,
+    law,                        # law(V, lam, rho) -> spread (same units as the curve)
     flow: FlowStats,
     tau0: float,
-    strict_product: bool,
 ) -> CalibrationResult:
-    """Weighted least squares of ``law`` on (lam, x) >= 0.
+    """Weighted least squares of ``law`` on (lam, rho) >= 0 over the curve's
+    usable buckets, at the fixed ``tau0`` the caller bound into ``law``.
 
-    Both laws have the form f = sqrt(lam^2 A(V) + x^2 B(V)), with
-    A = model(V, 1, 0)^2 and B = model(V, 0, 1)^2.  The start value is the
-    non-negative least-squares fit of (lam^2, x^2) to y^2; a Levenberg-
+    Both laws have the form f = sqrt(lam^2 A(V) + rho^2 B(V)), with
+    A = law(V, 1, 0)^2 and B = law(V, 0, 1)^2.  The start value is the
+    non-negative least-squares fit of (lam^2, rho^2) to y^2; a Levenberg-
     Marquardt iteration (More, 1978) refines it with the analytic Jacobian
-    (lam A, x B) / f.  f is even in each parameter, so |x| projects a step
+    (lam A, rho B) / f.  f is even in each parameter, so |x| projects a step
     onto the bounds without changing the objective.  A parameter whose
     column of (A, B) is zero on every bucket (lambda when sigma = 0) is not
     identified and raises DomainError.
     """
-    def model(V, lam, x):  # x is rho, or when strict rho * tau0, taken as tau0 with rho = 1
-        return law(V, lam, 1.0, x) if strict_product else law(V, lam, x, tau0)
+    check_finite("tau0", tau0, above=0.0)
+    usable = [(b.v_mid, b.spread_q, b.count) for b in curve.usable()
+              if math.isfinite(b.spread_q)]
+    if len(usable) < 3:
+        raise InsufficientDataError(f"need >= 3 usable buckets to fit, got {len(usable)}")
+    v, y, counts = np.array(usable, dtype=float).T
+    w = np.sqrt(counts)
 
-    basis = np.column_stack([model(v, 1.0, 0.0), model(v, 0.0, 1.0)]) ** 2
-    for name, column in zip(("lambda", "rho_tau0_product" if strict_product else "rho"),
-                            basis.T):
+    basis = np.column_stack([law(v, 1.0, 0.0), law(v, 0.0, 1.0)]) ** 2
+    for name, column in zip(("lambda", "rho"), basis.T):
         if not column.any():
             raise DomainError(f"{name} is not identified: its term of the spread law is "
                               f"zero on every bucket (sigma={flow.sigma!r}, tau0={tau0!r})")
     x = np.sqrt(np.maximum(_nnls2(basis * w[:, None], (y * y) * w), 1e-16))
 
     def evaluate(p):
-        f = model(v, p[0], p[1])
+        f = law(v, p[0], p[1])
         return f, w * (f - y)
 
     def jacobian(p, f):
@@ -523,16 +512,12 @@ def _run_spread_fit(
             mu *= nu
             nu *= 2.0
 
-    rho_like = float(x[1])  # the product rho * tau0 itself when strict
     jac = jacobian(x, f)
     cov = cost / max(len(v) - 2, 1) * _pinv2(jac.T @ jac)
-    rho_var = float(cov[1, 1])  # the product's variance when strict
     result = CalibrationResult(
-        lambda_hat=float(x[0]), rho_hat=rho_like / tau0 if strict_product else rho_like,
-        tau0_hat=tau0, residual_norm=math.sqrt(cost),
-        covariance_diag=(float(cov[0, 0]), rho_var / tau0 / tau0 if strict_product else rho_var),
+        lambda_hat=float(x[0]), rho_hat=float(x[1]), tau0_hat=tau0,
+        residual_norm=math.sqrt(cost), covariance_diag=(float(cov[0, 0]), float(cov[1, 1])),
         converged=bool(converged),
-        rho_tau0_product=rho_like if strict_product else None,
     )
     if not converged:
         why = "" if math.isfinite(cost) else " (non-finite residuals)"
@@ -545,22 +530,17 @@ def fit_bid_ask_curve(
     curve: SpreadVolumeCurve,
     flow: FlowStats,
     tau0: float = 1.0,
-    strict_product: bool = False,
 ) -> CalibrationResult:
     """Weighted least-squares fit of the bid-ask law to a percentile curve.
 
     rho and tau0 enter only through their product, so tau0 is fixed and
-    (lambda, rho) are fitted; ``strict_product`` fits the product instead
-    and reports it explicitly.  Bucket weights are the trade counts.
+    (lambda, rho) are fitted: rho_hat * tau0 is the identified quantity.
+    Bucket weights are the trade counts.
     """
-    check_finite("tau0", tau0, above=0.0)
-    v, y, w = _usable_curve_arrays(curve)
-    s = flow.mean_price
+    def law(V, lam, rho):
+        return flow.mean_price * bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
 
-    def law(V, lam, rho, tau0):
-        return s * bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
-
-    return _run_spread_fit(v, y, w, law, flow, tau0, strict_product)
+    return _run_spread_fit(curve, law, flow, tau0)
 
 
 def fit_bar_curve(
@@ -568,22 +548,19 @@ def fit_bar_curve(
     horizon_T: float,
     flow: FlowStats,
     tau0: float = 1.0,
-    strict_product: bool = False,
 ) -> CalibrationResult:
     """Weighted least-squares fit of the bar law at a fixed horizon.
 
     ``flow.sigma`` is interpreted at the horizon (sigma_T); the V -> 0
-    intercept identifies lambda * sigma_T directly.
+    intercept identifies lambda * sigma_T directly.  As in the bid-ask fit,
+    tau0 is fixed and rho_hat * tau0 is the identified quantity.
     """
-    check_finite("tau0", tau0, above=0.0)
     check_finite("horizon_T", horizon_T, above=0.0)
-    v, y, w = _usable_curve_arrays(curve)
-    s = flow.mean_price
+    def law(V, lam, rho):
+        return flow.mean_price * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0,
+                                                  horizon_T)
 
-    def law(V, lam, rho, tau0):
-        return s * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0, horizon_T)
-
-    return _run_spread_fit(v, y, w, law, flow, tau0, strict_product)
+    return _run_spread_fit(curve, law, flow, tau0)
 
 
 # --------------------------------------------------------------------------
@@ -633,10 +610,8 @@ def parse_calibration_report(report: dict, path: str, horizon: float) -> tuple[
         fit = [float(res[key]) for key in
                ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm")]
         lam_var, rho_var = map(float, res["covariance_diag"])
-        product = res["rho_tau0_product"]
         result = CalibrationResult(
-            *fit, covariance_diag=(lam_var, rho_var), converged=res["converged"] is True,
-            rho_tau0_product=None if product is None else float(product))
+            *fit, covariance_diag=(lam_var, rho_var), converged=res["converged"] is True)
         n, volume, sigma, price = [float(report["flow"][key])
                                    for key in ("n", "volume", "sigma", "price")]
         kind = report["kind"]

@@ -136,8 +136,8 @@ _COMMAND_KEYS: dict[str, dict[str, _Key]] = {
                       "Volatility (per reference time, or per horizon for bars)."),
         "price": _Key(float, None, "Price scale."),
         "volume": _Key(float, 0.0, "Volume rate (optional)."),
-        "tau0": _Key(float, 1.0, "Fixed time constant."),
-        "strict_product": _Key(bool, False, "Fit rho*tau0 as a single parameter."),
+        "tau0": _Key(float, 1.0, "Fixed time constant; rho is reported at it, and "
+                     "rho*tau0 is the identified quantity."),
         "min_count": _Key(int, 20),
     },
     "scale": {
@@ -339,7 +339,30 @@ def _run_body(command: str, body: Callable[[], None]) -> None:
         raise SystemExit(EXIT_NUMERICAL)
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group.  A usage error (an unknown command or flag, or a
+    flag without its value) exits 3 with one ``error:`` line, as invalid
+    config does, instead of click's usage text and exit 2, the I/O-failure
+    code.  A bare ``spreadwave`` still prints its help."""
+
+    def make_context(self, *args, **kwargs):
+        return _one_line_usage(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):  # resolves the command and parses its flags
+        return _one_line_usage(super().invoke, ctx)
+
+
+def _one_line_usage(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except click.UsageError as exc:
+        if isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ())):
+            raise  # click >= 8.2 shows the help of a bare group this way
+        click.echo(f"error: {exc.format_message()}", err=True)
+        raise SystemExit(EXIT_INVALID_INPUT) from None
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="spreadwave")
 def main() -> None:
     """Spread modeling, calibration, and quoting-policy toolkit."""
@@ -523,12 +546,11 @@ def cmd_calibrate(cfg: dict) -> None:
 
     report = _report_envelope("calibrate", cfg, [cfg["curve"]])
     result_path = _out_path(cfg, "calibration.json")
-    fit = {"flow": flow, "tau0": cfg["tau0"], "strict_product": cfg["strict_product"]}
     try:
         if source is CurveSource.BAR:
-            result = fit_bar_curve(curve, horizon_T=cfg["horizon"], **fit)
+            result = fit_bar_curve(curve, cfg["horizon"], flow, cfg["tau0"])
         else:
-            result = fit_bid_ask_curve(curve, **fit)
+            result = fit_bid_ask_curve(curve, flow, cfg["tau0"])
     except FitConvergenceError as exc:
         report["error"] = str(exc)
         report.update(calibration_report(exc.best_so_far))

@@ -13,10 +13,10 @@ README's two ``scale`` invocations; like the pipeline golden they may
 change only deliberately, with the cause in CHANGES.md.  The quote-path
 goldens run ``curve --quotes --trades`` on tapes built from integer
 arithmetic, with ISO-8601, numeric and mixed timestamps; like the I/O
-goldens they must never move.  The bid-ask goldens run ``calibrate --kind
-bidask``, plain and with the strict product, and ``optimize`` on its
-report; like the pipeline golden they depend on the fit, so they hold for
-one numpy version and may change only deliberately.
+goldens they must never move.  The bid-ask golden runs ``calibrate --kind
+bidask`` and ``optimize`` on its report; like the pipeline golden it
+depends on the fit, so it holds for one numpy version and may change only
+deliberately.
 """
 
 import hashlib
@@ -174,10 +174,10 @@ _README_DIGESTS = {
     "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
     "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
     "curve_report.json": "73414990703ebaaa5472afbecc05e5d90885608b427160f543bbeed6c567b76a",
-    "calibration.json": "2765d0534f86d4f318103c55ed03e6f82e9d2f6e95322c3aeb18d28b00a6bc76",
+    "calibration.json": "6317e004fc761219bd82ab92e30d98c1f588bcbb840161a3e2c28892127eb069",
     "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
     "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",
-    "optimize_report.json": "70336b6833c5c28d5394f17e772406d789e8d32602e12da0bce1341b47ef4399",
+    "optimize_report.json": "b513a198b0fd9b4c01374fabcb095632d65dd530866972087b968573bed1c57d",
 }
 
 
@@ -192,9 +192,8 @@ def test_readme_pipeline_golden(tmp_path, monkeypatch):
 
 
 # The bid-ask calibration path: ``calibrate --kind bidask`` on a curve CSV
-# built from correctly rounded arithmetic alone, plain and with the strict
-# product, each followed by ``optimize --calibration``.  Like the pipeline
-# golden these hold for one numpy version.
+# built from correctly rounded arithmetic alone, followed by ``optimize
+# --calibration``.  Like the pipeline golden it holds for one numpy version.
 _BIDASK_CURVE_BUCKETS = 12
 
 
@@ -214,18 +213,11 @@ def _bidask_curve_text():
 
 _BIDASK_DIGESTS = {
     "plain": {
-        "calibration.json": "1e9c907c76dcfd0e05c589bae2c65345fd738953b3241f42556d42b46703cb55",
+        "calibration.json": "b7442a98ae9944db281e5db9619ac40e982e48ddf627b1b16cf0858901438415",
         "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
         "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
         "optimize_report.json":
-            "5becb1d829294edda80c5275026ebbfd965dbe657d032f58a5dff6ca89901b0e",
-    },
-    "strict": {
-        "calibration.json": "866f9d262898a527c8896453be656a5e699ced0ae4e7af24fd420590c051f3a5",
-        "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
-        "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
-        "optimize_report.json":
-            "3fe4c2aa34f5e5cfb89416887240b298049fdda05fcaa2cab98dcfa4b085f779",
+            "ad05c12726a0751eef1db031e37f50c4ebc7cfaf0feef8b234e5df6c177e827d",
     },
 }
 
@@ -236,10 +228,9 @@ def test_bidask_calibrate_optimize_golden(tmp_path, monkeypatch, case):
         monkeypatch.delenv(key)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "curve.csv").write_text(_bidask_curve_text(), encoding="utf-8")
-    strict = ["--strict-product", "true"] if case == "strict" else []
     for command in (
         ["calibrate", "--curve", "curve.csv", "--kind", "bidask", "--n", "100",
-         "--sigma", "0.02", "--price", "50", "--tau0", "0.01", *strict],
+         "--sigma", "0.02", "--price", "50", "--tau0", "0.01"],
         ["optimize", "--calibration", "calibration.json", "--alpha", "0.001",
          "--lambda0", "3.0"],
     ):

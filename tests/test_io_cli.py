@@ -552,6 +552,39 @@ def test_version_flag():
     assert "spreadwave" in res.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["calibrate", "--strict-product", "true"], "No such option '--strict-product'"),
+    (["calibrate", "--n"], "Option '--n' requires an argument"),
+    (["calibrate", "--kind", "bar", "extra"], "Got unexpected extra argument (extra)"),
+    (["calibrat"], "No such command 'calibrat'"),
+    (["--bogus"], "No such option '--bogus'"),
+], ids=["removed-flag", "flag-without-value", "extra-argument", "unknown-command",
+        "unknown-group-flag"])
+def test_usage_error_exit_3_one_line(tmp_path, monkeypatch, args, message):
+    """A usage error is invalid input, not an I/O failure: exit 3 and one
+    line, without click's usage text."""
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert res.stdout == "" and os.listdir(tmp_path) == []
+
+
+def test_removed_config_key_exit_3_one_line(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"strict_product": False}))
+    res = CliRunner().invoke(main, ["calibrate", "--config", str(cfg),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 3
+    assert stderr_lines(res) == ["error: unknown config keys for calibrate: strict_product"]
+
+
+def test_bare_command_prints_help():
+    res = CliRunner().invoke(main, [])
+    assert "Usage:" in res.output and "calibrate" in res.output
+
+
 def stderr_lines(result):
     try:
         text = result.stderr
