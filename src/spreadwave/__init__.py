@@ -9,6 +9,8 @@ spreads across time horizons, and the optimizer turns a calibrated curve
 into an operating quoting policy.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .calibration import (
@@ -100,36 +102,6 @@ from .spread_models import (
     transaction_time,
 )
 
-__all__ = [
-    "__version__",
-    # errors
-    "SpreadwaveError", "DomainError", "NoSolutionError",
-    "InsufficientDataError", "InputFormatError", "FitConvergenceError",
-    # spread models
-    "STRADDLE_LAMBDA", "SpreadModelParams", "DimensionlessSpreadParams",
-    "SpreadMinimum", "transaction_time", "basic_spread", "straddle_spread",
-    "general_spread", "general_spread_dimensionless", "spread_minimum",
-    "inverse_spread_volumes",
-    # coupled wave
-    "LastPriceRule", "CoupledWaveParams", "PriceOperator2x2", "BarSample",
-    "AmplitudeState", "VolumeConfig", "BarSeries", "eigen_decompose",
-    "step_price", "simulate_path", "path_volatility", "predicted_volatility",
-    "bar_height_rayleigh_scale", "evolve_amplitudes", "evolve_fluctuating",
-    "suggest_amplitude_dt", "impact_price",
-    # scaling
-    "PiecewiseConstantTable", "SpreadSurfaceParams",
-    "scale_spread_time", "classical_scale", "bar_spread_with_volume",
-    "bar_spread_dimensionless", "spread_surface", "default_surface_grids",
-    # calibration
-    "TradeColumns", "QuoteColumns", "BarColumns", "CurveSource", "FlowStats",
-    "Rejections", "SpreadSamples", "CurveBucket", "BucketSpec", "SpreadVolumeCurve",
-    "CalibrationResult", "measure_flow_stats", "bars_to_samples",
-    "quotes_to_samples", "build_spread_volume_curve", "bidask_spread_model",
-    "bar_spread_model", "fit_bid_ask_curve", "fit_bar_curve",
-    "fit_execution_scale",
-    # optimizer
-    "DEFAULT_LAMBDA_REF_FRACTION", "ExecutionModel", "LinearSpreadLaw",
-    "PnLParams", "OptimizeResult", "QuotePolicy", "execution_rate",
-    "execution_density", "spread_pnl", "stationarity_residual",
-    "optimize_spread", "policy_curve", "dimensionless_law", "calibrated_law",
-]
+# The public names are the ones imported above, declared there once.
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -1,11 +1,14 @@
 """Flow statistics, percentile curves, and spread-law fitting."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadwave import (
     BarColumns,
@@ -14,6 +17,7 @@ from spreadwave import (
     DomainError,
     FitConvergenceError,
     FlowStats,
+    InputFormatError,
     InsufficientDataError,
     QuoteColumns,
     Rejections,
@@ -426,6 +430,48 @@ def test_fit_objective_no_worse_than_scipy(name, readme_curve):
     assert result.residual_norm == pytest.approx(math.sqrt(ours), rel=1e-12, abs=1e-300)
 
 
+@given(kind=st.sampled_from(["bidask", "bar"]), tau0=st.floats(1e-3, 10.0),
+       noise=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_fit_sse_no_worse_than_bounded_least_squares(kind, tau0, noise, seed):
+    """The fit against scipy's least_squares on [0, inf), both from the curve's
+    generating values (lambda 3.5, rho tau0 0.012), fitted at any tau0.
+
+    The fit stops once a step is below 1e-12 of the parameters, so its excess
+    SSE has a part relative to the SSE and a part relative to sum((w y)^2),
+    which J x = w f brings in.  Over 1500 draws of these ranges, with noise
+    also log-uniform down to 1e-20 and exactly 0, the excess stayed below
+    1e-11 * SSE + 1.6e-22 * sum((w y)^2); the bound below has 6x on the
+    second part.  Above 0.1% noise the excess was at most 2e-13 * SSE.
+    """
+    from scipy.optimize import least_squares
+
+    T = 2.0 if kind == "bar" else None
+    source = CurveSource.BAR if T else CurveSource.BID_ASK
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=noise, seed=seed,
+                                   source=source, horizon_T=T)
+    if T is None:
+        result = fit_bid_ask_curve(curve, FLOW, tau0=tau0)
+        law = lambda V, lam, rho: bidask_spread_model(V, lam, rho, FLOW.sigma, FLOW.n, tau0)
+    else:
+        result = fit_bar_curve(curve, horizon_T=T, flow=FLOW, tau0=tau0)
+        law = lambda V, lam, rho: bar_spread_model(V, lam, rho, FLOW.sigma, FLOW.n, tau0, T)
+    usable = curve.usable()
+    v = np.array([b.v_mid for b in usable])
+    y = np.array([b.spread_q for b in usable])
+    w = np.sqrt(np.array([b.count for b in usable], dtype=float))
+
+    def residuals(p):
+        return w * (FLOW.mean_price * law(v, p[0], p[1]) - y)
+
+    theirs = least_squares(residuals, [3.5, 0.012 / tau0], bounds=(0.0, np.inf),
+                           x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    sse_theirs = float(theirs.fun @ theirs.fun)
+    ours = residuals([result.lambda_hat, result.rho_hat])
+    assert result.converged
+    assert ours @ ours <= sse_theirs * (1.0 + 1e-11) + 1e-21 * float(np.sum((w * y) ** 2))
+
+
 def test_fit_covariance_is_the_gauss_newton_estimate():
     # res_var * (J^T J)^-1 with J from central differences of the law in (lambda, rho).
     curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
@@ -480,6 +526,34 @@ def test_closed_form_pinv_is_numpys(g):
     assert np.max(np.abs(calibration._pinv2(g) - want)) <= 4.0 * np.finfo(float).eps * cond * scale
 
 
+def _damped(jac, mu):
+    hess = jac.T @ jac
+    return hess + mu * np.diag(np.diag(hess))
+
+
+_SYSTEMS = {
+    "random": _damped(_RNG.standard_normal((9, 2)), 1e-3),
+    # Columns at a relative angle of 1e-9: cond about 2e12 at this damping.
+    "near-singular": _damped(np.column_stack([np.ones(9), 1.0 + 1e-9 * np.arange(9.0)]),
+                             1e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_closed_form_damped_step_is_numpys(name, scale):
+    m = scale * _SYSTEMS[name]
+    c0 = np.random.default_rng(5).standard_normal(2)
+    # Both solutions are within a few eps * cond(m) of the exact one; over 60k
+    # random damped systems, scaled and near-singular ones among them, the
+    # difference stayed within 1.5 eps * cond(m) of the largest entry.
+    for c in (c0, scale * c0):
+        want = np.linalg.solve(m, c)
+        got = np.array(calibration._solve2(*map(float, (m[0, 0], m[0, 1], m[1, 1], *c))))
+        bound = 4.0 * np.finfo(float).eps * np.linalg.cond(m) * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
+
+
 @pytest.mark.parametrize("kind", ["bidask", "bar"])
 @pytest.mark.parametrize("sigma, tau0, name", [
     (0.0, 0.01, "lambda"),     # a constant-price tape
@@ -502,6 +576,7 @@ def test_fit_evaluation_cap_raises_with_best_so_far(monkeypatch):
         fit_bid_ask_curve(curve, FLOW, tau0=0.01)
     best = info.value.best_so_far
     assert best is not None and not best.converged
+    assert (best.evaluations, best.stop) == (1, "cap")
     assert math.isfinite(best.lambda_hat) and math.isfinite(best.rho_hat)
     assert best.lambda_hat > 0.0 and best.rho_hat > 0.0
 
@@ -521,6 +596,33 @@ def test_fit_evaluation_cap_via_cli(tmp_path, monkeypatch):
     assert "did not converge" in report["error"]
     assert report["result"]["converged"] is False
     assert not (tmp_path / "overlay.csv").exists()
+
+
+def test_fit_bucket_where_the_law_vanishes_only_adds_its_residual():
+    # f = 0 on one bucket: its Jacobian row is 0/0 and counts as zero, so the
+    # fit is the fit without that bucket, plus that bucket's constant residual.
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    gone = curve.buckets[5]
+
+    def law(V, lam, rho):
+        on = V != gone.v_mid
+        return FLOW.mean_price * on * bidask_spread_model(V, lam, rho, FLOW.sigma, FLOW.n, 0.01)
+
+    with_zero = calibration._run_spread_fit(curve, law, FLOW, 0.01)
+    buckets = tuple(dataclasses.replace(b, flagged=b is gone) for b in curve.buckets)
+    without = fit_bid_ask_curve(dataclasses.replace(curve, buckets=buckets), FLOW, tau0=0.01)
+    assert with_zero.lambda_hat == pytest.approx(without.lambda_hat, rel=1e-9)
+    assert with_zero.rho_hat == pytest.approx(without.rho_hat, rel=1e-9)
+    assert with_zero.residual_norm ** 2 == pytest.approx(
+        without.residual_norm ** 2 + gone.count * gone.spread_q ** 2, rel=1e-12)
+
+
+def test_fit_reports_its_evaluations_and_stop(readme_curve):
+    # The README pipeline's fit: 7 law evaluations before the float-form
+    # iteration too, counted by wrapping the law.
+    flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=100.0)
+    result = fit_bar_curve(readme_curve, horizon_T=1.0, flow=flow)
+    assert (result.evaluations, result.stop) == (7, "cost")
 
 
 # --------------------------------------------------------------------------
@@ -592,3 +694,28 @@ def test_calibration_report_round_trip(tmp_path, kind):
     if source is CurveSource.BAR:
         report["horizon"] = None
         assert calibration.parse_calibration_report(report, path, horizon=5.0)[3] == 5.0
+
+
+def test_calibration_report_without_fit_health_still_reads(tmp_path):
+    # A report written before evaluations and stop were recorded.
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    result = fit_bid_ask_curve(curve, FLOW, tau0=0.01)
+    report = calibration.calibration_report(result, FLOW, CurveSource.BID_ASK, None,
+                                            (10.0, 1000.0))
+    assert (report["result"]["evaluations"], report["result"]["stop"]) == (4, "cost")
+    for key in ("evaluations", "stop"):
+        del report["result"][key]
+    parsed = calibration.parse_calibration_report(report, "old.json", horizon=1.0)[0]
+    assert parsed == dataclasses.replace(result, evaluations=None, stop=None)
+
+
+@pytest.mark.parametrize("key, value", [("evaluations", 0), ("evaluations", 7.0),
+                                        ("evaluations", True), ("stop", "done"),
+                                        ("stop", 1)])
+def test_calibration_report_rejects_bad_fit_health(key, value):
+    curve = synthetic_spread_curve(FLOW, 3.5, 1.2, 0.01, EDGES, noise_rel=0.05, seed=3)
+    report = calibration.calibration_report(fit_bid_ask_curve(curve, FLOW, tau0=0.01), FLOW,
+                                            CurveSource.BID_ASK, None, (10.0, 1000.0))
+    report["result"][key] = value
+    with pytest.raises(InputFormatError, match="^bad.json: evaluations must be"):
+        calibration.parse_calibration_report(report, "bad.json", horizon=1.0)

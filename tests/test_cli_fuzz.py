@@ -155,7 +155,7 @@ def test_calibrate_fuzz(curve_dir, kind, flags):
                 curve_dir, keep=("input.csv",))
 
 
-_CAL_FIELDS = ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm",
+_CAL_FIELDS = ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm", "evaluations", "stop",
                "n", "sigma", "price", "volume", "v_lo", "v_hi", "horizon")
 _CAL_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300,
                                          1e300, "nan", "inf", "x", None, [], {}]),

@@ -174,10 +174,10 @@ _README_DIGESTS = {
     "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
     "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
     "curve_report.json": "73414990703ebaaa5472afbecc05e5d90885608b427160f543bbeed6c567b76a",
-    "calibration.json": "6317e004fc761219bd82ab92e30d98c1f588bcbb840161a3e2c28892127eb069",
+    "calibration.json": "92b40b9393f09947f0a60c847dda9482eb1bf3046960ff7bc4906193dcb1fa97",
     "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
     "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",
-    "optimize_report.json": "b513a198b0fd9b4c01374fabcb095632d65dd530866972087b968573bed1c57d",
+    "optimize_report.json": "e5020705ac4e394024f8a2bb02492b51831197159e771fd4fc5717a01b1254d5",
 }
 
 
@@ -213,11 +213,11 @@ def _bidask_curve_text():
 
 _BIDASK_DIGESTS = {
     "plain": {
-        "calibration.json": "b7442a98ae9944db281e5db9619ac40e982e48ddf627b1b16cf0858901438415",
+        "calibration.json": "e6b00f0a53170ef6c16ace2b02d68bfd22bdda1c3e9a0b991f21d8d4c54ef569",
         "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
         "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
         "optimize_report.json":
-            "ad05c12726a0751eef1db031e37f50c4ebc7cfaf0feef8b234e5df6c177e827d",
+            "4044568aa0d512d8f3c370fb0b5f0f2d2cea891bd26949a7539102fcf1f56cf3",
     },
 }
 

@@ -770,6 +770,20 @@ def test_curve_csv_leaves_out_empty_buckets(tmp_path):
     assert sum(b.count for b in back.buckets) == 1500 and not any(b.flagged for b in back.buckets)
 
 
+@pytest.mark.parametrize("volume", ["1e308", "1e-200"])
+def test_curve_mid_of_extreme_volumes_is_inside_its_bucket(tmp_path, volume):
+    # The edge product overflows (1e308) or underflows (1e-200).
+    rows = [f"{i},100,{100.01 + 0.01 * (i % 7)!r},100,100,{volume}" for i in range(100)]
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
+    res = run_cli(["curve", "--bars", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    curve = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.isfinite(curve).all()
+    v_lo, v_hi, v_mid = curve[:, 0], curve[:, 1], curve[:, 2]
+    assert np.all((0.0 < v_lo) & (v_lo <= v_mid) & (v_mid <= v_hi))
+
+
 def test_simulate_report_redraw_rate(tmp_path):
     res = run_cli(["simulate", "--steps", "500", "--seed", "3", "--s0", "1",
                    "--sigma-step", "0.5", "--out", str(tmp_path)])
@@ -991,6 +1005,16 @@ def test_simulate_and_curve_do_not_import_scipy_optimize(tmp_path):
     assert res.returncode == 0, res.stderr
     for name in ("curve.csv", "calibration.json", "policy.csv", "scale.csv", "surface.csv"):
         assert (tmp_path / name).exists(), name
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_yaml():
+    # Every command pays the CLI's imports; yaml loads only for a --config file.
+    code = ("import sys, spreadwave.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_scale_equal_horizons(tmp_path):
