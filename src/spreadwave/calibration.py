@@ -370,7 +370,11 @@ def build_spread_volume_curve(
     if hi <= lo:
         edges = np.array([float(volumes.min()), float(volumes.max())])
         if edges[1] <= edges[0]:
-            edges[1] = edges[0] * (1.0 + 1e-12) + 1e-300
+            top = float(edges[0]) * (1.0 + 1e-12) + 1e-300
+            if top < math.inf:
+                edges[1] = top
+            else:  # the float maximum: widen down instead
+                edges[0] = math.nextafter(edges[0], 0.0)
     else:
         edges = np.geomspace(lo, hi, spec.n_buckets + 1)
         edges[0] = min(edges[0], float(volumes.min()))

@@ -13,10 +13,11 @@ Readers are strict about structure (missing columns and malformed cells
 raise with the offending name or line) while semantic filtering (crossed
 quotes, empty buckets) is left to the calibration layer, which counts
 rejections instead of failing.  One block reader serves bars, quotes and
-trades: it parses each block of a file with ``np.loadtxt``, which reads CSV
-quoting as ``csv`` does, and hands a block that ``np.loadtxt`` refuses,
-alone, to the strict row parser, so malformed files still fail with their
-line number.
+trades.  A block of plain numbers, as the writers here produce, is parsed
+by ``orjson.loads``, whose values are ``float()``'s; any other block goes to
+``np.loadtxt``, which reads CSV quoting as ``csv`` does, and a block that
+``np.loadtxt`` refuses goes, alone, to the strict row parser, so malformed
+files still fail with their line number.
 
 Every writer formats one block of rows at a time, and the reader parses one
 block of lines at a time, so both work in bounded memory beyond the arrays
@@ -35,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 from datetime import datetime, timezone
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -60,6 +62,9 @@ _BAR_COLUMNS = BarColumns.names()
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
 _POLICY_COLUMNS = ("v", "lambda_opt", "spread_opt", "exec_rate",
                    "pnl_opt", "pnl_naive", "halt")
+# Lines per orjson call.  At 200k bars, one call per 2048-line block raised
+# `curve --bars`'s peak RSS by 0.7 MB and 512 lines by 0.2 MB, at one speed.
+_PLAIN_ROWS = 512
 
 
 # --------------------------------------------------------------------------
@@ -169,6 +174,38 @@ def _ends_in_quote(lines: list[str]) -> bool:
     return len(lines) not in (reader.line_num for _ in reader)
 
 
+def _parse_plain(lines: list[str], width: int, usecols: Sequence[int]) -> np.ndarray | None:
+    """The ``usecols`` columns of ``lines`` as floats, or None unless every
+    line is ``width`` cells of ``0-9 + - . e E`` that JSON reads as numbers.
+
+    Each run of ``_PLAIN_ROWS`` lines, joined by commas and bracketed, is one
+    JSON array, and one ``orjson.loads`` call parses it; its numbers are
+    ``float()``'s.  orjson refuses what JSON does not write (``01``, ``.5``,
+    ``5.``, ``+1``, ``1e400``), which ``np.loadtxt`` then reads.  It reads
+    the integer ``-0`` as 0, not -0.0, so a block holding that cell is left
+    to ``np.loadtxt`` too.
+    """
+    table = np.empty((len(lines), width))
+    line = b"," * (width - 1) + b"\n"
+    for start in range(0, len(lines), _PLAIN_ROWS):
+        part = lines[start:start + _PLAIN_ROWS]
+        text = "[%s]" % ",".join(part)
+        separators = text.encode().translate(None, b"0123456789+-.eE")
+        # The last line of a file may lack its newline.
+        if (separators.removesuffix(b"]").removesuffix(b"\n")
+                != b"[" + b",".join([line] * len(part))[:-1]):
+            return None
+        if "-" in text and re.search(r"-0[,\n\]]", text):
+            return None
+        try:
+            values = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            return None
+        rows = table[start:start + len(part)]
+        rows[:] = np.fromiter(values, float, rows.size).reshape(rows.shape)
+    return table[:, usecols].T
+
+
 def _read_strict(path: str, kind: type[_Columns]) -> _Columns:
     """A whole table by the strict row parser alone: the tests' oracle."""
     names = kind.names()
@@ -180,7 +217,8 @@ def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
     rows, whatever the order of its columns.
 
     The file is read ``_BLOCK_ROWS`` lines at a time, and each block is
-    parsed alone by the first of these that accepts it: ``np.loadtxt``;
+    parsed alone by the first of these that accepts it: ``_parse_plain``,
+    which reads a block of plain numbers with orjson; ``np.loadtxt``;
     ``np.loadtxt`` with ``parse_timestamp`` as the timestamp's converter,
     which reads ISO-8601 stamps (and would slow a numeric block down); and
     the strict row parser, which gives the same rows or fails with the
@@ -195,29 +233,36 @@ def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
         # A name given twice means its last column, as in csv.
         position = {name: i for i, name in enumerate(header.fieldnames)}
         usecols = [position[col] for col in names]
+        width = len(header.fieldnames)
         # numpy keys a converter by the column's index in the file.
         iso = {position["timestamp"]: parse_timestamp}
         before = header.line_num  # lines before the block
         while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            for converters in (None, iso):
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
-                                           usecols=usecols, ndmin=2, converters=converters).T
-                    break
-                except ValueError:
-                    pass
-            else:
-                rows = csv.DictReader(lines, header.fieldnames)
-                table = _strict_table(((before + rows.line_num, row) for row in rows),
-                                      names, path)
-            if _ends_in_quote(lines) and fh.readline():
-                raise InputFormatError(f"{path}:{before + len(lines)}: a quoted cell runs "
-                                       f"past the end of a {_BLOCK_ROWS}-line block")
-            if table.size:
-                yield kind(*map(np.ascontiguousarray, table))
+            table = _parse_plain(lines, width, usecols)
+            if table is None:
+                for converters in (None, iso):
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                            table = np.loadtxt(lines, delimiter=",", comments=None,
+                                               quotechar='"', usecols=usecols, ndmin=2,
+                                               converters=converters).T
+                        break
+                    except ValueError:
+                        pass
+                else:
+                    rows = csv.DictReader(lines, header.fieldnames)
+                    table = _strict_table(((before + rows.line_num, row) for row in rows),
+                                          names, path)
+                if _ends_in_quote(lines) and fh.readline():
+                    raise InputFormatError(f"{path}:{before + len(lines)}: a quoted cell runs "
+                                           f"past the end of a {_BLOCK_ROWS}-line block")
             before += len(lines)
+            # Only the block's columns stay alive while the caller holds them.
+            block = kind(*map(np.ascontiguousarray, table)) if table.size else None
+            del lines, table
+            if block is not None:
+                yield block
 
 
 def _read_table(path: str, kind: type[_Columns]) -> _Columns:

@@ -784,6 +784,31 @@ def test_curve_mid_of_extreme_volumes_is_inside_its_bucket(tmp_path, volume):
     assert np.all((0.0 < v_lo) & (v_lo <= v_mid) & (v_mid <= v_hi))
 
 
+def _curve_of_one_volume(tmp_path, volume):
+    rows = [f"{i},100,{100.01 + 0.01 * (i % 7)!r},100,100,{volume}" for i in range(100)]
+    path = tmp_path / "bars.csv"
+    path.write_text("\n".join(["timestamp,open,high,low,close,volume", *rows]) + "\n")
+    res = run_cli(["curve", "--bars", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    [row] = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+    return row.split(",")
+
+
+def test_curve_of_the_largest_volume_is_finite(tmp_path):
+    # The bucket above the float maximum would end at inf; it widens down instead.
+    top = sys.float_info.max
+    v_lo, v_hi, v_mid, _, count = map(float, _curve_of_one_volume(tmp_path, repr(top)))
+    assert (v_lo, v_hi, count) == (np.nextafter(top, 0.0), top, 100)
+    assert v_lo <= v_mid <= v_hi
+
+
+def test_curve_of_one_large_volume_widens_up(tmp_path):
+    # Below the float maximum the single bucket still ends 1e-12 above the volume.
+    row = _curve_of_one_volume(tmp_path, "1e308")
+    assert row[:3] == ["1e+308", "1.0000000000010001e+308", "1.0000000000005002e+308"]
+    assert float(row[1]) == 1e308 * (1.0 + 1e-12) + 1e-300
+
+
 def test_simulate_report_redraw_rate(tmp_path):
     res = run_cli(["simulate", "--steps", "500", "--seed", "3", "--s0", "1",
                    "--sigma-step", "0.5", "--out", str(tmp_path)])
@@ -823,10 +848,25 @@ def test_invalid_utf8_in_a_table_exit_3_one_line(tmp_path, line):
 # columnar table readers against the strict row parser
 # --------------------------------------------------------------------------
 
+# Decimals of 20-25 digits at, just below and just above a point halfway
+# between two doubles, as integers (past 2**63, where orjson reads unsigned
+# integers and then floats) and with an exponent: a parser that rounds twice
+# reads one of them wrong.
+_halfway = st.builds(
+    lambda m, shift, k, nudge: (str(((2 * m + 1) << shift) * 10 ** k + nudge)
+                                + (f"e-{k}" if k else "")),
+    st.integers(2 ** 52, 2 ** 53 - 1), st.integers(11, 24), st.integers(0, 1),
+    st.sampled_from([-1, 0, 1]))
 _number = st.one_of(
     st.floats(allow_nan=False, width=64).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["nan", "inf", "-inf", "Infinity", "-0", "1e-5"]),
+    # Out of range, exponent forms, integers past 2**63 and 2**64, and what
+    # float() reads but JSON does not write.
+    st.sampled_from(["-0.0", "1e400", "-1e400", "1e-400", "-1e-400", "1E5", "1e+05",
+                     "9223372036854775808", "18446744073709551616",
+                     "123456789012345678901234567890", "01", ".5", "5.", "+1"]),
+    _halfway,
 )
 _iso = st.one_of(
     st.builds(lambda dt, spec, zone: dt.isoformat(timespec=spec) + zone,
@@ -910,6 +950,8 @@ def _assert_matches_strict(reader, kind, text):
 # parser that does not know CSV quoting.
 @given(text=table_csv_text(BarColumns))
 @example(text='note,x,timestamp,open,high,low,close,volume\n"a,b",7,0,1,2,3,4,5\n')
+# A short row, then a long one: the block holds as many cells as two full rows.
+@example(text='timestamp,open,high,low,close,volume\n0,1,2,3,4\n1,2,3,4,5,6,7\n')
 @settings(max_examples=300, deadline=None)
 def test_read_bars_matches_strict_parser(text):
     _assert_matches_strict(read_bars, BarColumns, text)
@@ -927,6 +969,41 @@ def test_read_quotes_matches_strict_parser(text):
 @settings(max_examples=300, deadline=None)
 def test_read_trades_matches_strict_parser(text):
     _assert_matches_strict(read_trades, TradeColumns, text)
+
+
+def test_tables_written_here_are_read_without_loadtxt(tmp_path, monkeypatch):
+    """Bars, trades and quotes as this package writes them, in full blocks
+    and a part block, with cells from both of the formatter's branches, are
+    parsed by orjson alone, and as the strict parser reads them."""
+    n = 2 * _BLOCK_ROWS + 7
+    columns = np.random.default_rng(5).lognormal(0.0, 3.0, (3, n))
+    columns[:, :8] = [0.0, -0.0, 5e-324, 1e-5, -2.5e-7, 1e16, -1.5e300, 123.0]
+    paths = {kind: str(tmp_path / f"{kind.__name__}.csv")
+             for kind in (BarColumns, TradeColumns, QuoteColumns)}
+    write_bars_csv(paths[BarColumns], simulate_path(CoupledWaveParams(seed=2), 100.0, n))
+    write_trades_csv(paths[TradeColumns], TradeColumns(*columns))
+    write_quotes_csv(paths[QuoteColumns], QuoteColumns(*columns))
+    strict = {kind: _read_strict(path, kind) for kind, path in paths.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    for kind, reader in ((BarColumns, read_bars), (TradeColumns, read_trades),
+                         (QuoteColumns, read_quotes)):
+        _assert_same_columns(reader(paths[kind]), strict[kind])
+
+
+@pytest.mark.parametrize("text", ["-0,1,2\n3,4,5\n", "1,2,-0\n3,4,5\n", "3,4,5\n1,2,-0"],
+                         ids=["first_cell", "last_cell", "last_cell_of_the_file"])
+def test_integer_minus_zero_reads_negative(tmp_path, text):
+    # orjson reads the integer -0 as 0; float() and np.loadtxt give -0.0.
+    path = tmp_path / "trades.csv"
+    path.write_text("timestamp,price,size\n" + text)
+    trades = read_trades(str(path))
+    cells = np.column_stack([trades.timestamp, trades.price, trades.size])
+    assert np.signbit(cells).tolist() == [[cell == "-0" for cell in line.split(",")]
+                                          for line in text.splitlines()]
 
 
 def test_read_bars_error_names_the_line_after_blank_lines(tmp_path):
