@@ -17,12 +17,13 @@ checks and reads them back, so the report's schema lives only here.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .data_io import BarColumns, QuoteColumns, TradeColumns, join_blocks
 from .errors import (
     DomainError,
     FitConvergenceError,
@@ -46,63 +47,8 @@ FIT_STOPS = ("cost", "step", "cap", "non-finite")
 
 
 # --------------------------------------------------------------------------
-# columns and containers
+# containers
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Columns:
-    """A table as one float array per field, in row order, led by its
-    timestamps.  The field names are the CSV header names."""
-
-    timestamp: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.timestamp)
-
-    @classmethod
-    def names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-
-@dataclass(frozen=True)
-class TradeColumns(_Columns):
-    """Columnar trade tape; timestamps are seconds since epoch."""
-
-    price: np.ndarray
-    size: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuoteColumns(_Columns):
-    """Columnar quote tape; timestamps are seconds since epoch."""
-
-    bid: np.ndarray
-    ask: np.ndarray
-
-
-@dataclass(frozen=True)
-class BarColumns(_Columns):
-    """Columnar OHLC bars."""
-
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    close: np.ndarray
-    volume: np.ndarray
-
-
-def join_blocks(blocks: Iterable, names: Sequence[str]) -> list[np.ndarray]:
-    """The named 1-D columns of consecutive blocks, each joined into one array.
-
-    No blocks give empty columns.  Each column's parts are released as soon
-    as that column is joined, so at most one column is held twice.
-    """
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in names}
-    for block in blocks:
-        for name, column in parts.items():
-            column.append(getattr(block, name))
-    return [np.concatenate([np.empty(0), *parts.pop(name)]) for name in names]
-
 
 class CurveSource(str, Enum):
     BID_ASK = "bid_ask"

@@ -46,6 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .data_io import _BLOCK_ROWS, row_blocks
 from .errors import DomainError, InsufficientDataError, check_finite
 
 logger = logging.getLogger(__name__)
@@ -64,9 +65,6 @@ _PLACEMENT_STREAM = 4
 _REDRAW_STREAM = 5
 # Positivity redraws allowed per step before the step is declared hopeless.
 _MAX_REDRAWS = 10_000
-# Rows per block of the simulator stream, the bar reader and the columnar
-# CSV writers: their working memory is bounded by this, not by the row count.
-_BLOCK_ROWS = 2048
 _PRICE_OVERFLOW = ("simulated prices overflowed; step volatility or bar height is "
                    "too large for this price")
 _ANGLE_OVERFLOW = ("an amplitude step's phase or rotation angle is not finite; "
@@ -295,11 +293,6 @@ def step_price(
     if redraw_counter is not None:
         redraw_counter.count += redraws
     return BarSample(s_mid=s_mid, s_high=s_high, s_low=s_low, s_last=s_next, h=h)
-
-
-def row_blocks(n: int):
-    """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
-    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
 def simulate_blocks(

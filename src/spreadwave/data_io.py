@@ -25,38 +25,106 @@ they write or return.  The bar writer and reader also stream:
 ``write_bar_blocks`` writes blocks as they are produced and
 ``read_bar_blocks`` yields them as they are parsed, so a caller that keeps
 only some columns holds only those.
+
+The module owns the tables' column schemas (``BarColumns``, ``QuoteColumns``,
+``TradeColumns``) and the ``_BLOCK_ROWS`` block grid (``row_blocks``), which
+the simulator and calibration import from here.  It imports no model module
+when it loads, so every command can load it: ``read_curve`` imports the curve
+types when it is called.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import itertools
 import json
 import math
 import os
 import re
 import warnings
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import orjson
 
-from .calibration import (
-    BarColumns,
-    CurveBucket,
-    CurveSource,
-    QuoteColumns,
-    SpreadVolumeCurve,
-    TradeColumns,
-    _Columns,
-    join_blocks,
-)
-from .coupled_wave import _BLOCK_ROWS, BarSeries, row_blocks
 from .errors import InputFormatError, check_finite
-from .optimizer import QuotePolicy
+
+if TYPE_CHECKING:
+    from .calibration import CurveSource, SpreadVolumeCurve
+    from .coupled_wave import BarSeries
+    from .optimizer import QuotePolicy
+
+# Rows per block of the simulator stream, the table reader and the columnar
+# CSV writers: their working memory is bounded by this, not by the row count.
+_BLOCK_ROWS = 2048
+
+
+def row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
+# --------------------------------------------------------------------------
+# column schemas
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Columns:
+    """A table as one float array per field, in row order, led by its
+    timestamps.  The field names are the CSV header names."""
+
+    timestamp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+
+@dataclass(frozen=True)
+class TradeColumns(_Columns):
+    """Columnar trade tape; timestamps are seconds since epoch."""
+
+    price: np.ndarray
+    size: np.ndarray
+
+
+@dataclass(frozen=True)
+class QuoteColumns(_Columns):
+    """Columnar quote tape; timestamps are seconds since epoch."""
+
+    bid: np.ndarray
+    ask: np.ndarray
+
+
+@dataclass(frozen=True)
+class BarColumns(_Columns):
+    """Columnar OHLC bars."""
+
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+
+def join_blocks(blocks: Iterable, names: Sequence[str]) -> list[np.ndarray]:
+    """The named 1-D columns of consecutive blocks, each joined into one array.
+
+    No blocks give empty columns.  Each column's parts are released as soon
+    as that column is joined, so at most one column is held twice.
+    """
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    for block in blocks:
+        for name, column in parts.items():
+            column.append(getattr(block, name))
+    return [np.concatenate([np.empty(0), *parts.pop(name)]) for name in names]
+
 
 _BAR_COLUMNS = BarColumns.names()
 _CURVE_COLUMNS = ("v_lo", "v_hi", "v_mid", "spread_q", "count")
@@ -98,6 +166,10 @@ def parse_timestamp(text: str) -> float:
 
 
 def sha256_file(path: str) -> str:
+    # Imported on use: hashlib loads OpenSSL (about 3.5 MB), which a command
+    # without input files, and a process that only fits or simulates, never needs.
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
@@ -297,6 +369,8 @@ def read_curve(
     min_count: int = 20,
 ) -> SpreadVolumeCurve:
     """Rebuild a curve from its CSV; flags are recomputed from the counts."""
+    from .calibration import CurveBucket, SpreadVolumeCurve
+
     check_finite("min_count", min_count, at_least=0)
     buckets = []
     accepted = 0

@@ -27,7 +27,7 @@ from spreadwave import (
     VolumeConfig,
     simulate_path,
 )
-from spreadwave import cli, data_io
+from spreadwave import cli, coupled_wave, data_io
 from spreadwave.calibration import (
     SpreadSamples,
     build_spread_volume_curve,
@@ -532,7 +532,7 @@ def test_memory_error_exit_3_one_line(tmp_path, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "simulate_blocks", out_of_memory)
+    monkeypatch.setattr(coupled_wave, "simulate_blocks", out_of_memory)
     res = CliRunner().invoke(main, ["simulate", "--steps", "10", "--out", str(tmp_path)])
     assert res.exit_code == 3
     assert stderr_lines(res) == ["error: simulate: not enough memory for the requested sizes"]
@@ -922,6 +922,35 @@ def table_csv_text(draw, kind):
     return newline.join(lines) + newline * draw(st.integers(0, 2))
 
 
+# JSON's numbers, and the plain tokens that float() reads but orjson refuses
+# (01, .5, 5., +1, 1e400, integers past 2**64) or reads as another value
+# (the integer -0, which it reads as 0).
+_json_number = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+                         st.integers(-10**6, 10**6).map(str))
+_plain_token = st.one_of(
+    st.sampled_from(["-0", "-0.0", "1e400", "-1e-400", "01", ".5", "5.", "+1"]),
+    st.integers(10**19, 10**30).map(str), st.integers(-10**30, -10**19).map(str), _halfway)
+
+
+@st.composite
+def plain_csv_blocks(draw, kind):
+    """CSVs of a ``kind`` table whose lines are whole runs of plain-number
+    cells, as ``data_io._parse_plain`` parses them with one orjson call, with
+    up to three cells replaced by a ``_plain_token``.  A few drawn numbers
+    fill every line, so a large block costs few draws."""
+    header = draw(st.permutations(kind.names()))
+    n_rows = draw(st.sampled_from([1, data_io._PLAIN_ROWS, data_io._PLAIN_ROWS + 1,
+                                   2 * data_io._PLAIN_ROWS]))
+    pool = draw(st.lists(_json_number, min_size=1, max_size=8))
+    cells = [pool[i % len(pool)] for i in range(n_rows * len(header))]
+    for _ in range(draw(st.integers(0, 3))):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_plain_token)
+    lines = [",".join(header), *(",".join(cells[i:i + len(header)])
+                                 for i in range(0, len(cells), len(header)))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.integers(0, 1))
+
+
 def _read(reader, path):
     try:
         return reader(path)
@@ -948,7 +977,7 @@ def _assert_matches_strict(reader, kind, text):
 
 # A quoted comma in an unused column shifts the columns after it for a
 # parser that does not know CSV quoting.
-@given(text=table_csv_text(BarColumns))
+@given(text=st.one_of(table_csv_text(BarColumns), plain_csv_blocks(BarColumns)))
 @example(text='note,x,timestamp,open,high,low,close,volume\n"a,b",7,0,1,2,3,4,5\n')
 # A short row, then a long one: the block holds as many cells as two full rows.
 @example(text='timestamp,open,high,low,close,volume\n0,1,2,3,4\n1,2,3,4,5,6,7\n')
@@ -957,14 +986,14 @@ def test_read_bars_matches_strict_parser(text):
     _assert_matches_strict(read_bars, BarColumns, text)
 
 
-@given(text=table_csv_text(QuoteColumns))
+@given(text=st.one_of(table_csv_text(QuoteColumns), plain_csv_blocks(QuoteColumns)))
 @example(text='note,x,timestamp,bid,ask\n"a,b",7,0,1,2\n')
 @settings(max_examples=300, deadline=None)
 def test_read_quotes_matches_strict_parser(text):
     _assert_matches_strict(read_quotes, QuoteColumns, text)
 
 
-@given(text=table_csv_text(TradeColumns))
+@given(text=st.one_of(table_csv_text(TradeColumns), plain_csv_blocks(TradeColumns)))
 @example(text='note,x,timestamp,price,size\n"a,b",7,0,1,2\n')
 @settings(max_examples=300, deadline=None)
 def test_read_trades_matches_strict_parser(text):
@@ -1092,6 +1121,99 @@ def test_importing_the_cli_loads_neither_scipy_nor_yaml():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """bars.csv, curve.csv and calibration.json of a small README chain."""
+    out = str(tmp_path_factory.mktemp("chain"))
+    for args in (["simulate", "--steps", "3000", "--seed", "7"],
+                 ["curve", "--bars", out + "/bars.csv", "--min-count", "1", "--buckets", "8"],
+                 ["calibrate", "--curve", out + "/curve.csv", "--kind", "bar", "--n", "100",
+                  "--sigma", "0.02", "--price", "100", "--min-count", "1"]):
+        assert run_cli([*args, "--out", out]).exit_code == 0
+    return out
+
+
+# Each command loads, besides the package, the CLI, errors and data_io, only
+# the model modules it runs.
+@pytest.mark.parametrize("args, adds", [
+    ([], ()),
+    (["simulate", "--steps", "10"], ("coupled_wave",)),
+    (["curve", "--bars", "{in}/bars.csv", "--min-count", "1", "--buckets", "8"],
+     ("calibration", "spread_models")),
+    (["calibrate", "--curve", "{in}/curve.csv", "--kind", "bar", "--n", "100",
+      "--sigma", "0.02", "--price", "100", "--min-count", "1"],
+     ("calibration", "optimizer", "spread_models")),
+    (["optimize", "--calibration", "{in}/calibration.json", "--lambda0", "3"],
+     ("calibration", "optimizer", "spread_models")),
+    (["scale", "--base-spread", "2", "--eta", "0.8", "--lam", "1.6", "--t2-max", "100"],
+     ("scaling", "spread_models")),
+], ids=["import", "simulate", "curve", "calibrate", "optimize", "scale"])
+def test_each_command_loads_only_its_modules(tmp_path, chain_inputs, args, adds):
+    args = [arg.replace("{in}", chain_inputs) for arg in args]
+    code = ("import sys\n"
+            "import spreadwave.cli\n"
+            f"args = {[*args, '--out', str(tmp_path)] if args else []!r}\n"
+            "try:\n"
+            "    if args:\n"
+            "        spreadwave.cli.main(args)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code in (0, None), exc.code\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spreadwave'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.splitlines()[-1].split())
+    always = {"spreadwave", "spreadwave.cli", "spreadwave.data_io", "spreadwave.errors"}
+    assert loaded == always | {"spreadwave." + name for name in adds}
+
+
+# spreadwave.__all__, pinned in its order: star imports and scripts rely on both.
+_PUBLIC_NAMES = [
+    "__version__", "BarColumns", "BucketSpec", "CalibrationResult", "CurveBucket",
+    "CurveSource", "FlowStats", "QuoteColumns", "Rejections", "SpreadSamples",
+    "SpreadVolumeCurve", "TradeColumns", "bar_spread_model", "bars_to_samples",
+    "bidask_spread_model", "build_spread_volume_curve", "fit_bar_curve", "fit_bid_ask_curve",
+    "fit_execution_scale", "measure_flow_stats", "quotes_to_samples", "AmplitudeState",
+    "BarSample", "BarSeries", "CoupledWaveParams", "LastPriceRule", "PriceOperator2x2",
+    "VolumeConfig", "bar_height_rayleigh_scale", "eigen_decompose", "evolve_amplitudes",
+    "evolve_fluctuating", "impact_price", "path_volatility", "predicted_volatility",
+    "simulate_path", "step_price", "suggest_amplitude_dt", "DomainError",
+    "FitConvergenceError", "InputFormatError", "InsufficientDataError", "NoSolutionError",
+    "SpreadwaveError", "DEFAULT_LAMBDA_REF_FRACTION", "ExecutionModel", "LinearSpreadLaw",
+    "OptimizeResult", "PnLParams", "QuotePolicy", "calibrated_law", "dimensionless_law",
+    "execution_density", "execution_rate", "optimize_spread", "policy_curve", "spread_pnl",
+    "stationarity_residual", "PiecewiseConstantTable", "SpreadSurfaceParams",
+    "bar_spread_dimensionless", "bar_spread_with_volume", "classical_scale",
+    "default_surface_grids", "scale_spread_time", "spread_surface", "STRADDLE_LAMBDA",
+    "DimensionlessSpreadParams", "SpreadMinimum", "SpreadModelParams", "basic_spread",
+    "general_spread", "general_spread_dimensionless", "inverse_spread_volumes",
+    "spread_minimum", "straddle_spread", "transaction_time",
+]
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    import spreadwave
+
+    assert spreadwave.__all__ == _PUBLIC_NAMES
+    constants = {"DEFAULT_LAMBDA_REF_FRACTION": "spreadwave.optimizer",
+                 "STRADDLE_LAMBDA": "spreadwave.spread_models"}
+    for name in _PUBLIC_NAMES[1:]:
+        value = getattr(spreadwave, name)
+        home = constants.get(name) or value.__module__
+        assert getattr(sys.modules[home], name) is value, name
+    star: dict = {}
+    exec("from spreadwave import *", star)
+    assert all(star[name] is getattr(spreadwave, name) for name in _PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spreadwave.no_such_name
+
+
+def test_calibrate_kind_choices_are_the_report_kinds():
+    from spreadwave.calibration import REPORT_KINDS
+
+    assert cli._COMMAND_KEYS["calibrate"]["kind"].choices == tuple(REPORT_KINDS)
 
 
 def test_scale_equal_horizons(tmp_path):
