@@ -30,10 +30,9 @@ _PUBLIC = (
     ("calibration", "build_spread_volume_curve fit_bar_curve fit_bid_ask_curve "
                     "fit_execution_scale measure_flow_stats quotes_to_samples"),
     ("coupled_wave", "AmplitudeState BarSample BarSeries CoupledWaveParams LastPriceRule "
-                     "PriceOperator2x2 VolumeConfig bar_height_rayleigh_scale "
-                     "eigen_decompose evolve_amplitudes evolve_fluctuating impact_price "
-                     "path_volatility predicted_volatility simulate_path step_price "
-                     "suggest_amplitude_dt"),
+                     "VolumeConfig bar_height_rayleigh_scale evolve_amplitudes "
+                     "evolve_fluctuating path_volatility predicted_volatility simulate_path "
+                     "step_price suggest_amplitude_dt"),
     ("errors", "DomainError FitConvergenceError InputFormatError InsufficientDataError "
                "NoSolutionError SpreadwaveError"),
     ("optimizer", "DEFAULT_LAMBDA_REF_FRACTION ExecutionModel LinearSpreadLaw "

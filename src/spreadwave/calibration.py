@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .data_io import BarColumns, QuoteColumns, TradeColumns, join_blocks
 from .errors import (
     DomainError,
     FitConvergenceError,
@@ -33,6 +32,9 @@ from .errors import (
 )
 # The fits look the law kernels up in this module's namespace.
 from .spread_models import bar_spread_model, bidask_spread_model
+
+if TYPE_CHECKING:
+    from .data_io import BarColumns, QuoteColumns, TradeColumns
 
 _DEFAULT_BUCKETS = 25
 _DEFAULT_QUANTILE = 0.90
@@ -241,6 +243,8 @@ def bar_blocks_to_samples(blocks: Iterable[BarColumns]) -> SpreadSamples:
 
     Only each block's accepted (volume, range) pairs outlive it.
     """
+    from .data_io import join_blocks  # blocks come from a CSV, so data_io is loaded
+
     rejected = Rejections()
 
     def accepted():

@@ -35,7 +35,6 @@ from .data_io import (
     read_quotes,
     read_trades,
     replaced_on_success,
-    row_blocks,
     sha256_file,
     write_bar_blocks,
     write_curve_csv,
@@ -55,6 +54,7 @@ from .errors import (
     InputFormatError,
     InsufficientDataError,
     check_finite,
+    row_blocks,
 )
 
 if TYPE_CHECKING:

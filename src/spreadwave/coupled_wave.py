@@ -1,21 +1,23 @@
 """Two-level coupled-wave price simulator.
 
 Prices are modeled as eigenvalues of a fluctuating Hermitian 2x2 price
-operator.  The eigenvalue gap is the bar height h (high minus low); the
-mid-price performs a multiplicative random walk; the last price is placed
-inside the bar by a configurable rule.  Probability amplitudes on the two
-levels evolve unitarily, with the bar height setting the oscillation
-frequency between the high and low levels.
+operator [[s_mid + xi/2, kappa/2], [kappa/2, s_mid - xi/2]]: the high and
+low are s_mid +/- h/2, and the eigenvalue gap is the bar height
+h = hypot(xi, kappa).  The mid-price performs a multiplicative random walk;
+the last price is placed inside the bar by a configurable rule.  The
+``impact`` volume mode inverts the impact price h = 2 pi tau0 s_mid V / n.
+Probability amplitudes on the two levels evolve unitarily, with the bar
+height setting the oscillation frequency between the high and low levels.
 
 Reproducibility contract: every path is generated from substreams derived
 from (seed, path_index), so results are bit-identical no matter how paths
 are distributed across workers.  Within one stream layout (``STREAM_LAYOUT``)
 a seed reproduces the same bars byte for byte; layout 2 draws each variate
-kind of ``simulate_path`` from its own substream (whole arrays and blocks of
-one give the same values), so its bars differ from those of spreadwave 0.1.0
-(layout 1, which drew all four variates of a step in turn from the single
-(seed, path_index) stream).
-``step_price`` and ``evolve_fluctuating`` still draw from one stream.
+kind from its own substream (whole arrays and blocks of one give the same
+values), so its bars differ from those of spreadwave 0.1.0 (layout 1, which
+drew all four variates of a step in turn from the single (seed, path_index)
+stream).  ``evolve_fluctuating`` draws from substreams of the same keys;
+``step_price`` draws from the generators it is given.
 
 ``simulate_blocks`` advances the mid and last prices in one guarded walk:
 the arithmetic, the redraws and the per-step redraw cap of ``step_price``,
@@ -24,20 +26,15 @@ they reduce (``path_volatility(s_last, s0)``, ``bar_height_rayleigh_scale(h)``),
 so a caller that keeps only those columns, such as the ``simulate`` command,
 uses them directly.
 
-``evolve_fluctuating`` draws its (dz, xi, kappa) normals in blocks of
-``_BLOCK_ROWS`` steps, which hold the values of its per-step scalar draws.
-At a non-positive mid it rewinds the generator to the block's start, draws
-the block's normals up to that dz again and finishes the step with scalar
-redraws, so the stream stays that of the per-step loop and the draws equal
-those of a loop of ``evolve_amplitudes`` calls bit for bit.  It builds each
-block's per-step unitaries as arrays and multiplies them together, so its
-amplitudes match that loop's within 1e-12, not bit for bit.  ``_rotate``
-and ``evolve_amplitudes`` stay the scalar arithmetic of one step.
+``evolve_fluctuating`` draws the coefficients of ``_BLOCK_ROWS`` steps at a
+time, builds the block's per-step unitaries with ``_step_matrices`` and
+multiplies them together, so its amplitudes match a loop of
+``evolve_amplitudes`` calls, which runs ``_step_matrices`` for one step,
+within 1e-12, not bit for bit; their draws are the same.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -46,8 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data_io import _BLOCK_ROWS, row_blocks
-from .errors import DomainError, InsufficientDataError, check_finite
+from .errors import DomainError, InsufficientDataError, check_finite, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +51,8 @@ logger = logging.getLogger(__name__)
 _REDRAW_WARN_RATE = 1e-3
 
 # Version of the substream layout simulate_path draws from, and the spawn
-# subkeys of its substreams under (seed, path_index).  Subkey 1 holds the
+# subkeys of its substreams under (seed, path_index); evolve_fluctuating
+# draws dz, (xi, kappa) and redraws under the same keys.  Subkey 1 holds the
 # lognormal volumes in every layout.
 STREAM_LAYOUT = 2
 _VOLUME_STREAM = 1
@@ -63,6 +60,8 @@ _DZ_STREAM = 2
 _XI_KAPPA_STREAM = 3
 _PLACEMENT_STREAM = 4
 _REDRAW_STREAM = 5
+# Largest rotation angle per amplitude step that suggest_amplitude_dt allows.
+_MAX_ROTATION = 0.1
 # Positivity redraws allowed per step before the step is declared hopeless.
 _MAX_REDRAWS = 10_000
 _PRICE_OVERFLOW = ("simulated prices overflowed; step volatility or bar height is "
@@ -121,15 +120,6 @@ class CoupledWaveParams:
     def _h_sq_mean(self) -> float:
         return (self.xi_mean ** 2 + self.xi_std ** 2
                 + self.kappa_mean ** 2 + self.kappa_std ** 2)
-
-
-@dataclass(frozen=True)
-class PriceOperator2x2:
-    """Hermitian 2x2 price operator; the off-diagonal pair is real-equal."""
-
-    s11: float
-    s22: float
-    s12: float
 
 
 @dataclass(frozen=True)
@@ -216,20 +206,8 @@ def path_rng(seed: int, path_index: int = 0, *extra: int) -> np.random.Generator
 
 
 # --------------------------------------------------------------------------
-# price operator and bars
+# bars
 # --------------------------------------------------------------------------
-
-def eigen_decompose(op: PriceOperator2x2) -> tuple[float, float, float, float]:
-    """Eigenvalues of the price operator as bar quantities.
-
-    Returns:
-        (s_high, s_low, h, s_mid) with s_high/low = s_mid +/- h/2 and
-        h = sqrt((s11 - s22)^2 + 4 |s12|^2).
-    """
-    s_mid = 0.5 * (op.s11 + op.s22)
-    h = math.hypot(op.s11 - op.s22, 2.0 * op.s12)
-    return (s_mid + 0.5 * h, s_mid - 0.5 * h, h, s_mid)
-
 
 def _guarded(value: float, redraw, used: int, max_redraws: int) -> tuple[float, int]:
     """Redraw ``value`` until it is positive.
@@ -440,23 +418,17 @@ def path_volatility(s_last: np.ndarray, s0: float) -> float:
     return float(np.std(increments, ddof=1))
 
 
-def predicted_volatility(
-    params: CoupledWaveParams,
-    s: float,
-    h_sq_mean: float | None = None,
-) -> float:
+def predicted_volatility(params: CoupledWaveParams, s: float) -> float:
     """Analytic per-step volatility of last prices.
 
     eta = sqrt(s^2 sigma_step^2 + alpha * E[h^2] / 4), where alpha is the
-    placement-rule variance coefficient (1/3 uniform, 1 normal).  E[h^2]
-    defaults to the analytic moment of the xi/kappa draws.
+    placement-rule variance coefficient (1/3 uniform, 1 normal) and E[h^2]
+    the analytic moment of the xi/kappa draws.
     """
     if not (s > 0.0):
         raise DomainError(f"s must be > 0, got {s!r}")
-    if h_sq_mean is None:
-        h_sq_mean = params._h_sq_mean()
     alpha = params.last_price_rule.placement_alpha
-    return math.sqrt((s * params.sigma_step) ** 2 + alpha * h_sq_mean / 4.0)
+    return math.sqrt((s * params.sigma_step) ** 2 + alpha * params._h_sq_mean() / 4.0)
 
 
 def bar_height_rayleigh_scale(h: np.ndarray) -> float:
@@ -470,32 +442,6 @@ def bar_height_rayleigh_scale(h: np.ndarray) -> float:
 # amplitude evolution
 # --------------------------------------------------------------------------
 
-def _rotate(psi_high: complex, psi_low: complex, s_mid: float, xi: float, kappa: float,
-            s: float, tau0: float, t: float) -> tuple[complex, complex]:
-    """The amplitudes (psi_high, psi_low) after ``evolve_amplitudes``' step,
-    on plain numbers; only a phase or rotation angle that is not finite
-    (tau0 * s may underflow to 0) is refused."""
-    h = math.hypot(xi, kappa)
-    try:
-        angle = s_mid * t / (tau0 * s)
-        theta = h * t / (2.0 * tau0 * s)
-    except ZeroDivisionError:
-        raise DomainError(_ANGLE_OVERFLOW) from None
-    if not (math.isfinite(angle) and math.isfinite(theta)):
-        raise DomainError(_ANGLE_OVERFLOW)
-    phase = cmath.exp(-1j * angle)
-    if h == 0.0:
-        return phase * psi_high, phase * psi_low
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    xi_h = xi / h
-    kappa_h = kappa / h
-    return (phase * ((cos_t - 1j * xi_h * sin_t) * psi_high
-                     - 1j * kappa_h * sin_t * psi_low),
-            phase * (-1j * kappa_h * sin_t * psi_high
-                     + (cos_t + 1j * xi_h * sin_t) * psi_low))
-
-
 def evolve_amplitudes(
     state0: AmplitudeState,
     s_mid: float,
@@ -507,7 +453,8 @@ def evolve_amplitudes(
 ) -> AmplitudeState:
     """Closed-form unitary evolution under constant operator coefficients.
 
-    The rotation angle is h * t / (2 tau0 s) with h = sqrt(xi^2 + kappa^2);
+    One step of ``evolve_fluctuating``'s kernel, ``_step_matrices``: the
+    rotation angle is h * t / (2 tau0 s) with h = sqrt(xi^2 + kappa^2);
     s_mid contributes only a global phase.  Norm is conserved exactly up to
     rounding.  For h = 0 the evolution is a pure phase.  A phase or rotation
     angle that is not finite raises ``DomainError``.
@@ -516,16 +463,15 @@ def evolve_amplitudes(
         raise DomainError(f"s must be > 0, got {s!r}")
     if not (tau0 > 0.0):
         raise DomainError(f"tau0 must be > 0, got {tau0!r}")
-    return AmplitudeState(*_rotate(state0.psi_high, state0.psi_low,
-                                   s_mid, xi, kappa, s, tau0, t))
+    coefficients = (np.array([x], dtype=float) for x in (s_mid, xi, kappa))
+    u00, u01, u10, u11 = _step_matrices(*coefficients, s, tau0, t)
+    psi_high, psi_low = state0.psi_high, state0.psi_low
+    return AmplitudeState(complex((u00 * psi_high + u01 * psi_low)[0]),
+                          complex((u10 * psi_high + u11 * psi_low)[0]))
 
 
-def suggest_amplitude_dt(
-    params: CoupledWaveParams,
-    s_scale: float,
-    max_rotation: float = 0.1,
-) -> float:
-    """Step size keeping the per-step rotation below ``max_rotation`` radians.
+def suggest_amplitude_dt(params: CoupledWaveParams, s_scale: float) -> float:
+    """Step size keeping the per-step rotation below ``_MAX_ROTATION`` radians.
 
     Piecewise-constant coefficients stay accurate when each step rotates the
     state only slightly; the characteristic bar height sets the rate.
@@ -533,55 +479,53 @@ def suggest_amplitude_dt(
     h_char = math.sqrt(params._h_sq_mean())
     if h_char == 0.0:
         raise DomainError("bar height is identically zero; any dt works")
-    return max_rotation * 2.0 * params.tau0 * s_scale / h_char
+    return _MAX_ROTATION * 2.0 * params.tau0 * s_scale / h_char
 
 
-def _coefficient_blocks(rng: np.random.Generator, params: CoupledWaveParams,
-                        s_mid: float, n_steps: int):
-    """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as arrays per block.
+def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
+                        path_index: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as arrays per
+    block of ``_BLOCK_ROWS`` steps.
 
-    A block draws the (dz, xi, kappa) normals of up to ``_BLOCK_ROWS`` steps
-    as one array, which holds the values that three scalar draws per step
-    give, and runs the mid walk over them until a mid is non-positive.  There
-    the generator is rewound to the block's start, the normals of the steps
-    taken and that dz are drawn again, ``_guarded`` redraws dz, and the
-    step's xi and kappa normals follow.  The block ends with that step and
-    the next one starts after it.  A mid that overflows stays non-finite, so
-    a block whose last mid is not finite raises ``DomainError``.
+    dz, the (xi, kappa) pairs and the positivity redraws each come from
+    their own (seed, path_index, k) substream, under ``simulate_path``'s
+    keys.  A block draws its dz and its (xi, kappa) pairs as one array each,
+    which hold the values of per-step draws, and runs the mid walk over its
+    dz.  A non-positive mid redraws its dz, at most ``_MAX_REDRAWS`` times
+    per step.  A mid that overflows stays non-finite, so a block whose last
+    mid is not finite raises ``DomainError``.
     """
+    dz_rng, xi_kappa_rng, redraw_rng = (path_rng(params.seed, path_index, key) for key in
+                                        (_DZ_STREAM, _XI_KAPPA_STREAM, _REDRAW_STREAM))
     sigma = params.sigma_step
-    while n_steps:
-        start = rng.bit_generator.state
-        normals = rng.standard_normal((min(n_steps, _BLOCK_ROWS), 3))
+    for rows in row_blocks(n_steps):
+        size = rows.stop - rows.start
         mids: list[float] = []
-        for dz in normals[:, 0].tolist():
+        for dz in dz_rng.standard_normal(size).tolist():
             s_next = s_mid + s_mid * sigma * dz
             if s_next <= 0.0:
-                break
+                s_next, _ = _guarded(
+                    s_next, lambda: s_mid + s_mid * sigma * redraw_rng.standard_normal(),
+                    0, _MAX_REDRAWS)
             mids.append(s_next)
             s_mid = s_next
-        taken = len(mids)
-        if taken < len(normals):
-            rng.bit_generator.state = start
-            rng.standard_normal(3 * taken + 1)
-            s_next, _ = _guarded(
-                s_next, lambda: s_mid + s_mid * sigma * rng.standard_normal(),
-                0, _MAX_REDRAWS)
-            s_mid = s_next
-            mids.append(s_mid)
-            normals[taken, 1:] = rng.standard_normal(2)
         if not math.isfinite(s_mid):
             raise DomainError(_PRICE_OVERFLOW)
-        rows = normals[:len(mids)]
-        n_steps -= len(mids)
-        yield (np.array(mids), params.xi_mean + params.xi_std * rows[:, 1],
-               params.kappa_mean + params.kappa_std * rows[:, 2])
+        xi_kappa = xi_kappa_rng.standard_normal((size, 2))
+        yield (np.array(mids), params.xi_mean + params.xi_std * xi_kappa[:, 0],
+               params.kappa_mean + params.kappa_std * xi_kappa[:, 1])
 
 
 def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
                    s: float, tau0: float, t: float) -> tuple[np.ndarray, ...]:
-    """The entries (u00, u01, u10, u11) of each step's ``_rotate`` matrix,
-    as complex arrays: psi' = U psi with psi = (psi_high, psi_low).
+    """The entries (u00, u01, u10, u11) of each step's unitary, as complex
+    arrays: psi' = U psi with psi = (psi_high, psi_low), and
+
+        U = exp(-i angle) [[cos theta - i (xi/h) sin theta, -i (kappa/h) sin theta],
+                           [-i (kappa/h) sin theta, cos theta + i (xi/h) sin theta]]
+
+    with the phase angle s_mid t / (tau0 s) and the rotation angle
+    theta = h t / (2 tau0 s), h = hypot(xi, kappa).
 
     Raises ``DomainError`` if a step's phase or rotation angle is not finite.
     """
@@ -589,8 +533,7 @@ def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         angle = mids * t / (tau0 * s)
         theta = h * t / (2.0 * tau0 * s)
-    # Both angles are >= 0 or NaN, so their maximum is finite only where both are.
-    if not np.isfinite(np.maximum(angle, theta)).all():
+    if not (np.isfinite(angle).all() and np.isfinite(theta).all()):
         raise DomainError(_ANGLE_OVERFLOW)
     phase = np.exp(-1j * angle)
     # h == 0 only where xi == kappa == 0: the step is a pure phase.
@@ -651,15 +594,16 @@ def evolve_fluctuating(
     responsible for a dt small enough that coefficients are effectively
     constant within a step (see suggest_amplitude_dt).
 
-    The normals come in blocks of ``_BLOCK_ROWS`` steps, rewound at a
-    redraw (see ``_coefficient_blocks``), so the (s_mid, xi, kappa) of every
-    step equal those of a loop of ``evolve_amplitudes`` calls with three
-    scalar draws per step bit for bit.  Each block's per-step unitaries
-    (``_step_matrices``) are multiplied together as arrays, by a pairwise
-    reduction, or by a prefix scan when the trajectory is wanted.  The
-    products are reassociated, so the amplitudes match that loop's within
-    1e-12, not bit for bit.  A step whose phase or rotation angle is not
-    finite raises ``DomainError``, as in ``evolve_amplitudes``.
+    dz, (xi, kappa) and the redraws come from their own substreams, in
+    blocks of ``_BLOCK_ROWS`` steps (see ``_coefficient_blocks``), so the
+    (s_mid, xi, kappa) of every step equal those of a per-step loop that
+    draws from the same substreams, bit for bit.  Each block's per-step
+    unitaries (``_step_matrices``) are multiplied together as arrays, by a
+    pairwise reduction, or by a prefix scan when the trajectory is wanted.
+    The products are reassociated, so the amplitudes match those of a loop
+    of ``evolve_amplitudes`` calls within 1e-12, not bit for bit.  A step
+    whose phase or rotation angle is not finite raises ``DomainError``, as
+    in ``evolve_amplitudes``.
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.
@@ -670,13 +614,12 @@ def evolve_fluctuating(
         raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
     check_finite("path_index", path_index, at_least=0)
 
-    rng = path_rng(params.seed, path_index)
     psi_high, psi_low = state0.psi_high, state0.psi_low
     trajectory = np.empty((n_steps + 1, 2)) if return_trajectory else None
     if trajectory is not None:
         trajectory[0] = state0.populations()
     row = 1
-    for mids, xis, kappas in _coefficient_blocks(rng, params, s_scale, n_steps):
+    for mids, xis, kappas in _coefficient_blocks(params, s_scale, n_steps, path_index):
         steps = _step_matrices(mids, xis, kappas, s_scale, params.tau0, dt)
         u00, u01, u10, u11 = _reduce(steps) if trajectory is None else _scan(steps)
         highs, lows = u00 * psi_high + u01 * psi_low, u10 * psi_high + u11 * psi_low
@@ -690,14 +633,3 @@ def evolve_fluctuating(
     if trajectory is not None:
         return state, trajectory
     return state
-
-
-def impact_price(s: float, tau: float, tau0: float) -> float:
-    """Impact component of the spread: h = 2 pi tau0 s / tau.
-
-    s / tau is the money flow per share per transaction; the bar height is
-    proportional to it with the model time constant tau0.
-    """
-    if not (s > 0.0 and tau > 0.0 and tau0 > 0.0):
-        raise DomainError("s, tau and tau0 must all be > 0")
-    return 2.0 * math.pi * tau0 * s / tau

@@ -27,10 +27,11 @@ they write or return.  The bar writer and reader also stream:
 only some columns holds only those.
 
 The module owns the tables' column schemas (``BarColumns``, ``QuoteColumns``,
-``TradeColumns``) and the ``_BLOCK_ROWS`` block grid (``row_blocks``), which
-the simulator and calibration import from here.  It imports no model module
-when it loads, so every command can load it: ``read_curve`` imports the curve
-types when it is called.
+``TradeColumns``); calibration names them only in annotations and imports
+``join_blocks`` when it joins blocks, so it loads this module only when a
+table is read.  It reads and writes on the ``_BLOCK_ROWS`` grid of
+``errors``.  It imports no model module when it loads, so every command can
+load it: ``read_curve`` imports the curve types when it is called.
 """
 
 from __future__ import annotations
@@ -50,22 +51,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 import orjson
 
-from .errors import InputFormatError, check_finite
+from .errors import _BLOCK_ROWS, InputFormatError, check_finite, row_blocks
 
 if TYPE_CHECKING:
     from .calibration import CurveSource, SpreadVolumeCurve
     from .coupled_wave import BarSeries
     from .optimizer import QuotePolicy
-
-# Rows per block of the simulator stream, the table reader and the columnar
-# CSV writers: their working memory is bounded by this, not by the row count.
-_BLOCK_ROWS = 2048
-
-
-def row_blocks(n: int):
-    """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
-    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
-
 
 # --------------------------------------------------------------------------
 # column schemas

@@ -1,4 +1,10 @@
-"""Exception taxonomy, process exit codes and the shared parameter check."""
+"""Exception taxonomy, process exit codes, the shared parameter check and
+the row-block grid.
+
+Every module imports this one, so what they all share lives here: it loads
+only numpy, and a process that fits or simulates without a CSV file never
+loads the I/O layer for it.
+"""
 
 import numpy as np
 
@@ -7,6 +13,16 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_INVALID_INPUT = 3
 EXIT_NUMERICAL = 4
+
+# Rows per block of the simulator stream, the amplitude kernel, the table
+# reader and the columnar CSV writers: their working memory is bounded by
+# this, not by the row count.
+_BLOCK_ROWS = 2048
+
+
+def row_blocks(n: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering range(n)."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
 
 
 class SpreadwaveError(Exception):

@@ -20,10 +20,10 @@ from .calibration import (
     CurveSource,
     FlowStats,
     SpreadVolumeCurve,
-    TradeColumns,
     bar_spread_model,
     bidask_spread_model,
 )
+from .data_io import TradeColumns
 from .errors import DomainError
 
 

@@ -20,17 +20,16 @@ from click.testing import CliRunner
 
 from spreadwave import (AmplitudeState, BarSeries, CoupledWaveParams, LastPriceRule,
                         VolumeConfig, evolve_fluctuating, simulate_path)
-from spreadwave import coupled_wave, data_io, optimizer, scaling
+from spreadwave import data_io, optimizer, scaling
 from spreadwave import cli
 from spreadwave.cli import main
-from spreadwave.coupled_wave import (bar_height_rayleigh_scale, path_volatility, row_blocks,
-                                     simulate_blocks)
+from spreadwave.coupled_wave import bar_height_rayleigh_scale, path_volatility, simulate_blocks
 from spreadwave.data_io import (read_bar_blocks, read_bars, read_quotes, write_bar_blocks,
                                 write_bars_csv, write_policy_csv, write_surface_csv)
-from spreadwave.errors import DomainError, InputFormatError
+from spreadwave.errors import _BLOCK_ROWS, DomainError, InputFormatError, row_blocks
 from spreadwave.optimizer import QuotePolicy
 
-_B = coupled_wave._BLOCK_ROWS
+_B = _BLOCK_ROWS
 _PARAMS = CoupledWaveParams(sigma_step=2e-4, xi_std=0.05, kappa_std=0.05, seed=1)
 
 

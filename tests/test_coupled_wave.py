@@ -16,20 +16,17 @@ from spreadwave import (
     DomainError,
     InsufficientDataError,
     LastPriceRule,
-    PriceOperator2x2,
     VolumeConfig,
     bar_height_rayleigh_scale,
-    eigen_decompose,
     evolve_amplitudes,
     evolve_fluctuating,
-    impact_price,
     path_volatility,
     predicted_volatility,
     simulate_path,
     step_price,
     suggest_amplitude_dt,
 )
-from spreadwave import coupled_wave
+from spreadwave import coupled_wave, errors
 from spreadwave.coupled_wave import RedrawCounter, path_rng
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
@@ -40,28 +37,26 @@ finite = st.floats(min_value=-50.0, max_value=50.0,
 # eigenstructure
 # --------------------------------------------------------------------------
 
-def test_eigen_decompose_frozen():
-    # s11 = s22 = 10, s12 = 1.5: mid 10, gap 2|s12| = 3
-    hi, lo, h, mid = eigen_decompose(PriceOperator2x2(10.0, 10.0, 1.5))
-    assert mid == 10.0
-    assert h == 3.0
-    assert hi == 11.5 and lo == 8.5
-
-
-def test_eigen_decompose_diagonal():
-    hi, lo, h, mid = eigen_decompose(PriceOperator2x2(12.0, 8.0, 0.0))
-    assert (hi, lo, h, mid) == (12.0, 8.0, 4.0, 10.0)
-
-
-@given(s11=finite, s22=finite, s12=finite)
-@settings(max_examples=200, deadline=None)
-def test_eigen_decompose_matches_numpy(s11, s22, s12):
-    hi, lo, h, mid = eigen_decompose(PriceOperator2x2(s11, s22, s12))
-    w = np.linalg.eigvalsh(np.array([[s11, s12], [s12, s22]]))
-    assert hi == pytest.approx(w[1], abs=1e-9)
-    assert lo == pytest.approx(w[0], abs=1e-9)
-    assert h == pytest.approx(w[1] - w[0], abs=1e-9)
-    assert mid == pytest.approx(0.5 * (w[0] + w[1]), abs=1e-9)
+@given(xi_mean=finite, kappa_mean=finite, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_bar_envelope_is_the_price_operator_spectrum(xi_mean, kappa_mean, seed):
+    # The low and high of each bar are the eigenvalues of the Hermitian price
+    # operator built from the step's mid and drawn (xi, kappa).
+    p = CoupledWaveParams(sigma_step=1e-3, xi_mean=xi_mean, xi_std=0.5,
+                          kappa_mean=kappa_mean, kappa_std=0.5, seed=seed)
+    series = simulate_path(p, 100.0, 40, path_index=1)
+    # Stream layout 2 draws every xi normal, then every kappa normal, from
+    # substream 3.
+    normals = path_rng(seed, 1, 3).standard_normal((2, 40))
+    xi, kappa = xi_mean + 0.5 * normals[0], kappa_mean + 0.5 * normals[1]
+    ops = np.empty((40, 2, 2))
+    ops[:, 0, 0] = series.s_mid + 0.5 * xi
+    ops[:, 1, 1] = series.s_mid - 0.5 * xi
+    ops[:, 0, 1] = ops[:, 1, 0] = 0.5 * kappa
+    w = np.linalg.eigvalsh(ops)
+    assert np.allclose(series.s_low, w[:, 0], rtol=0.0, atol=1e-9)
+    assert np.allclose(series.s_high, w[:, 1], rtol=0.0, atol=1e-9)
+    assert np.allclose(series.h, w[:, 1] - w[:, 0], rtol=0.0, atol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -117,18 +112,16 @@ def test_volume_modes_do_not_perturb_bars():
 
 
 def test_impact_volume_inverts_impact_price():
-    # volume column is defined so that impact_price recovers the bar height
-    p = CoupledWaveParams(sigma_step=0.0, xi_std=0.1, kappa_std=0.1,
+    # The volume column is defined so that the impact price 2 pi tau0 s / tau,
+    # at the transaction time tau = n / V, recovers the bar height.
+    p = CoupledWaveParams(sigma_step=1e-3, xi_std=0.1, kappa_std=0.1,
                           tau0=0.5, seed=11)
     n = 250.0
     series = simulate_path(p, 60.0, 50,
                            volume=VolumeConfig(mode="impact", avg_trade_size=n))
-    for i in range(len(series)):
-        if series.volume[i] <= 0.0:
-            continue
-        tau = n / series.volume[i]
-        assert impact_price(series.s_mid[i], tau, p.tau0) == pytest.approx(
-            series.h[i], rel=1e-12)
+    assert np.all(series.volume > 0.0)
+    assert np.allclose(2.0 * math.pi * p.tau0 * series.s_mid * series.volume / n,
+                       series.h, rtol=1e-12, atol=0.0)
 
 
 def test_path_volatility_needs_data():
@@ -243,12 +236,6 @@ def test_evolve_fluctuating_trajectory_shape():
     assert traj[0] == pytest.approx([1.0, 0.0])
     assert np.all(traj >= 0.0)
     assert np.sum(traj[-1]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_impact_price_frozen_values():
-    assert impact_price(1.0, 2.0 * math.pi, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert impact_price(100.0, 1.0, 1.0 / (2.0 * math.pi)) == pytest.approx(
-        100.0, rel=1e-12)
 
 
 def test_validation_errors():
@@ -375,7 +362,7 @@ def test_simulate_path_rejects_overflowing_prices():
         simulate_path(p, 1.0, 50)
 
 
-_B = coupled_wave._BLOCK_ROWS
+_B = errors._BLOCK_ROWS
 
 
 @pytest.mark.parametrize("rule", list(LastPriceRule))
@@ -426,23 +413,27 @@ def test_simulate_path_redraw_cap_matches_step_price(monkeypatch, rule, seed):
 
 def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_index=0,
                                  trajectory=None, redraws=None, draws=None):
-    """The per-step loop with the uncapped redraw it had before the cap.
+    """The per-step loop of ``evolve_amplitudes`` calls, with an uncapped redraw.
 
-    Appends the populations after each step to ``trajectory``, a step's
-    index to ``redraws`` once per redraw of its mid, and each step's
-    (s_mid, xi, kappa) to ``draws``, when given.
+    Each step draws one dz from substream 2 of (seed, path_index), redraws
+    it from substream 5 while the mid is non-positive, and draws its
+    (xi, kappa) pair from substream 3.  Appends the populations after each
+    step to ``trajectory``, a step's index to ``redraws`` once per redraw of
+    its mid, and each step's (s_mid, xi, kappa) to ``draws``, when given.
     """
-    rng = path_rng(params.seed, path_index)
+    dz_rng, xi_kappa_rng, redraw_rng = (path_rng(params.seed, path_index, key)
+                                        for key in (2, 3, 5))
     state, s_mid = state0, s_scale
     for i in range(n_steps):
-        step = s_mid * params.sigma_step * rng.standard_normal()
+        step = s_mid * params.sigma_step * dz_rng.standard_normal()
         while s_mid + step <= 0.0:
             if redraws is not None:
                 redraws.append(i)
-            step = s_mid * params.sigma_step * rng.standard_normal()
+            step = s_mid * params.sigma_step * redraw_rng.standard_normal()
         s_mid = s_mid + step
-        xi = params.xi_mean + params.xi_std * rng.standard_normal()
-        kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
+        xi_normal, kappa_normal = xi_kappa_rng.standard_normal(2).tolist()
+        xi = params.xi_mean + params.xi_std * xi_normal
+        kappa = params.kappa_mean + params.kappa_std * kappa_normal
         if draws is not None:
             draws.append((s_mid, xi, kappa))
         state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
@@ -458,10 +449,11 @@ _AMPLITUDE_TOL = 1e-12
 
 
 def _kernel_draws(params, n_steps, path_index=0):
-    """The (s_mid, xi, kappa) of every step, as ``evolve_fluctuating`` draws them."""
-    blocks = coupled_wave._coefficient_blocks(path_rng(params.seed, path_index), params,
-                                              100.0, n_steps)
-    return [step for block in blocks for step in zip(*(x.tolist() for x in block))]
+    """The (s_mid, xi, kappa) of every step, as ``evolve_fluctuating`` draws
+    them, and the number of steps in each block."""
+    blocks = list(coupled_wave._coefficient_blocks(params, 100.0, n_steps, path_index))
+    return ([step for block in blocks for step in zip(*(x.tolist() for x in block))],
+            [block[0].size for block in blocks])
 
 
 def _assert_close(state, expected):
@@ -474,7 +466,7 @@ def test_evolve_fluctuating_capped_redraws_keep_the_stream():
     p = CoupledWaveParams(sigma_step=0.9, xi_std=0.3, kappa_std=0.3, seed=5)
     state0, draws = AmplitudeState(1.0 + 0.0j, 0.0j), []
     expected = evolve_fluctuating_reference(state0, p, 100.0, 0.01, 2000, draws=draws)
-    assert _kernel_draws(p, 2000) == draws
+    assert _kernel_draws(p, 2000)[0] == draws
     _assert_close(evolve_fluctuating(state0, p, 100.0, 0.01, 2000), expected)
 
 
@@ -482,13 +474,16 @@ _SMALL_B = 8
 
 
 def _assert_kernel_equals_loop(state0, params, n_steps, path_index=0):
-    """``evolve_fluctuating`` draws what the reference loop draws, bit for bit,
-    and ends within ``_AMPLITUDE_TOL`` of its amplitudes and populations,
-    with and without its trajectory; returns the reference's ``redraws``."""
+    """``evolve_fluctuating``, run in blocks of ``_SMALL_B`` steps, draws what
+    the reference loop draws, bit for bit, and ends within ``_AMPLITUDE_TOL``
+    of its amplitudes and populations, with and without its trajectory;
+    returns the reference's ``redraws``."""
     populations, redraws, draws = [state0.populations()], [], []
     expected = evolve_fluctuating_reference(state0, params, 100.0, 0.01, n_steps, path_index,
                                             populations, redraws, draws)
-    assert _kernel_draws(params, n_steps, path_index) == draws
+    kernel_draws, block_sizes = _kernel_draws(params, n_steps, path_index)
+    assert kernel_draws == draws
+    assert block_sizes == [min(_SMALL_B, n_steps - lo) for lo in range(0, n_steps, _SMALL_B)]
     state, trajectory = evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index,
                                            return_trajectory=True)
     _assert_close(state, expected)
@@ -506,34 +501,20 @@ def _assert_kernel_equals_loop(state0, params, n_steps, path_index=0):
     (CoupledWaveParams(sigma_step=0.9, seed=7), 1),  # h == 0: every step a pure phase
 ])
 def test_evolve_fluctuating_blocks_equal_the_loop(monkeypatch, n, params, path_index):
-    monkeypatch.setattr(coupled_wave, "_BLOCK_ROWS", _SMALL_B)
+    monkeypatch.setattr(errors, "_BLOCK_ROWS", _SMALL_B)
     _assert_kernel_equals_loop(AmplitudeState(0.6 + 0.0j, 0.8j), params, n, path_index)
 
 
-def _redraw_places(redraws, n_block):
-    """Where each redrawing step falls in its block: a block holds up to
-    ``n_block`` steps and ends early at a redraw; the next starts after it."""
-    places, start = {}, 0
-    for r in sorted(set(redraws)):
-        start += (r - start) // n_block * n_block
-        places[r] = ("first" if r == start else
-                     "last" if r == start + n_block - 1 else "inner")
-        start = r + 1
-    return places
-
-
 def test_evolve_fluctuating_redraws_at_block_edges_equal_the_loop(monkeypatch):
-    # sigma_step 1 redraws on about one step in six; seed 19 redraws on the
-    # last step of the first block, then on the next step, and later again
-    # on first steps and on consecutive steps.
-    monkeypatch.setattr(coupled_wave, "_BLOCK_ROWS", _SMALL_B)
-    p = CoupledWaveParams(sigma_step=1.0, xi_std=0.3, kappa_std=0.3, seed=19)
+    # sigma_step 1 redraws on about one step in six; seed 60 redraws twice on
+    # the last step of the first block and twice on the first step of the
+    # next, so the mid and the redraw stream must carry across the edge.
+    monkeypatch.setattr(errors, "_BLOCK_ROWS", _SMALL_B)
+    p = CoupledWaveParams(sigma_step=1.0, xi_std=0.3, kappa_std=0.3, seed=60)
     state0, n = AmplitudeState(1.0 + 0.0j, 0.0j), 2 * _SMALL_B + 3
     redraws = _assert_kernel_equals_loop(state0, p, n)
-    places = _redraw_places(redraws, _SMALL_B)
-    assert {"first", "last"} <= set(places.values()), places
-    assert any(r + 1 in places for r in places), places
-    # The cap counts the redraws of the step, not the rewound draws before it.
+    assert {_SMALL_B - 1, _SMALL_B} <= set(redraws), redraws
+    # The cap counts the redraws of one step.
     most = max(collections.Counter(redraws).values())
     monkeypatch.setattr(coupled_wave, "_MAX_REDRAWS", most)
     evolve_fluctuating(state0, p, 100.0, 0.01, n)
@@ -572,20 +553,26 @@ def test_evolve_fluctuating_rejects_an_overflowing_mid_walk(sigma_step, s_scale,
 
 
 @pytest.mark.parametrize("xi_kappa", [(0.3, 0.3), (0.0, 0.0)], ids=["rotation", "pure_phase"])
-@pytest.mark.parametrize("t, tau0, s", [
-    pytest.param(1.5e308, 1.0, 100.0, id="1.5e+308"),
-    pytest.param(math.inf, 1.0, 100.0, id="inf"),
-    pytest.param(math.nan, 1.0, 100.0, id="nan"),
+@pytest.mark.parametrize("s_mid, t, tau0, s", [
+    pytest.param(100.0, 1.5e308, 1.0, 100.0, id="1.5e+308"),
+    pytest.param(100.0, math.inf, 1.0, 100.0, id="inf"),
+    pytest.param(100.0, math.nan, 1.0, 100.0, id="nan"),
     # tau0 * s underflows to 0, so the angles divide by zero.
-    pytest.param(1.0, 1e-200, 1e-200, id="tau0_s_underflow"),
+    pytest.param(100.0, 1.0, 1e-200, 1e-200, id="tau0_s_underflow"),
+    # Negative angles: a phase angle of -inf beside a finite rotation angle
+    # has a finite maximum, so each angle is checked on its own.
+    pytest.param(-1e308, 10.0, 1e-3, 1e-3, id="s_mid_-1e+308"),
+    pytest.param(100.0, -1.5e308, 1.0, 100.0, id="-1.5e+308"),
+    pytest.param(100.0, -math.inf, 1.0, 100.0, id="-inf"),
 ])
-def test_evolve_rejects_a_step_whose_angle_is_not_finite(t, tau0, s, xi_kappa):
+def test_evolve_rejects_a_step_whose_angle_is_not_finite(s_mid, t, tau0, s, xi_kappa):
     # A finite t can still overflow the angles; neither kernel may then
     # return NaN amplitudes, warn, or raise anything but DomainError.
     state = AmplitudeState(1.0 + 0.0j, 0.0j)
     with pytest.raises(DomainError, match="phase or rotation angle"):
-        evolve_amplitudes(state, 100.0, *xi_kappa, s, tau0, t)
-    if math.isfinite(t):
+        evolve_amplitudes(state, s_mid, *xi_kappa, s, tau0, t)
+    # evolve_fluctuating takes only a positive mid scale and step.
+    if s_mid > 0.0 and 0.0 < t < math.inf:
         p = CoupledWaveParams(xi_std=xi_kappa[0], kappa_std=xi_kappa[1], tau0=tau0)
         with pytest.raises(DomainError, match="phase or rotation angle"):
             evolve_fluctuating(state, p, s, t, 5)
