@@ -9,6 +9,14 @@ refined by a Levenberg-Marquardt iteration whose 2x2 algebra runs on Python
 floats.  Flow statistics (average trade size, volume rate, volatility) come
 straight from the trade tape.
 
+Each rule of that workflow has one owner here.  The sample adapters only
+pair volumes with spreads; ``build_spread_volume_curve`` alone decides which
+pairs count and counts the rest by cause.  ``SpreadVolumeCurve.usable``
+alone decides which buckets a fit uses.  ``spread_law`` alone maps a curve
+kind to its law, for the fits, the synthetic curves, the fit overlay and the
+optimizer's calibrated law; it looks the law kernels up in this module's
+namespace on each call.
+
 A fit leaves the package as a calibration report (``calibration.json``):
 ``calibration_report`` builds its entries and ``parse_calibration_report``
 checks and reads them back, so the report's schema lives only here.
@@ -30,7 +38,7 @@ from .errors import (
     InsufficientDataError,
     check_finite,
 )
-# The fits look the law kernels up in this module's namespace.
+# ``spread_law`` looks the law kernels up in this module's namespace.
 from .spread_models import bar_spread_model, bidask_spread_model
 
 if TYPE_CHECKING:
@@ -90,22 +98,15 @@ class Rejections(NamedTuple):
     def total(self) -> int:
         return sum(self)
 
-    def plus(self, other: Rejections) -> Rejections:
-        return Rejections(*(a + b for a, b in zip(self, other)))
-
 
 @dataclass(frozen=True)
 class SpreadSamples:
-    """Paired (volume, spread) observations ready for bucketing."""
+    """Paired (volume, spread) observations, usable or not, ready for
+    bucketing: ``build_spread_volume_curve`` decides which count."""
 
     volumes: np.ndarray
     spreads: np.ndarray
     source: CurveSource
-    rejected: Rejections = Rejections()
-
-    @property
-    def n_rejected(self) -> int:
-        return self.rejected.total
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,9 @@ class SpreadVolumeCurve:
     rejected: Rejections = Rejections()
 
     def usable(self) -> tuple[CurveBucket, ...]:
-        return tuple(b for b in self.buckets if not b.flagged)
+        """The buckets a fit uses: not flagged, with a finite quantile (an
+        empty bucket's is NaN)."""
+        return tuple(b for b in self.buckets if not b.flagged and math.isfinite(b.spread_q))
 
 
 @dataclass(frozen=True)
@@ -224,38 +227,21 @@ def _rejections(keep: np.ndarray, volumes: np.ndarray, spreads: np.ndarray) -> R
 
 
 def bars_to_samples(bars: BarColumns) -> SpreadSamples:
-    """High-low ranges paired with per-bar volume.
-
-    Bars with a non-positive or non-finite volume, or a negative or
-    non-finite range, are rejected.
-    """
+    """Each bar's high-low range paired with its volume."""
     with np.errstate(invalid="ignore"):
         ranges = bars.high - bars.low
-    keep = _accepted(bars.volume, ranges)
-    return SpreadSamples(
-        volumes=bars.volume[keep], spreads=ranges[keep],
-        source=CurveSource.BAR, rejected=_rejections(keep, bars.volume, ranges),
-    )
+    return SpreadSamples(volumes=bars.volume, spreads=ranges, source=CurveSource.BAR)
 
 
 def bar_blocks_to_samples(blocks: Iterable[BarColumns]) -> SpreadSamples:
     """``bars_to_samples`` of consecutive bar blocks, joined.
 
-    Only each block's accepted (volume, range) pairs outlive it.
+    Only each block's (volume, range) pairs outlive it.
     """
     from .data_io import join_blocks  # blocks come from a CSV, so data_io is loaded
 
-    rejected = Rejections()
-
-    def accepted():
-        nonlocal rejected
-        for samples in map(bars_to_samples, blocks):
-            rejected = rejected.plus(samples.rejected)
-            yield samples
-
-    volumes, spreads = join_blocks(accepted(), ("volumes", "spreads"))
-    return SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR,
-                         rejected=rejected)
+    volumes, spreads = join_blocks(map(bars_to_samples, blocks), ("volumes", "spreads"))
+    return SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR)
 
 
 def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
@@ -263,9 +249,8 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
     """Bid-ask spreads paired with the trailing traded volume rate.
 
     Each quote's volume is the total trade size in (t - window, t] divided
-    by the window length.  Quotes with a negative or non-finite spread are
-    rejected, and so are quotes with no (or a non-finite) trailing flow:
-    they cannot be placed on a log-volume axis.
+    by the window length.  A quote with no trailing flow gets volume 0,
+    which no log-volume axis holds, so the curve rejects it.
     """
     if not (window > 0.0):
         raise DomainError(f"window must be > 0, got {window!r}")
@@ -277,11 +262,7 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
         volumes = (cumsize[np.searchsorted(times, quotes.timestamp, side="right")]
                    - cumsize[np.searchsorted(times, quotes.timestamp - window, side="right")]
                    ) / window
-    keep = _accepted(volumes, spreads)
-    return SpreadSamples(
-        volumes=volumes[keep], spreads=spreads[keep], source=CurveSource.BID_ASK,
-        rejected=_rejections(keep, volumes, spreads),
-    )
+    return SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BID_ASK)
 
 
 # --------------------------------------------------------------------------
@@ -296,10 +277,12 @@ def build_spread_volume_curve(
 ) -> SpreadVolumeCurve:
     """Quantile of spread per log-spaced volume bucket.
 
-    Buckets with fewer than ``min_count`` samples are flagged rather than
-    dropped; the sum of bucket counts equals the number of accepted samples.
-    Beyond one copy of the accepted samples when some are rejected, the
-    working memory is one bucket index per sample and one bucket's spreads.
+    The samples with a finite volume > 0 and a finite spread >= 0 count;
+    the rest are rejected and counted by cause (``Rejections``).  Buckets
+    with fewer than ``min_count`` samples are flagged rather than dropped;
+    the sum of bucket counts equals the number of accepted samples.  Beyond
+    one copy of the accepted samples when some are rejected, the working
+    memory is one bucket index per sample and one bucket's spreads.
     """
     if not (0.0 < quantile_level <= 1.0):
         raise DomainError(f"quantile_level must be in (0, 1], got {quantile_level!r}")
@@ -308,11 +291,10 @@ def build_spread_volume_curve(
 
     volumes, spreads = samples.volumes, samples.spreads
     keep = _accepted(volumes, spreads)
-    bad = _rejections(keep, volumes, spreads)
-    if bad.total:
+    rejected = _rejections(keep, volumes, spreads)
+    if rejected.total:
         volumes, spreads = volumes[keep], spreads[keep]
     del keep
-    rejected = samples.rejected.plus(bad)
     if volumes.size == 0:
         raise InsufficientDataError("no usable (volume, spread) samples")
 
@@ -431,8 +413,7 @@ def _run_spread_fit(
     per evaluation: rebuilt from A and B it more than doubled a noiseless SSE.
     """
     check_finite("tau0", tau0, above=0.0)
-    usable = [(b.v_mid, b.spread_q, b.count) for b in curve.usable()
-              if math.isfinite(b.spread_q)]
+    usable = [(b.v_mid, b.spread_q, b.count) for b in curve.usable()]
     if len(usable) < 3:
         raise InsufficientDataError(f"need >= 3 usable buckets to fit, got {len(usable)}")
     v, y, counts = np.array(usable, dtype=float).T
@@ -503,6 +484,21 @@ def _run_spread_fit(
     return result
 
 
+def spread_law(source: CurveSource, flow: FlowStats, tau0: float,
+               horizon: float | None):
+    """The spread law of a curve kind in the curve's money units, as
+    ``law(V, lam, rho)``: ``flow.mean_price`` times the dimensionless law at
+    ``flow``'s sigma and n and the fixed ``tau0``.  That law is the bid-ask
+    law, or the bar law at ``horizon``, which a bar curve requires (finite
+    and > 0).
+    """
+    price, sigma, n = flow.mean_price, flow.sigma, flow.n
+    if source is not CurveSource.BAR:
+        return lambda V, lam, rho: price * bidask_spread_model(V, lam, rho, sigma, n, tau0)
+    check_finite("horizon", horizon, above=0.0)
+    return lambda V, lam, rho: price * bar_spread_model(V, lam, rho, sigma, n, tau0, horizon)
+
+
 def fit_bid_ask_curve(
     curve: SpreadVolumeCurve,
     flow: FlowStats,
@@ -514,9 +510,7 @@ def fit_bid_ask_curve(
     (lambda, rho) are fitted: rho_hat * tau0 is the identified quantity.
     Bucket weights are the trade counts.
     """
-    def law(V, lam, rho):
-        return flow.mean_price * bidask_spread_model(V, lam, rho, flow.sigma, flow.n, tau0)
-
+    law = spread_law(CurveSource.BID_ASK, flow, tau0, None)
     return _run_spread_fit(curve, law, flow, tau0)
 
 
@@ -532,11 +526,7 @@ def fit_bar_curve(
     intercept identifies lambda * sigma_T directly.  As in the bid-ask fit,
     tau0 is fixed and rho_hat * tau0 is the identified quantity.
     """
-    check_finite("horizon_T", horizon_T, above=0.0)
-    def law(V, lam, rho):
-        return flow.mean_price * bar_spread_model(V, lam, rho, flow.sigma, flow.n, tau0,
-                                                  horizon_T)
-
+    law = spread_law(CurveSource.BAR, flow, tau0, horizon_T)
     return _run_spread_fit(curve, law, flow, tau0)
 
 

@@ -14,7 +14,11 @@ Every command runs in a process of its own, so start-up is part of its time.
 Loading this module loads only what parses a command line and reports a
 failure (click, numpy, ``errors`` and ``data_io``); each command imports the
 model modules it runs in its own body, so ``simulate`` never builds the fit
-and ``calibrate`` never builds the simulator.
+and ``calibrate`` builds neither the simulator nor the optimizer.  ``curve``
+and ``calibrate`` take their rules from ``calibration``: which samples count
+and which buckets are usable (``SpreadVolumeCurve.usable``, the count both
+print), and the law of each curve kind (``spread_law``), which ``calibrate``
+also evaluates for its overlay.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ _COMMAND_KEYS: dict[str, dict[str, _Key]] = {
         "sigma": _Key(float, None,
                       "Volatility (per reference time, or per horizon for bars)."),
         "price": _Key(float, None, "Price scale."),
-        "volume": _Key(float, 0.0, "Volume rate (optional)."),
+        "volume": _Key(float, 0.0, "Volume rate; only recorded in calibration.json "
+                       "(flow.volume), since no fit reads it."),
         "tau0": _Key(float, 1.0, "Fixed time constant; rho is reported at it, and "
                      "rho*tau0 is the identified quantity."),
         "min_count": _Key(int, 20),
@@ -523,8 +528,7 @@ def cmd_curve(cfg: dict) -> None:
 def cmd_calibrate(cfg: dict) -> None:
     """Fit the spread law to a curve CSV and write the result JSON."""
     from .calibration import (REPORT_KINDS, CurveSource, FlowStats, calibration_report,
-                              fit_bar_curve, fit_bid_ask_curve)
-    from .optimizer import calibrated_law
+                              fit_bar_curve, fit_bid_ask_curve, spread_law)
 
     _require(cfg, "curve", "n", "sigma", "price")
     source = REPORT_KINDS[cfg["kind"]]
@@ -547,9 +551,8 @@ def cmd_calibrate(cfg: dict) -> None:
         raise
 
     usable = curve.usable()
-    # Only the fitted curve delta_ref is used; lambda_ref plays no part.
-    fitted = calibrated_law(result, flow, source, 1.0, horizon_T=cfg["horizon"])
-    model_values = flow.mean_price * fitted.delta_ref(np.array([b.v_mid for b in usable]))
+    law = spread_law(source, flow, result.tau0_hat, cfg["horizon"])
+    model_values = law(np.array([b.v_mid for b in usable]), result.lambda_hat, result.rho_hat)
     write_overlay_csv(_out_path(cfg, "overlay.csv"), curve,
                       [float(m) for m in model_values])
 

@@ -10,14 +10,16 @@ row with any other cell (NaN, an infinity, a subnormal, a tiny or a huge
 value) is formatted by ``repr`` itself.
 
 Readers are strict about structure (missing columns and malformed cells
-raise with the offending name or line) while semantic filtering (crossed
-quotes, empty buckets) is left to the calibration layer, which counts
-rejections instead of failing.  One block reader serves bars, quotes and
-trades.  A block of plain numbers, as the writers here produce, is parsed
-by ``orjson.loads``, whose values are ``float()``'s; any other block goes to
-``np.loadtxt``, which reads CSV quoting as ``csv`` does, and a block that
-``np.loadtxt`` refuses goes, alone, to the strict row parser, so malformed
-files still fail with their line number.
+raise with the offending name or line).  A tape's rows are not judged here:
+the calibration layer decides which (volume, spread) pairs count and which
+curve buckets a fit uses, and counts rejected samples instead of failing.
+A curve CSV, which only spreadwave writes, is checked cell by cell where
+it is read.  One block reader serves bars, quotes and trades.  A block of
+plain numbers, as the writers here produce, is parsed by ``orjson.loads``,
+whose values are ``float()``'s; any other block goes to ``np.loadtxt``,
+which reads CSV quoting as ``csv`` does, and a block that ``np.loadtxt``
+refuses goes, alone, to the strict row parser, so malformed files still
+fail with their line number.
 
 Every writer formats one block of rows at a time, and the reader parses one
 block of lines at a time, so both work in bounded memory beyond the arrays
@@ -51,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 import orjson
 
-from .errors import _BLOCK_ROWS, InputFormatError, check_finite, row_blocks
+from .errors import _BLOCK_ROWS, DomainError, InputFormatError, check_finite, row_blocks
 
 if TYPE_CHECKING:
     from .calibration import CurveSource, SpreadVolumeCurve
@@ -289,7 +291,8 @@ def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
     does; a quoted cell that holds a line break reads within one block, and
     one that runs past the last line of a block fails with that line.
     Nothing but the line number passes from one block to the next, and
-    every block's columns are arrays of their own.
+    every block's columns are arrays of their own, so a column the caller
+    keeps does not hold the rest of its block.
     """
     names = kind.names()
     with _open_table(path, names) as (fh, header):
@@ -321,8 +324,8 @@ def _read_blocks(path: str, kind: type[_Columns]) -> Iterator[_Columns]:
                     raise InputFormatError(f"{path}:{before + len(lines)}: a quoted cell runs "
                                            f"past the end of a {_BLOCK_ROWS}-line block")
             before += len(lines)
-            # Only the block's columns stay alive while the caller holds them.
-            block = kind(*map(np.ascontiguousarray, table)) if table.size else None
+            # A copy per column: the parsers return views of one 2-D array.
+            block = kind(*map(np.array, table)) if table.size else None
             del lines, table
             if block is not None:
                 yield block
@@ -359,7 +362,12 @@ def read_curve(
     source: CurveSource,
     min_count: int = 20,
 ) -> SpreadVolumeCurve:
-    """Rebuild a curve from its CSV; flags are recomputed from the counts."""
+    """Rebuild a curve from its CSV; flags are recomputed from the counts.
+
+    Every row must hold volumes finite and > 0, a spread quantile finite and
+    >= 0 and a count >= 0, as ``write_curve_csv`` writes them; any other
+    cell raises InputFormatError naming the path, the line and the column.
+    """
     from .calibration import CurveBucket, SpreadVolumeCurve
 
     check_finite("min_count", min_count, at_least=0)
@@ -373,16 +381,17 @@ def read_curve(
             raise InputFormatError(
                 f"{path}:{i}: bad value {raw_count!r} in column 'count'"
             ) from exc
-        spread_q = _cell_float(row, "spread_q", path, i)
+        if count < 0:
+            raise InputFormatError(f"{path}:{i}: count must be >= 0, got {count!r}")
+        cells = {col: _cell_float(row, col, path, i) for col in _CURVE_COLUMNS[:-1]}
+        try:
+            for col in ("v_lo", "v_hi", "v_mid"):
+                check_finite(col, cells[col], above=0.0)
+            check_finite("spread_q", cells["spread_q"], at_least=0.0)
+        except DomainError as exc:
+            raise InputFormatError(f"{path}:{i}: {exc}") from None
         accepted += count
-        buckets.append(CurveBucket(
-            v_lo=_cell_float(row, "v_lo", path, i),
-            v_hi=_cell_float(row, "v_hi", path, i),
-            v_mid=_cell_float(row, "v_mid", path, i),
-            spread_q=spread_q,
-            count=count,
-            flagged=count < min_count or not math.isfinite(spread_q),
-        ))
+        buckets.append(CurveBucket(**cells, count=count, flagged=count < min_count))
     if not buckets:
         raise InputFormatError(f"{path}: curve has no buckets")
     return SpreadVolumeCurve(

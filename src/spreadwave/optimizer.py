@@ -22,18 +22,12 @@ columns and the scalar functions (``execution_rate``, ``spread_pnl``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import (
-    CalibrationResult,
-    CurveSource,
-    FlowStats,
-    bar_spread_model,
-    bidask_spread_model,
-)
+from .calibration import CalibrationResult, CurveSource, FlowStats, spread_law
 from .errors import DomainError, check_finite
 
 # Reference quoting level as a fraction of the execution scale.  The market
@@ -165,13 +159,12 @@ def calibrated_law(
     lambda_ref: float,
     horizon_T: float | None = None,
 ) -> LinearSpreadLaw:
-    """Linear family anchored on a calibrated spread curve (dimensionless)."""
-    fit = (result.lambda_hat, result.rho_hat, flow.sigma, flow.n, result.tau0_hat)
-    if source is not CurveSource.BAR:
-        return LinearSpreadLaw(lambda V: bidask_spread_model(V, *fit), lambda_ref)
-    if horizon_T is None:
-        raise DomainError("horizon_T is required for a bar-based law")
-    return LinearSpreadLaw(lambda V: bar_spread_model(V, *fit, horizon_T), lambda_ref)
+    """Linear family anchored on a calibrated spread curve (dimensionless):
+    ``calibration.spread_law`` at the fitted values and a unit price, by
+    which it multiplies exactly."""
+    law = spread_law(source, replace(flow, mean_price=1.0), result.tau0_hat, horizon_T)
+    lam, rho = result.lambda_hat, result.rho_hat
+    return LinearSpreadLaw(lambda V: law(V, lam, rho), lambda_ref)
 
 
 @dataclass(frozen=True)

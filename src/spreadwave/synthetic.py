@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import (
-    CurveBucket,
-    CurveSource,
-    FlowStats,
-    SpreadVolumeCurve,
-    bar_spread_model,
-    bidask_spread_model,
-)
+from .calibration import CurveBucket, CurveSource, FlowStats, SpreadVolumeCurve, spread_law
 from .data_io import TradeColumns
 from .errors import DomainError
 
@@ -54,19 +47,13 @@ def synthetic_spread_curve(
         raise DomainError("v_edges must be >= 2 strictly ascending positive values")
     if noise_rel < 0.0:
         raise DomainError(f"noise_rel must be >= 0, got {noise_rel!r}")
-    if source is CurveSource.BAR and horizon_T is None:
-        raise DomainError("horizon_T is required for a bar-law curve")
+    law = spread_law(source, flow, tau0, horizon_T)
 
     rng = _rng(seed)
     buckets = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = math.sqrt(lo * hi)
-        if source is CurveSource.BAR:
-            delta = bar_spread_model(mid, lam, rho, flow.sigma, flow.n,
-                                     tau0, horizon_T)
-        else:
-            delta = bidask_spread_model(mid, lam, rho, flow.sigma, flow.n, tau0)
-        spread = flow.mean_price * delta * (1.0 + noise_rel * rng.standard_normal())
+        spread = law(mid, lam, rho) * (1.0 + noise_rel * rng.standard_normal())
         buckets.append(CurveBucket(
             v_lo=float(lo), v_hi=float(hi), v_mid=mid,
             spread_q=float(spread), count=count, flagged=spread <= 0.0,

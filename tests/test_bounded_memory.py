@@ -382,8 +382,8 @@ def test_simulate_summary_releases_the_heights_before_the_volatility_estimate(mo
 def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
     """Above a one-block run, the peak grows by at most 2 x the two columns kept per bar.
 
-    ``simulate`` keeps h and s_last, ``curve --bars`` the accepted volumes and
-    ranges: 16 B a bar.  The one-block run carries the per-block costs
+    ``simulate`` keeps h and s_last, ``curve --bars`` each bar's volume and
+    range: 16 B a bar.  The one-block run carries the per-block costs
     (formatted rows, a parsed block, the numpy.random set-up), which do not
     grow with the path.
     """
@@ -404,7 +404,7 @@ def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
 def test_curve_quotes_body_holds_a_few_columns_per_row(tmp_path):
     """Above a one-block tape, the peak of ``curve --quotes --trades`` grows by
     at most 2 x the 64 B a row of the two whole tapes' columns (48 B) and the
-    accepted pairs (16 B) take.  The trades are numeric.  The quotes are
+    (volume, spread) pairs (16 B) take.  The trades are numeric.  The quotes are
     ISO-stamped, or stamped in seconds for their first half, or hold one
     quoted cell; all three are read block by block with np.loadtxt."""
     for tape in ("iso", "numeric_then_iso", "one_quoted_cell"):

@@ -86,7 +86,7 @@ def test_flow_stats_on_synthetic_tape():
 # adapters
 # --------------------------------------------------------------------------
 
-def test_bars_to_samples_rejects_bad_rows():
+def test_curve_rejects_bad_bar_rows():
     rows = [
         (0.0, 10.0, 11.0, 9.0, 10.5, 100.0),
         (1.0, 10.0, 11.0, 9.0, 10.5, 0.0),            # zero volume
@@ -97,15 +97,20 @@ def test_bars_to_samples_rejects_bad_rows():
         (6.0, 10.0, 12.5, 9.25, 10.5, math.inf),      # infinite volume
         (7.0, 10.0, 10.0, 10.0, 10.0, 7.0),           # zero range is kept
     ]
-    samples = bars_to_samples(BarColumns(*np.array(rows).T))
-    assert samples.volumes.tolist() == [100.0, 7.0]
-    assert samples.spreads[0] == pytest.approx(2.0)
-    assert samples.spreads[1] == 0.0
-    assert samples.n_rejected == 6
-    # NaN and infinite volumes and ranges first, then the zero volume.
-    assert samples.rejected == Rejections(non_finite=4, non_positive_volume=1,
-                                          negative_spread=1)
+    bars = BarColumns(*np.array(rows).T)
+    samples = bars_to_samples(bars)
+    # The adapter pairs every bar; the curve decides which pairs count.
+    assert samples.volumes is bars.volume
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(samples.spreads, bars.high - bars.low, equal_nan=True)
     assert samples.source is CurveSource.BAR
+    curve = build_spread_volume_curve(samples, BucketSpec(n_buckets=1), min_count=1)
+    assert (curve.n_accepted, curve.buckets[0].count) == (2, 2)
+    assert curve.buckets[0].spread_q == pytest.approx(0.9 * 2.0)   # of the ranges 0 and 2
+    assert curve.n_rejected == 6
+    # NaN and infinite volumes and ranges first, then the zero volume.
+    assert curve.rejected == Rejections(non_finite=4, non_positive_volume=1,
+                                        negative_spread=1)
 
 
 def test_quotes_to_samples_trailing_volume():
@@ -113,20 +118,20 @@ def test_quotes_to_samples_trailing_volume():
     quotes = QuoteColumns(*np.array([
         (2.5, 99.0, 101.0),   # trades at 1, 2 -> 20 over window 2
         (4.0, 99.5, 100.5),   # trades at 3, 4 (window (2, 4])
-        (0.5, 99.0, 101.0),   # no trailing flow -> rejected
-        (3.0, 101.0, 99.0),   # crossed -> rejected
+        (0.5, 99.0, 101.0),   # no trailing flow -> rejected by the curve
+        (3.0, 101.0, 99.0),   # crossed -> rejected by the curve
     ]).T)
     samples = quotes_to_samples(quotes, trades, window=2.0)
-    assert samples.volumes == pytest.approx([10.0, 10.0])
-    assert samples.spreads == pytest.approx([2.0, 1.0])
-    assert samples.n_rejected == 2
-    assert samples.rejected == Rejections(non_positive_volume=1, negative_spread=1)
+    assert samples.volumes == pytest.approx([10.0, 10.0, 0.0, 10.0])
+    assert samples.spreads == pytest.approx([2.0, 1.0, 2.0, -2.0])
     assert samples.source is CurveSource.BID_ASK
+    curve = build_spread_volume_curve(samples, BucketSpec(n_buckets=1), min_count=1)
+    assert curve.n_accepted == 2 and curve.n_rejected == 2
+    assert curve.rejected == Rejections(non_positive_volume=1, negative_spread=1)
 
 
-def test_quotes_to_samples_rejects_an_infinite_trailing_volume():
-    """The adapter keeps what the curve keeps: a quote whose trailing flow
-    overflows is rejected here, as non-finite, not later by the curve."""
+def test_curve_rejects_an_infinite_trailing_volume():
+    """A quote whose trailing flow overflows is rejected by the curve, as non-finite."""
     trades = TradeColumns(np.array([1.0, 2.0, 3.0]), np.full(3, 100.0),
                           np.array([1.0, 1e308, 1e308]))
     quotes = QuoteColumns(*np.array([
@@ -135,37 +140,34 @@ def test_quotes_to_samples_rejects_an_infinite_trailing_volume():
     ]).T)
     with np.errstate(over="ignore"):
         samples = quotes_to_samples(quotes, trades, window=1.0)
-    assert samples.volumes.tolist() == [1.0]
-    assert samples.rejected == Rejections(non_finite=1)
+    assert samples.volumes.tolist() == [1.0, math.inf]
     curve = build_spread_volume_curve(samples, BucketSpec(n_buckets=1), min_count=1)
     assert curve.rejected == Rejections(non_finite=1) and curve.n_accepted == 1
 
 
 def quotes_to_samples_reference(quotes, trades, window):
-    """The per-quote loop: two scalar ``searchsorted`` calls per quote."""
+    """The per-quote loop: two scalar ``searchsorted`` calls per quote, and
+    the number of pairs the curve must reject."""
     order = np.argsort(trades.timestamp, kind="stable")
     times = trades.timestamp[order]
     cumsize = np.concatenate(([0.0], np.cumsum(trades.size[order])))
     volumes, spreads, rejected = [], [], 0
     for t, bid, ask in zip(*(col.tolist() for col in (quotes.timestamp, quotes.bid, quotes.ask))):
         spread = ask - bid
-        if spread < 0.0 or not math.isfinite(spread):
-            rejected += 1
-            continue
         hi = np.searchsorted(times, t, side="right")
         lo = np.searchsorted(times, t - window, side="right")
-        v = (cumsize[hi] - cumsize[lo]) / window
-        if v > 0.0 and math.isfinite(v):
-            volumes.append(v)
-            spreads.append(spread)
-        else:
-            rejected += 1
-    return np.array(volumes), np.array(spreads), rejected
+        v = float((cumsize[hi] - cumsize[lo]) / window)
+        volumes.append(v)
+        spreads.append(spread)
+        rejected += not (spread >= 0.0 and math.isfinite(spread) and v > 0.0
+                         and math.isfinite(v))
+    return np.array(volumes, dtype=float), np.array(spreads, dtype=float), rejected
 
 
 def test_quotes_to_samples_equals_the_per_quote_loop():
     """Bit for bit, on tapes with crossed, infinite and NaN quotes, trades out
-    of order and cumulative sizes that overflow."""
+    of order and cumulative sizes that overflow; the curve rejects the pairs
+    the loop says it must."""
     rng = np.random.default_rng(0)
     special = np.array([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -0.0])
 
@@ -185,7 +187,11 @@ def test_quotes_to_samples_equals_the_per_quote_loop():
             samples = quotes_to_samples(quotes, trades, window)
         assert samples.volumes.tobytes() == volumes.tobytes()
         assert samples.spreads.tobytes() == spreads.tobytes()
-        assert samples.n_rejected == rejected
+        if rejected == n:
+            with pytest.raises(InsufficientDataError):
+                build_spread_volume_curve(samples)
+        else:
+            assert build_spread_volume_curve(samples).n_rejected == rejected
 
 
 # --------------------------------------------------------------------------
@@ -252,17 +258,15 @@ def test_degenerate_volume_range():
 
 def test_rejections_count_each_sample_under_its_first_cause():
     """A sample that fails several checks counts once, under the first of
-    non-finite, non-positive volume and negative spread; the curve adds the
-    samples' own rejections to those it makes."""
+    non-finite, non-positive volume and negative spread."""
     nan, inf = math.nan, math.inf
     volumes = np.array([nan, inf, -1.0, 0.0, -inf, 2.0, 3.0, 4.0, 0.0, 5.0, 6.0])
     spreads = np.array([-1.0, 1.0, nan, -1.0, 1.0, -0.5, -inf, 1.0, 1.0, 2.0, 0.0])
-    samples = SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR,
-                            rejected=Rejections(1, 2, 3))
+    samples = SpreadSamples(volumes=volumes, spreads=spreads, source=CurveSource.BAR)
     curve = build_spread_volume_curve(samples, BucketSpec(n_buckets=1), min_count=1)
-    assert curve.rejected == Rejections(non_finite=1 + 5, non_positive_volume=2 + 2,
-                                        negative_spread=3 + 1)
-    assert curve.n_rejected == curve.rejected.total == 14
+    assert curve.rejected == Rejections(non_finite=5, non_positive_volume=2,
+                                        negative_spread=1)
+    assert curve.n_rejected == curve.rejected.total == 8
     assert curve.n_accepted == 3
 
 
@@ -375,7 +379,7 @@ def test_execution_scale_validation():
 # --------------------------------------------------------------------------
 
 def _weighted_sse(curve, spread):
-    usable = [b for b in curve.usable() if math.isfinite(b.spread_q)]
+    usable = curve.usable()
     v = np.array([b.v_mid for b in usable])
     y = np.array([b.spread_q for b in usable])
     w = np.sqrt(np.array([b.count for b in usable], dtype=float))

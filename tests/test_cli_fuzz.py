@@ -1,5 +1,5 @@
 """Property tests of the command-line contract under hostile flags of every
-command and hostile calibration reports.
+command, hostile curve CSVs and hostile calibration reports.
 
 Every invocation must end in exit 0, 2, 3 or 4 without a traceback, and an
 exit 0 must leave no NaN or infinity in any file it wrote.
@@ -153,6 +153,30 @@ def test_calibrate_fuzz(curve_dir, kind, flags):
     run_hostile(["calibrate", "--curve", os.path.join(curve_dir, "input.csv"),
                  "--kind", kind, *flags, "--min-count", "1"],
                 curve_dir, keep=("input.csv",))
+
+
+_CURVE_CELLS = [(row, column) for row in range(7)
+                for column in ("v_lo", "v_hi", "v_mid", "spread_q", "count")]
+
+
+@given(kind=st.sampled_from(["bidask", "bar"]),
+       changed=st.dictionaries(st.sampled_from(_CURVE_CELLS), st.sampled_from(_HOSTILE),
+                               max_size=3))
+@_FUZZ
+def test_calibrate_curve_fuzz(curve_dir, work_dir, kind, changed):
+    """The fixed curve with up to three cells replaced by hostile values."""
+    with open(os.path.join(curve_dir, "input.csv"), encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    columns = header.split(",")
+    rows = [row.split(",") for row in rows]
+    for (row, column), value in changed.items():
+        rows[row][columns.index(column)] = value
+    path = os.path.join(curve_dir, "hostile.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
+    run_hostile(["calibrate", "--curve", path, "--kind", kind,
+                 *[x for item in _CALIBRATE.items() for x in item], "--min-count", "1"],
+                work_dir)
 
 
 _CAL_FIELDS = ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm", "evaluations", "stop",

@@ -39,6 +39,7 @@ from spreadwave.data_io import (
     _read_strict,
     format_float,
     parse_timestamp,
+    read_bar_blocks,
     read_bars,
     read_curve,
     read_json_report,
@@ -712,6 +713,29 @@ def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, nam
     assert not (tmp_path / "calibration.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["bidask", "bar"])
+@pytest.mark.parametrize("column, value", [
+    ("v_lo", "nan"), ("v_hi", "inf"), ("v_mid", "-1"), ("v_mid", "0"), ("v_mid", "nan"),
+    ("v_mid", "-inf"), ("spread_q", "-1"), ("spread_q", "nan"), ("spread_q", "inf"),
+    ("count", "-1"),
+])
+def test_calibrate_refuses_a_bad_curve_cell_exit_3_one_line(tmp_path, curve_csv, kind,
+                                                             column, value):
+    # Line 3 of the file, the second bucket, holds the bad cell.
+    lines = Path(curve_csv).read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(cells)
+    Path(curve_csv).write_text("\n".join(lines) + "\n")
+    res = CliRunner().invoke(main, ["calibrate", "--curve", curve_csv, "--kind", kind,
+                                    "--n", "100", "--sigma", "0.02", "--price", "50",
+                                    "--min-count", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = stderr_lines(res)
+    assert len(lines) == 1 and lines[0].startswith(f"error: {curve_csv}:3: {column} must be")
+    assert not (tmp_path / "calibration.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--window", "nan"), ("--window", "-1"), ("--window", "0"), ("--quantile", "0"),
     ("--horizon", "inf"),
@@ -769,6 +793,11 @@ def test_curve_csv_leaves_out_empty_buckets(tmp_path):
     assert np.isfinite(curve).all()
     back = read_curve(str(tmp_path / "curve.csv"), 0.9, CurveSource.BAR, min_count=0)
     assert sum(b.count for b in back.buckets) == 1500 and not any(b.flagged for b in back.buckets)
+    # The empty bucket is not flagged at --min-count 0, but it has no
+    # quantile, so the usable count is the curve's rows.
+    summary = read_json_report(str(tmp_path / "curve_report.json"))["summary"]
+    assert summary["n_usable"] == len(curve) == 2
+    assert res.output.endswith(f"({len(curve)} usable buckets)\n")
 
 
 @pytest.mark.parametrize("volume", ["1e308", "1e-200"])
@@ -1057,6 +1086,20 @@ def test_read_bars_iso_timestamps_and_reordered_columns(tmp_path):
             bars.close[0], bars.volume[0]) == (1.0, 1.0, 2.0, 0.5, 1.5, 3.0)
 
 
+@pytest.mark.parametrize("text", [
+    "0,1,2,0.5,1.5,3\n1,1,2.5,0.5,1.5,4\n",
+    '0,1,2,0.5,"1.5",3\n1,1,2.5,0.5,1.5,4\n',
+    "1970-01-01T00:00:01Z,1,2,0.5,1.5,3\n1970-01-01T00:00:02Z,1,2.5,0.5,1.5,4\n",
+], ids=["plain", "quoted", "iso"])
+def test_every_column_of_a_read_block_is_its_own_array(tmp_path, text):
+    # A column kept from a block, such as the volumes, holds only itself.
+    path = tmp_path / "bars.csv"
+    path.write_text("timestamp,open,high,low,close,volume\n" + text)
+    [block] = read_bar_blocks(str(path))
+    assert [getattr(block, name).base for name in BarColumns.names()] == [None] * 6
+    assert block.volume.tolist() == [3.0, 4.0]
+
+
 _BLOCK_SCIPY = """
 import sys
 
@@ -1145,7 +1188,7 @@ def chain_inputs(tmp_path_factory):
      ("calibration", "spread_models")),
     (["calibrate", "--curve", "{in}/curve.csv", "--kind", "bar", "--n", "100",
       "--sigma", "0.02", "--price", "100", "--min-count", "1"],
-     ("calibration", "optimizer", "spread_models")),
+     ("calibration", "spread_models")),
     (["optimize", "--calibration", "{in}/calibration.json", "--lambda0", "3"],
      ("calibration", "optimizer", "spread_models")),
     (["scale", "--base-spread", "2", "--eta", "0.8", "--lam", "1.6", "--t2-max", "100"],
