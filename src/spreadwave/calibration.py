@@ -308,7 +308,11 @@ def build_spread_volume_curve(
             else:  # the float maximum: widen down instead
                 edges[0] = math.nextafter(edges[0], 0.0)
     else:
-        edges = np.geomspace(lo, hi, spec.n_buckets + 1)
+        # Edges that round together would make an empty bucket, or a last one
+        # of no width: each edge is kept once.  geomspace can overflow on its
+        # way to an endpoint near the float maximum, which it then sets exactly.
+        with np.errstate(over="ignore"):
+            edges = np.unique(np.geomspace(lo, hi, spec.n_buckets + 1))
         edges[0] = min(edges[0], float(volumes.min()))
         edges[-1] = max(edges[-1], float(volumes.max()))
 

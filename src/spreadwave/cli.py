@@ -12,23 +12,25 @@ input or config, 4 numerical failure.
 
 Every command runs in a process of its own, so start-up is part of its time.
 Loading this module loads only what parses a command line and reports a
-failure (click, numpy, ``errors`` and ``data_io``); each command imports the
-model modules it runs in its own body, so ``simulate`` never builds the fit
-and ``calibrate`` builds neither the simulator nor the optimizer.  ``curve``
-and ``calibrate`` take their rules from ``calibration``: which samples count
-and which buckets are usable (``SpreadVolumeCurve.usable``, the count both
-print), and the law of each curve kind (``spread_law``), which ``calibrate``
-also evaluates for its overlay.
+failure (numpy, ``errors`` and ``data_io``): ``main`` reads the flags, the
+``--help`` text and the commands from the same key table as the config, with
+no parser library.  Each command imports the model modules it runs in its own
+body, so ``simulate`` never builds the fit and ``calibrate`` builds neither
+the simulator nor the optimizer.  ``curve`` and ``calibrate`` take their
+rules from ``calibration``: which samples count and which buckets are usable
+(``SpreadVolumeCurve.usable``, the count both print), and the law of each
+curve kind (``spread_law``), which ``calibrate`` also evaluates for its
+overlay.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import warnings
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn
 
-import click
 import numpy as np
 
 from . import __version__
@@ -290,6 +292,11 @@ def _out_path(resolved: dict, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _fail(message: str, code: int) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
 def _run_body(command: str, body: Callable[[], None]) -> None:
     # Floating-point warnings stay off stderr: an overflow that reaches an
     # output is refused by ``_require_finite`` with one error line instead.
@@ -300,86 +307,134 @@ def _run_body(command: str, body: Callable[[], None]) -> None:
             warnings.simplefilter("ignore", RuntimeWarning)
             body()
     except FitConvergenceError as exc:
-        click.echo(f"error: numerical failure: {exc}", err=True)
-        raise SystemExit(EXIT_NUMERICAL)
+        _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
     except (InputFormatError, InsufficientDataError, DomainError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_INVALID_INPUT)
+        _fail(str(exc), EXIT_INVALID_INPUT)
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_IO)
+        _fail(str(exc), EXIT_IO)
     except MemoryError:
-        click.echo(f"error: {command}: not enough memory for the requested sizes", err=True)
-        raise SystemExit(EXIT_INVALID_INPUT)
+        _fail(f"{command}: not enough memory for the requested sizes", EXIT_INVALID_INPUT)
     except OverflowError:
         # Python-float arithmetic on an extreme parameter (e.g. x ** 2).
-        click.echo(f"error: numerical failure: {command}: a parameter overflowed "
-                   "double precision", err=True)
-        raise SystemExit(EXIT_NUMERICAL)
+        _fail(f"numerical failure: {command}: a parameter overflowed double precision",
+              EXIT_NUMERICAL)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        click.echo(f"error: numerical failure: {exc}", err=True)
-        raise SystemExit(EXIT_NUMERICAL)
+        _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
-class _Group(click.Group):
-    """The command group.  A usage error (an unknown command or flag, or a
-    flag without its value) exits 3 with one ``error:`` line, as invalid
-    config does, instead of click's usage text and exit 2, the I/O-failure
-    code.  A bare ``spreadwave`` still prints its help."""
+# --------------------------------------------------------------------------
+# command line
+# --------------------------------------------------------------------------
 
-    def make_context(self, *args, **kwargs):
-        return _one_line_usage(super().make_context, *args, **kwargs)
+def _usage_error(message: str, name: str | None = None, names=()) -> NoReturn:
+    """Exit 3 with one line, as invalid config does (2 is the I/O-failure
+    code), suggesting the ``names`` close to a misspelled ``name``."""
+    if name is not None:
+        import difflib  # imported on use: only a misspelled name needs it
 
-    def invoke(self, ctx):  # resolves the command and parses its flags
-        return _one_line_usage(super().invoke, ctx)
-
-
-def _one_line_usage(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except click.UsageError as exc:
-        if isinstance(exc, getattr(click.exceptions, "NoArgsIsHelpError", ())):
-            raise  # click >= 8.2 shows the help of a bare group this way
-        click.echo(f"error: {exc.format_message()}", err=True)
-        raise SystemExit(EXIT_INVALID_INPUT) from None
+        close = sorted(difflib.get_close_matches(name, names))
+        quoted = ", ".join(map(repr, close))
+        if len(close) == 1:
+            message += f" Did you mean {quoted}?"
+        elif close:
+            message += f" (Did you mean one of: {quoted}?)"
+    _fail(message, EXIT_INVALID_INPUT)
 
 
-@click.group(cls=_Group)
-@click.version_option(version=__version__, prog_name="spreadwave")
-def main() -> None:
-    """Spread modeling, calibration, and quoting-policy toolkit."""
+def _parse_flags(command: str, args: list[str]) -> dict[str, str] | None:
+    """``command``'s flags as {key: text}, or None if ``--help`` is among them.
 
-
-def _command(name: str):
-    """Register ``fn(cfg)`` on ``main`` as command ``name``.
-
-    The command takes ``--config`` and one ``--key-name`` flag per config
-    key.  Flags stay text: ``resolve_config`` parses them with ``_coerce``,
-    as it does environment and file values.
+    A flag takes its value as ``--flag VALUE`` or ``--flag=VALUE``, as
+    written even when it starts with ``-``; a repeated flag's last value
+    wins, and ``--`` ends the flags.  The text is parsed by ``_coerce``
+    later, as environment and file values are.
     """
-    def register(fn: Callable[[dict], None]):
-        def callback(config_path, **flags) -> None:
-            _run_body(name, lambda: fn(resolve_config(name, config_path, flags)))
+    names = {"--config": "config"}
+    names.update(("--" + key.replace("_", "-"), key)
+                 for key in (*_GLOBAL_KEYS, *_COMMAND_KEYS[command]))
+    flags, extra, error = {}, [], None
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--help":
+            return None
+        if arg == "--":
+            extra += rest
+        elif not arg.startswith("-") or arg == "-":
+            extra.append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in names:
+                error = error or (f"No such option {name!r}.", name)
+            elif eq or (value := next(rest, None)) is not None:
+                flags[names[name]] = value
+            else:
+                error = error or (f"Option {name!r} requires an argument.", None)
+    if error is not None:
+        _usage_error(*error, [*names, "--help"])
+    if extra:
+        _usage_error(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                     f"({' '.join(extra)})")
+    return flags
 
-        params = [click.Option(["--config", "config_path"], metavar="FILE",
-                               help="JSON or YAML config file.")]
-        for key, spec in {**_GLOBAL_KEYS, **_COMMAND_KEYS[name]}.items():
+
+def _help(command: str | None) -> str:
+    """The ``--help`` text of ``command``, or of ``spreadwave`` itself."""
+    if command is None:
+        usage, doc = "[OPTIONS] COMMAND [ARGS]...", (main.__doc__ or "").split("\n")[0]
+        sections = {"Options": [("--version", "Show the version and exit.")],
+                    "Commands": [(name, body.__doc__) for name, body in _BODIES.items()]}
+    else:
+        usage, doc = f"{command} [OPTIONS]", _BODIES[command].__doc__  # None under -OO
+        rows = [("--config FILE", "JSON or YAML config file.")]
+        for key, spec in {**_GLOBAL_KEYS, **_COMMAND_KEYS[command]}.items():
             metavar = (f"[{'|'.join(spec.choices)}]" if spec.choices
                        else spec.type.__name__.upper())
-            params.append(click.Option(["--" + key.replace("_", "-")], metavar=metavar,
-                                       help=spec.help))
-        main.add_command(click.Command(name, callback=callback, params=params,
-                                       help=fn.__doc__))
-        return fn
+            rows.append((f"--{key.replace('_', '-')} {metavar}", spec.help))
+        sections = {"Options": rows}
+    sections["Options"].append(("--help", "Show this message and exit."))
+    text = [f"Usage: spreadwave {usage}", "", f"  {doc or ''}".rstrip()]
+    for title, rows in sections.items():
+        width = max(len(name) for name, _ in rows)
+        text += ["", f"{title}:"]
+        text += [f"  {name:<{width}}  {about or ''}".rstrip() for name, about in rows]
+    return "\n".join(text)
 
-    return register
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Spread modeling, calibration, and quoting-policy toolkit.
+
+    Runs the command line ``args`` (default: ``sys.argv[1:]``) and returns
+    on success; any other outcome raises SystemExit with its exit code.  A
+    usage error (an unknown command or flag, a flag without its value, or
+    an extra argument) exits 3 with one ``error:`` line, and Ctrl-C exits 1
+    after ``Aborted!``.  ``standalone_mode`` is accepted for callers of
+    click's ``main`` signature and never read: a failure always raises.
+    """
+    args = sys.argv[1:] if args is None else list(args)
+    command = args[0] if args else "--help"
+    if command == "--help":
+        print(_help(None))
+    elif command == "--version":
+        print(f"spreadwave, version {__version__}")
+    elif command.startswith("-"):
+        _usage_error(f"No such option {command!r}.", command, ("--help", "--version"))
+    elif command not in _COMMAND_KEYS:
+        _usage_error(f"No such command {command!r}.", command, _COMMAND_KEYS)
+    elif (flags := _parse_flags(command, args[1:])) is None:
+        print(_help(command))
+    else:
+        config_path = flags.pop("config", None)
+        _run_body(command,
+                  lambda: _BODIES[command](resolve_config(command, config_path, flags)))
 
 
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
 
-@_command("simulate")
 def cmd_simulate(cfg: dict) -> None:
     """Generate a bar series and a summary report."""
     from .coupled_wave import CoupledWaveParams, LastPriceRule, VolumeConfig, simulate_blocks
@@ -413,7 +468,7 @@ def cmd_simulate(cfg: dict) -> None:
     report["units"] = {"prices": "input money units", "volume": "shares per bar"}
     report["summary"] = summary
     write_json_report(_out_path(cfg, "simulate_report.json"), report)
-    click.echo(f"wrote {bars_path} ({n} bars)")
+    print(f"wrote {bars_path} ({n} bars)")
 
 
 def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float,
@@ -466,7 +521,6 @@ def _write_and_summarize(path: str, blocks, params: CoupledWaveParams, s0: float
 # curve
 # --------------------------------------------------------------------------
 
-@_command("curve")
 def cmd_curve(cfg: dict) -> None:
     """Build the quantile spread-volume curve from quotes or bars."""
     from .calibration import (BucketSpec, bar_blocks_to_samples, build_spread_volume_curve,
@@ -517,14 +571,13 @@ def cmd_curve(cfg: dict) -> None:
         "n_usable": len(curve.usable()),
     }
     write_json_report(_out_path(cfg, "curve_report.json"), report)
-    click.echo(f"wrote {curve_path} ({len(curve.usable())} usable buckets)")
+    print(f"wrote {curve_path} ({len(curve.usable())} usable buckets)")
 
 
 # --------------------------------------------------------------------------
 # calibrate
 # --------------------------------------------------------------------------
 
-@_command("calibrate")
 def cmd_calibrate(cfg: dict) -> None:
     """Fit the spread law to a curve CSV and write the result JSON."""
     from .calibration import (REPORT_KINDS, CurveSource, FlowStats, calibration_report,
@@ -560,7 +613,7 @@ def cmd_calibrate(cfg: dict) -> None:
     report.update(calibration_report(result, flow, source, cfg["horizon"],
                                      (usable[0].v_lo, usable[-1].v_hi)))
     write_json_report(result_path, report)
-    click.echo(f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
+    print(f"lambda_hat={result.lambda_hat:.6g} rho_hat={result.rho_hat:.6g} "
                f"residual={result.residual_norm:.6g}")
 
 
@@ -568,7 +621,6 @@ def cmd_calibrate(cfg: dict) -> None:
 # scale
 # --------------------------------------------------------------------------
 
-@_command("scale")
 def cmd_scale(cfg: dict) -> None:
     """Scale a spread across horizons, or emit the full (T, v) surface."""
     from .scaling import (SpreadSurfaceParams, classical_scale, default_surface_grids,
@@ -624,14 +676,13 @@ def cmd_scale(cfg: dict) -> None:
             "final_ratio": final_ratio,
         }
     write_json_report(_out_path(cfg, "scale_report.json"), report)
-    click.echo(f"wrote {out_path}")
+    print(f"wrote {out_path}")
 
 
 # --------------------------------------------------------------------------
 # optimize
 # --------------------------------------------------------------------------
 
-@_command("optimize")
 def cmd_optimize(cfg: dict) -> None:
     """Compute the optimal quoting policy over a volume grid."""
     from .calibration import parse_calibration_report
@@ -691,8 +742,14 @@ def cmd_optimize(cfg: dict) -> None:
         "median_exec_rate": float(np.nanmedian(policy.exec_rate)),
     }
     write_json_report(_out_path(cfg, "optimize_report.json"), report)
-    click.echo(f"wrote {policy_path} ({len(grid)} volume points)")
+    print(f"wrote {policy_path} ({len(grid)} volume points)")
 
+
+# The command bodies, in the order ``--help`` lists them.
+_BODIES: dict[str, Callable[[dict], None]] = {
+    "simulate": cmd_simulate, "curve": cmd_curve, "calibrate": cmd_calibrate,
+    "scale": cmd_scale, "optimize": cmd_optimize,
+}
 
 if __name__ == "__main__":
     main()

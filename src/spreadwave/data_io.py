@@ -365,8 +365,10 @@ def read_curve(
     """Rebuild a curve from its CSV; flags are recomputed from the counts.
 
     Every row must hold volumes finite and > 0, a spread quantile finite and
-    >= 0 and a count >= 0, as ``write_curve_csv`` writes them; any other
-    cell raises InputFormatError naming the path, the line and the column.
+    >= 0 and a count between 0 and 2**53, as ``write_curve_csv`` writes them.
+    Each bucket must have ``v_lo < v_hi`` with ``v_mid`` between them, and
+    start at or above the previous row's ``v_hi``.  Any other cell raises
+    InputFormatError naming the path, the line and the column.
     """
     from .calibration import CurveBucket, SpreadVolumeCurve
 
@@ -381,13 +383,24 @@ def read_curve(
             raise InputFormatError(
                 f"{path}:{i}: bad value {raw_count!r} in column 'count'"
             ) from exc
-        if count < 0:
-            raise InputFormatError(f"{path}:{i}: count must be >= 0, got {count!r}")
+        # A float holds every count up to 2**53 exactly, and the fit reads them as floats.
+        if not 0 <= count <= 2**53:
+            raise InputFormatError(
+                f"{path}:{i}: count must be between 0 and 2**53, got {raw_count}")
         cells = {col: _cell_float(row, col, path, i) for col in _CURVE_COLUMNS[:-1]}
+        lo, hi, mid = cells["v_lo"], cells["v_hi"], cells["v_mid"]
         try:
             for col in ("v_lo", "v_hi", "v_mid"):
                 check_finite(col, cells[col], above=0.0)
             check_finite("spread_q", cells["spread_q"], at_least=0.0)
+            if not lo < hi:
+                raise DomainError(f"v_hi must be > v_lo {lo!r}, got {hi!r}")
+            if not lo <= mid <= hi:
+                raise DomainError(f"v_mid must be in [v_lo, v_hi] = [{lo!r}, {hi!r}], "
+                                  f"got {mid!r}")
+            if buckets and lo < buckets[-1].v_hi:
+                raise DomainError(f"v_lo must be >= the previous row's v_hi "
+                                  f"{buckets[-1].v_hi!r}, got {lo!r}")
         except DomainError as exc:
             raise InputFormatError(f"{path}:{i}: {exc}") from None
         accepted += count

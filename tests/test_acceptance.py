@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from click.testing import CliRunner
+
+from cli_runner import invoke
 
 from spreadwave import (
     STRADDLE_LAMBDA,
@@ -52,7 +53,6 @@ from spreadwave import (
     straddle_spread,
     suggest_amplitude_dt,
 )
-from spreadwave.cli import main
 from spreadwave.synthetic import synthetic_spread_curve
 
 
@@ -324,9 +324,8 @@ def test_criterion_13_pipeline_determinism(tmp_path, monkeypatch):
         workdir = tmp_path / run
         workdir.mkdir()
         monkeypatch.chdir(workdir)
-        runner = CliRunner()
         for command in _PIPELINE:
-            result = runner.invoke(main, command, catch_exceptions=False)
+            result = invoke(command, catch_exceptions=False)
             assert result.exit_code == 0, f"{command[0]}: {result.output}"
         digests.append({
             name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()

@@ -16,13 +16,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+
+from cli_runner import invoke
 
 from spreadwave import (AmplitudeState, BarSeries, CoupledWaveParams, LastPriceRule,
                         VolumeConfig, evolve_fluctuating, simulate_path)
 from spreadwave import data_io, optimizer, scaling
 from spreadwave import cli
-from spreadwave.cli import main
 from spreadwave.coupled_wave import bar_height_rayleigh_scale, path_volatility, simulate_blocks
 from spreadwave.data_io import (read_bar_blocks, read_bars, read_quotes, write_bar_blocks,
                                 write_bars_csv, write_policy_csv, write_surface_csv)
@@ -162,7 +162,7 @@ def test_quoted_line_break_at_a_block_edge_exit_3_one_line(tmp_path, monkeypatch
     if reads:
         _assert_same_bars(read_bars(str(path)), expected, len(expected))
         return
-    res = CliRunner().invoke(main, ["curve", "--bars", str(path), "--out", str(tmp_path)])
+    res = invoke(["curve", "--bars", str(path), "--out", str(tmp_path)])
     assert res.exit_code == 3, res.output
     assert res.stderr.splitlines() == [
         f"error: {path}:5: a quoted cell runs past the end of a 4-line block"]
@@ -208,7 +208,7 @@ def _simulate(out, n, rule, mode, wave, s0=100.0, seed=7):
     """Run ``simulate`` into ``out``; the CLI result and the equivalent params."""
     wave_flags = [x for key, value in wave.items()
                   for x in (f"--{key.replace('_', '-')}", repr(value))]
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "simulate", "--steps", str(n), "--seed", str(seed), "--s0", repr(s0), "--rule", rule,
         "--volume-mode", mode, "--path-index", "2", *wave_flags, "--out", str(out)])
     params = CoupledWaveParams(**wave, last_price_rule=LastPriceRule(rule), seed=seed)
@@ -350,7 +350,7 @@ def _traced_peak(args) -> int:
     """Traced peak of one in-process CLI run."""
     tracemalloc.start()
     try:
-        res = CliRunner().invoke(main, args)
+        res = invoke(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,7 +394,7 @@ def test_simulate_and_curve_bodies_hold_two_columns_per_bar(tmp_path):
                     "--sigma-step", "2e-4", "--xi-std", "0.05", "--kappa-std", "0.05",
                     "--out", out]
         curve = ["curve", "--bars", os.path.join(out, "bars.csv"), "--out", out]
-        CliRunner().invoke(main, simulate)  # warm-up: lazy imports and caches
+        invoke(simulate)  # warm-up: lazy imports and caches
         peaks[blocks] = _traced_peak(simulate), _traced_peak(curve)
     kept = 16 * 15 * _B
     for name, one, many in zip(("simulate", "curve"), peaks[1], peaks[16]):
@@ -419,7 +419,7 @@ def test_curve_quotes_body_holds_a_few_columns_per_row(tmp_path):
                               + "".join(f"{i}.5,100.25,{1 + i % 7}\n" for i in range(n)))
             curve = ["curve", "--quotes", quotes, "--trades", str(trades), "--window", "30",
                      "--out", str(tmp_path / str(blocks))]
-            CliRunner().invoke(main, curve)  # warm-up: lazy imports and caches
+            invoke(curve)  # warm-up: lazy imports and caches
             peaks[blocks] = _traced_peak(curve)
         assert peaks[16] - peaks[1] <= 2.0 * 64 * 15 * _B, (tape, peaks, 15 * _B)
 

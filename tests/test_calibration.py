@@ -6,9 +6,10 @@ import os
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from cli_runner import invoke
 
 from spreadwave import (
     BarColumns,
@@ -35,7 +36,6 @@ from spreadwave import (
     quotes_to_samples,
 )
 from spreadwave import calibration
-from spreadwave.cli import main
 from spreadwave.data_io import (read_bars, read_curve, read_json_report,
                                 write_curve_csv, write_json_report)
 from spreadwave.synthetic import synthetic_spread_curve, synthetic_trades
@@ -284,8 +284,8 @@ def test_curve_report_splits_rejections_by_cause(tmp_path):
             volume = -math.nan
         rows.append(f"{i},9.75,{high!r},{low!r},9.75,{volume!r}")
     (tmp_path / "bars.csv").write_text("\n".join(rows) + "\n")
-    res = CliRunner().invoke(main, ["curve", "--bars", str(tmp_path / "bars.csv"),
-                                    "--buckets", "4", "--out", str(tmp_path)])
+    res = invoke(["curve", "--bars", str(tmp_path / "bars.csv"),
+                  "--buckets", "4", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     summary = read_json_report(str(tmp_path / "curve_report.json"))["summary"]
     assert summary["rejected_by"] == {"non_finite": 30, "non_positive_volume": 20,
@@ -393,7 +393,7 @@ def readme_curve(tmp_path_factory):
     for args in (["simulate", "--steps", "5000", "--seed", "42", "--sigma-step", "0.0002",
                   "--xi-std", "0.05", "--kappa-std", "0.05", "--s0", "100"],
                  ["curve", "--bars", os.path.join(out, "bars.csv"), "--quantile", "0.9"]):
-        assert CliRunner().invoke(main, [*args, "--out", out]).exit_code == 0
+        assert invoke([*args, "--out", out]).exit_code == 0
     return read_curve(os.path.join(out, "curve.csv"), quantile_level=0.9,
                       source=CurveSource.BAR, min_count=20)
 
@@ -590,9 +590,9 @@ def test_fit_evaluation_cap_via_cli(tmp_path, monkeypatch):
     path = str(tmp_path / "curve.csv")
     write_curve_csv(path, curve)
     monkeypatch.setattr(calibration, "_MAX_FIT_EVALS", 1)
-    res = CliRunner().invoke(main, ["calibrate", "--curve", path, "--n", "100",
-                                    "--sigma", "0.02", "--price", "50", "--tau0", "0.01",
-                                    "--min-count", "1", "--out", str(tmp_path)])
+    res = invoke(["calibrate", "--curve", path, "--n", "100",
+                  "--sigma", "0.02", "--price", "50", "--tau0", "0.01",
+                  "--min-count", "1", "--out", str(tmp_path)])
     assert res.exit_code == 4
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numerical failure")
@@ -656,7 +656,7 @@ def test_bar_fit_recovers_the_lognormal_volume_closure(tmp_path, seed):
         ["calibrate", "--curve", os.path.join(out, "curve.csv"), "--kind", "bar",
          "--horizon", "1.0", "--n", "100", "--sigma", str(sigma), "--price", str(price)],
     ):
-        res = CliRunner().invoke(main, [*command, "--out", out])
+        res = invoke([*command, "--out", out])
         assert res.exit_code == 0, f"{command[0]}: {res.output}"
     result = read_json_report(os.path.join(out, "calibration.json"))["result"]
     bars = read_bars(os.path.join(out, "bars.csv"))

@@ -12,12 +12,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
+
 from spreadwave import CoupledWaveParams, FlowStats, VolumeConfig, simulate_path
-from spreadwave.cli import main
 from spreadwave.data_io import write_bars_csv, write_curve_csv
 from spreadwave.synthetic import synthetic_spread_curve
 
@@ -53,12 +53,13 @@ def _check_files(out_dir: str) -> None:
             assert np.isfinite(cells).all(), f"non-finite cell in {name}"
 
 
-def run_hostile(args, out_dir: str, keep=()) -> None:
-    """Run one command into a fresh ``out_dir`` and check the exit contract."""
+def run_hostile(args, out_dir: str, keep=()):
+    """Run one command into a fresh ``out_dir``, check the exit contract and
+    return the result."""
     for name in os.listdir(out_dir):
         if name not in keep:
             os.remove(os.path.join(out_dir, name))
-    res = CliRunner().invoke(main, [*args, "--out", out_dir])
+    res = invoke([*args, "--out", out_dir])
     assert res.exit_code in (0, 2, 3, 4), (args, res.exit_code, res.exception)
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         (args, repr(res.exception))
@@ -67,6 +68,7 @@ def run_hostile(args, out_dir: str, keep=()) -> None:
     else:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
+    return res
 
 
 @pytest.fixture(scope="module")
@@ -159,24 +161,67 @@ _CURVE_CELLS = [(row, column) for row in range(7)
                 for column in ("v_lo", "v_hi", "v_mid", "spread_q", "count")]
 
 
+def _well_formed(rows) -> bool:
+    """Whether the curve rows hold what ``read_curve`` reads: finite volumes
+    with 0 < v_lo <= v_mid <= v_hi, v_lo < v_hi and each v_lo at or above the
+    previous v_hi, a finite spread quantile >= 0 and a count in [0, 2**53]."""
+    prev_hi = 0.0
+    for row in rows:
+        lo, hi, mid, q = map(float, row[:4])
+        if not (prev_hi <= lo < hi < math.inf and 0.0 < lo <= mid <= hi
+                and 0.0 <= q < math.inf):
+            return False
+        try:
+            if not 0 <= int(row[4]) <= 2**53:
+                return False
+        except ValueError:
+            return False
+        prev_hi = hi
+    return True
+
+
+def _edit_row(i: int, edit):
+    """Rows with row ``i`` replaced by ``edit(row)``."""
+    return lambda rows: [edit(row) if j == i else row for j, row in enumerate(rows)]
+
+
+# Rows in another order, a row's edges swapped, a v_mid moved out of its
+# bucket, or a count beyond 2**53: each makes the curve malformed as a whole
+# unless a hostile cell happens to mend it.
+_MALFORMED = st.one_of(
+    st.permutations(range(7)).filter(lambda order: order != sorted(order))
+    .map(lambda order: lambda rows: [rows[i] for i in order]),
+    st.builds(_edit_row, st.integers(0, 6), st.just(lambda row: [row[1], row[0], *row[2:]])),
+    st.builds(lambda i, mid: _edit_row(i, lambda row: [*row[:2], mid, *row[3:]]),
+              st.integers(0, 6), st.sampled_from(["1e6", "1e-9", "1000.0001"])),
+    st.builds(lambda i, count: _edit_row(i, lambda row: [*row[:4], count]),
+              st.integers(0, 6), st.sampled_from([str(2**53 + 1), "9" * 400])),
+)
+
+
 @given(kind=st.sampled_from(["bidask", "bar"]),
        changed=st.dictionaries(st.sampled_from(_CURVE_CELLS), st.sampled_from(_HOSTILE),
-                               max_size=3))
+                               max_size=3),
+       malformed=st.none() | _MALFORMED)
 @_FUZZ
-def test_calibrate_curve_fuzz(curve_dir, work_dir, kind, changed):
-    """The fixed curve with up to three cells replaced by hostile values."""
+def test_calibrate_curve_fuzz(curve_dir, work_dir, kind, changed, malformed):
+    """The fixed curve with up to three cells replaced by hostile values, and
+    perhaps made malformed as a whole; a malformed curve must exit 3."""
     with open(os.path.join(curve_dir, "input.csv"), encoding="utf-8") as fh:
         header, *rows = fh.read().splitlines()
     columns = header.split(",")
     rows = [row.split(",") for row in rows]
     for (row, column), value in changed.items():
         rows[row][columns.index(column)] = value
+    if malformed is not None:
+        rows = malformed(rows)
     path = os.path.join(curve_dir, "hostile.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
-    run_hostile(["calibrate", "--curve", path, "--kind", kind,
-                 *[x for item in _CALIBRATE.items() for x in item], "--min-count", "1"],
-                work_dir)
+    res = run_hostile(["calibrate", "--curve", path, "--kind", kind,
+                       *[x for item in _CALIBRATE.items() for x in item], "--min-count", "1"],
+                      work_dir)
+    assert _well_formed(rows) or res.exit_code == 3, (rows, res.output)
 
 
 _CAL_FIELDS = ("lambda_hat", "rho_hat", "tau0_hat", "residual_norm", "evaluations", "stop",
@@ -191,7 +236,7 @@ def calibration_report(curve_dir):
     """A directory, and the calibration.json ``calibrate --kind bar`` wrote on the
     fixed curve."""
     with tempfile.TemporaryDirectory() as path:
-        res = CliRunner().invoke(main, [
+        res = invoke([
             "calibrate", "--curve", os.path.join(curve_dir, "input.csv"), "--kind", "bar",
             *[x for item in _CALIBRATE.items() for x in item], "--min-count", "1",
             "--out", path])
@@ -234,8 +279,8 @@ def test_optimize_rejects_unknown_report_kind(calibration_report, kind):
     path = os.path.join(work, "calibration.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({**report, "kind": kind}, fh)
-    res = CliRunner().invoke(main, ["optimize", "--calibration", path, "--lambda0", "3",
-                                    "--out", os.path.join(work, "out")])
+    res = invoke(["optimize", "--calibration", path, "--lambda0", "3",
+                  "--out", os.path.join(work, "out")])
     assert res.exit_code == 3
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: kind must be one of")

@@ -25,10 +25,10 @@ import os
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+
+from cli_runner import invoke
 
 from spreadwave import BarSeries
-from spreadwave.cli import main
 from spreadwave.data_io import write_bars_csv
 
 _N_BARS = 3000
@@ -79,8 +79,8 @@ def test_curve_from_bars_golden(tmp_path):
     bars = tmp_path / "bars.csv"
     bars.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), "--quantile", "0.9",
-                                    "--out", str(out)], catch_exceptions=False)
+    res = invoke(["curve", "--bars", str(bars), "--quantile", "0.9",
+                  "--out", str(out)], catch_exceptions=False)
     assert res.exit_code == 0
     assert {name: _digest(out / name) for name in ("curve.csv", "curve_hist.csv")} == {
         "curve.csv": "0e1f3db2d5786f6bb57f04be2decee10ae004fe82096d07f5918145a50a2bc06",
@@ -146,7 +146,7 @@ def test_curve_from_quotes_golden(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)
     stamp, report_digest = _QUOTE_TAPES[case]
     _write_tape(tmp_path, stamp)
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "curve", "--quotes", "quotes.csv", "--trades", "trades.csv", "--window", "30",
         "--buckets", "8", "--min-count", "5"], catch_exceptions=False)
     assert res.exit_code == 0, res.output
@@ -186,7 +186,7 @@ def test_readme_pipeline_golden(tmp_path, monkeypatch):
         monkeypatch.delenv(key)
     monkeypatch.chdir(tmp_path)
     for command in _README_PIPELINE:
-        res = CliRunner().invoke(main, command, catch_exceptions=False)
+        res = invoke(command, catch_exceptions=False)
         assert res.exit_code == 0, f"{command[0]}: {res.output}"
     assert {name: _digest(name) for name in _README_DIGESTS} == _README_DIGESTS
 
@@ -234,7 +234,7 @@ def test_bidask_calibrate_optimize_golden(tmp_path, monkeypatch, case):
         ["optimize", "--calibration", "calibration.json", "--alpha", "0.001",
          "--lambda0", "3.0"],
     ):
-        res = CliRunner().invoke(main, command, catch_exceptions=False)
+        res = invoke(command, catch_exceptions=False)
         assert res.exit_code == 0, f"{command[0]}: {res.output}"
     assert {name: _digest(name) for name in _BIDASK_DIGESTS[case]} == _BIDASK_DIGESTS[case]
 
@@ -260,7 +260,7 @@ def test_readme_scale_golden(tmp_path, monkeypatch, case):
         monkeypatch.delenv(key)
     monkeypatch.chdir(tmp_path)
     command, digests = _README_SCALE[case]
-    res = CliRunner().invoke(main, command, catch_exceptions=False)
+    res = invoke(command, catch_exceptions=False)
     assert res.exit_code == 0, res.output
     assert {name: _digest(name) for name in digests} == digests
 

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from cli_runner import invoke
 
 from spreadwave import (
     BarColumns,
@@ -30,10 +31,11 @@ from spreadwave import (
 )
 from spreadwave import cli, coupled_wave, data_io
 from spreadwave.calibration import (
+    BucketSpec,
     SpreadSamples,
     build_spread_volume_curve,
 )
-from spreadwave.cli import main, resolve_config
+from spreadwave.cli import resolve_config
 from spreadwave.errors import _BLOCK_ROWS
 from spreadwave.data_io import (
     _read_strict,
@@ -187,6 +189,40 @@ def test_curve_round_trip(tmp_path, rng):
             assert b.spread_q == a.spread_q
 
 
+def _ulps_apart(base: float, steps: list[int]) -> list[float]:
+    """Volumes ``steps[i]`` ulps above ``base``: edges that round together."""
+    return [base + k * math.ulp(base) for k in steps]
+
+
+# Each edge branch of build_spread_volume_curve: one volume (one edge, widened
+# up, or down at the float maximum), volumes within a few ulps (geomspace
+# edges that round together), gaps that leave buckets empty, and edge
+# products that overflow or underflow.
+_CURVE_VOLUMES = st.one_of(
+    st.lists(st.one_of(st.floats(5e-324, sys.float_info.max),
+                       st.sampled_from([5e-324, 1e-200, 1.0, 1e308, sys.float_info.max])),
+             min_size=1, max_size=60),
+    st.builds(_ulps_apart, st.floats(1e-300, 1e300), st.lists(st.integers(0, 4), min_size=1,
+                                                              max_size=60)),
+)
+
+
+@given(volumes=_CURVE_VOLUMES, n_buckets=st.integers(1, 30),
+       percentiles=st.sampled_from([(1.0, 99.0), (0.0, 100.0), (0.0, 0.25), (40.0, 60.0)]))
+@example(volumes=[1.0] * 98 + [1.0 + 2.0 ** -51] * 2, n_buckets=25, percentiles=(1.0, 99.0))
+@settings(max_examples=300, deadline=None)
+def test_every_built_curve_reads_back(volumes, n_buckets, percentiles):
+    samples = SpreadSamples(volumes=np.array(volumes), source=CurveSource.BAR,
+                            spreads=np.linspace(0.0, 1.0, len(volumes)))
+    curve = build_spread_volume_curve(samples, BucketSpec(n_buckets, *percentiles),
+                                      min_count=0)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "curve.csv")
+        write_curve_csv(path, curve)
+        back = read_curve(path, 0.9, CurveSource.BAR, min_count=0)
+    assert back.buckets == tuple(b for b in curve.buckets if b.count > 0)
+
+
 def test_missing_column_names_the_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("timestamp,price\n1,100\n")
@@ -282,10 +318,10 @@ def test_config_infinite_integer_exit_3_one_line(tmp_path, name, text):
     command = "calibrate" if key == "curve" else "simulate"
     cfg = tmp_path / name
     cfg.write_text(text)
-    res = CliRunner().invoke(main, [command, "--config", str(cfg),
-                                    "--out", str(tmp_path / "out")])
+    res = invoke([command, "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: cannot interpret")
     assert os.listdir(tmp_path) == [name]
 
@@ -304,9 +340,9 @@ def test_bad_choice_exit_3_one_line(tmp_path, monkeypatch, command, key, source)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: "bogus"}))
         args += ["--config", str(cfg)]
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}: 'bogus'")
     assert not (tmp_path / "out").exists()
 
@@ -337,14 +373,14 @@ def test_every_key_parses_alike_from_flag_env_and_file(tmp_path, monkeypatch, co
     flags = [x for key, (text, _) in samples.items()
              for x in ("--" + key.replace("_", "-"), text)]
     for args in (flags, ["--config", str(cfg)]):
-        assert CliRunner().invoke(main, [command, *args]).exit_code == 3
+        assert invoke([command, *args]).exit_code == 3
     with monkeypatch.context() as env:
         for key, (text, _) in samples.items():
             env.setenv("SPREADWAVE_" + key.upper(), text)
-        assert CliRunner().invoke(main, [command]).exit_code == 3
+        assert invoke([command]).exit_code == 3
     assert seen == [expected] * 3
 
-    help_text = CliRunner().invoke(main, [command, "--help"]).output
+    help_text = invoke([command, "--help"]).output
     for key, spec in keys.items():
         assert f"--{key.replace('_', '-')} " in help_text
         if spec.choices:
@@ -355,16 +391,8 @@ def test_every_key_parses_alike_from_flag_env_and_file(tmp_path, monkeypatch, co
 # CLI contract
 # --------------------------------------------------------------------------
 
-def run_cli(args, **kwargs):
-    return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
-
-
-def all_output(result):
-    # click >= 8.2 separates stderr; older versions mix it into output
-    try:
-        return result.output + result.stderr
-    except (ValueError, AttributeError):
-        return result.output
+def run_cli(args):
+    return invoke(args, catch_exceptions=False)
 
 
 def test_simulate_one_row(tmp_path):
@@ -415,7 +443,7 @@ def test_curve_quantile_ordering(tmp_path):
 
 
 def test_curve_requires_exactly_one_input(tmp_path):
-    res = CliRunner().invoke(main, ["curve", "--out", str(tmp_path)])
+    res = invoke(["curve", "--out", str(tmp_path)])
     assert res.exit_code == 3
 
 
@@ -438,11 +466,11 @@ def test_curve_flat_spread_gives_flat_curve(tmp_path):
 def test_calibrate_missing_column_exit_3(tmp_path):
     bad = tmp_path / "curve.csv"
     bad.write_text("v_lo,v_hi,v_mid,count\n1,2,1.5,100\n")
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "calibrate", "--curve", str(bad), "--n", "100", "--sigma", "0.02",
         "--price", "50", "--out", str(tmp_path)])
     assert res.exit_code == 3
-    assert "spread_q" in all_output(res)
+    assert "spread_q" in res.output
 
 
 def test_calibrate_round_trip_via_cli(tmp_path):
@@ -484,7 +512,7 @@ def test_scale_table_identity_and_regime(tmp_path):
 
 
 def test_scale_below_base_horizon_exit_3(tmp_path):
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "scale", "--base-spread", "2.0", "--eta", "0.8", "--lam", "1.6",
         "--horizon", "10.0", "--t2-max", "1.0", "--out", str(tmp_path)])
     assert res.exit_code == 3
@@ -521,10 +549,10 @@ def test_optimize_demo_bands(tmp_path):
 
 
 def test_optimize_requires_one_source(tmp_path):
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "optimize", "--lambda0", "3", "--out", str(tmp_path)])
     assert res.exit_code == 3
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "optimize", "--a-coeff", "10", "--calibration", "x.json",
         "--lambda0", "3", "--out", str(tmp_path)])
     assert res.exit_code == 3
@@ -535,15 +563,16 @@ def test_memory_error_exit_3_one_line(tmp_path, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(coupled_wave, "simulate_blocks", out_of_memory)
-    res = CliRunner().invoke(main, ["simulate", "--steps", "10", "--out", str(tmp_path)])
+    res = invoke(["simulate", "--steps", "10", "--out", str(tmp_path)])
     assert res.exit_code == 3
-    assert stderr_lines(res) == ["error: simulate: not enough memory for the requested sizes"]
+    assert res.stderr.strip().splitlines() == [
+        "error: simulate: not enough memory for the requested sizes"]
 
 
 def test_unwritable_output_exit_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    res = CliRunner().invoke(main, [
+    res = invoke([
         "simulate", "--steps", "1", "--out", str(blocker / "sub")])
     assert res.exit_code == 2
 
@@ -564,11 +593,11 @@ def test_version_flag():
         "unknown-group-flag"])
 def test_usage_error_exit_3_one_line(tmp_path, monkeypatch, args, message):
     """A usage error is invalid input, not an I/O failure: exit 3 and one
-    line, without click's usage text."""
+    line, without a usage text."""
     monkeypatch.chdir(tmp_path)
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert res.stdout == "" and os.listdir(tmp_path) == []
 
@@ -576,23 +605,75 @@ def test_usage_error_exit_3_one_line(tmp_path, monkeypatch, args, message):
 def test_removed_config_key_exit_3_one_line(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"strict_product": False}))
-    res = CliRunner().invoke(main, ["calibrate", "--config", str(cfg),
-                                    "--out", str(tmp_path / "out")])
+    res = invoke(["calibrate", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
-    assert stderr_lines(res) == ["error: unknown config keys for calibrate: strict_product"]
+    assert res.stderr.strip().splitlines() == [
+        "error: unknown config keys for calibrate: strict_product"]
 
 
 def test_bare_command_prints_help():
-    res = CliRunner().invoke(main, [])
+    res = invoke([])
+    assert res.exit_code == 0
     assert "Usage:" in res.output and "calibrate" in res.output
 
 
-def stderr_lines(result):
-    try:
-        text = result.stderr
-    except ValueError:  # click < 8.2 mixes stderr into output
-        text = result.output
-    return text.strip().splitlines()
+@pytest.mark.parametrize("args, flags, message", [
+    (["--steps=12", "--out=o"], {"steps": "12", "out": "o"}, None),
+    (["--xi-mean", "-1e-3", "--seed", "-1"], {"xi_mean": "-1e-3", "seed": "-1"}, None),
+    (["--steps", "1", "--steps", "2"], {"steps": "2"}, None),
+    (["--steps", "--help"], {"steps": "--help"}, None),
+    (["--steps", "1", "--", "--seed"], None, "Got unexpected extra argument (--seed)"),
+    (["--sigma_step", "1"], None, "No such option '--sigma_step'. (Did you mean one of: "
+                                  "'--log-sigma', '--sigma-step', '--steps'?)"),
+    (["--pathindex", "1"], None, "No such option '--pathindex'. Did you mean '--path-index'?"),
+    (["-s", "1"], None, "No such option '-s'."),
+    (["--steps"], None, "Option '--steps' requires an argument."),
+], ids=["equals", "negative-value", "repeated", "help-as-value", "double-dash", "underscore",
+        "near-miss", "short-flag", "no-value"])
+def test_flag_grammar(monkeypatch, args, flags, message):
+    seen = []
+
+    def capture(command, config_path, given):
+        seen.append({key: value for key, value in given.items() if value is not None})
+        raise InputFormatError("stop before the command runs")
+
+    monkeypatch.setattr(cli, "resolve_config", capture)
+    res = invoke(["simulate", *args])
+    assert res.exit_code == 3 and res.stdout == ""
+    if message is None:
+        assert seen == [flags]
+    else:
+        assert seen == [] and res.stderr.startswith(f"error: {message}")
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [["simulate", "--help"], ["simulate", "--bogus", "--help"],
+                                  ["simulate", "--steps", "1", "--help"]])
+def test_help_anywhere_exits_0(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    res = invoke(args)
+    assert res.exit_code == 0 and res.stderr == "" and os.listdir(tmp_path) == []
+    assert res.stdout.startswith("Usage: spreadwave simulate [OPTIONS]\n")
+
+
+def test_help_without_docstrings_exits_0():
+    # python -OO strips the docstrings that --help shows.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for args in ([], ["simulate", "--help"]):
+        res = subprocess.run([sys.executable, "-OO", "-m", "spreadwave.cli", *args],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0 and res.stdout.startswith("Usage: spreadwave"), res.stderr
+
+
+def test_ctrl_c_exits_1_after_one_line(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coupled_wave, "simulate_blocks", interrupted)
+    res = invoke(["simulate", "--steps", "10", "--out", str(tmp_path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.strip().splitlines() == ["Aborted!"]
 
 
 _HUGE = "4611686018427387904"  # 2**62
@@ -645,15 +726,15 @@ _HUGE = "4611686018427387904"  # 2**62
       "--t-lo", "1", "--t-hi", "10", "--nt", _HUGE], "nt"),
     (["curve", "--bars", "missing.csv", "--buckets", _HUGE], "buckets"),
     (["simulate", "--steps", "10", "--path-index", "-1"], "path_index"),
-    # Flags are parsed by the config parser, not by click's usage errors (exit 2).
+    # Flags are parsed by the config parser, not refused as usage errors.
     (["simulate", "--steps", "abc"], "steps"),
     (["scale", "--surface", "maybe"], "surface"),
     (["simulate", "--seed", "1.5"], "seed"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
-    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    res = invoke([*args, "--out", str(tmp_path)])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
     assert not any(f.endswith(".json") for f in os.listdir(tmp_path))
     assert not (tmp_path / "bars.csv").exists()
@@ -671,9 +752,9 @@ def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     ["simulate", "--sigma-step", "2.0"],
 ])
 def test_overflowing_output_exit_4_one_line(tmp_path, args):
-    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+    res = invoke([*args, "--out", str(tmp_path)])
     assert res.exit_code == 4
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numerical failure")
     assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
@@ -705,10 +786,10 @@ def test_calibrate_invalid_input_exit_3_one_line(tmp_path, curve_csv, flags, nam
     for key, value in zip(flags[::2], flags[1::2]):
         base[key] = value
     args = [x for item in base.items() for x in item]
-    res = CliRunner().invoke(main, ["calibrate", "--curve", curve_csv, *args,
-                                    "--out", str(tmp_path)])
+    res = invoke(["calibrate", "--curve", curve_csv, *args,
+                  "--out", str(tmp_path)])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
     assert not (tmp_path / "calibration.json").exists()
 
@@ -727,12 +808,49 @@ def test_calibrate_refuses_a_bad_curve_cell_exit_3_one_line(tmp_path, curve_csv,
     cells[lines[0].split(",").index(column)] = value
     lines[2] = ",".join(cells)
     Path(curve_csv).write_text("\n".join(lines) + "\n")
-    res = CliRunner().invoke(main, ["calibrate", "--curve", curve_csv, "--kind", kind,
-                                    "--n", "100", "--sigma", "0.02", "--price", "50",
-                                    "--min-count", "1", "--out", str(tmp_path)])
+    res = invoke(["calibrate", "--curve", curve_csv, "--kind", kind,
+                  "--n", "100", "--sigma", "0.02", "--price", "50",
+                  "--min-count", "1", "--out", str(tmp_path)])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {curve_csv}:3: {column} must be")
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def _swap_edges(rows):
+    rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
+
+
+def _set(column, value):
+    def edit(rows):
+        rows[1][column] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind", ["bidask", "bar"])
+@pytest.mark.parametrize("edit, line, column", [
+    (list.reverse, 3, "v_lo"),                    # rows in falling volume order
+    (lambda rows: rows.insert(0, rows.pop(3)), 3, "v_lo"),
+    (_swap_edges, 3, "v_hi"),
+    (_set(1, "19.306977288832496"), 3, "v_hi"),   # a bucket of no width
+    (_set(2, "1e6"), 3, "v_mid"),
+    (_set(2, "10.0"), 3, "v_mid"),                # below its bucket
+    (_set(4, str(2**53 + 1)), 3, "count"),
+    (_set(4, "9" * 400), 3, "count"),
+], ids=["reversed", "moved-row", "swapped-edges", "no-width", "v-mid-above", "v-mid-below",
+        "count-2**53+1", "count-400-digits"])
+def test_calibrate_refuses_a_malformed_curve_exit_3_one_line(tmp_path, curve_csv, kind,
+                                                             edit, line, column):
+    header, *lines = Path(curve_csv).read_text().splitlines()
+    rows = [row.split(",") for row in lines]
+    edit(rows)
+    Path(curve_csv).write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    res = invoke(["calibrate", "--curve", curve_csv, "--kind", kind, "--n", "100",
+                  "--sigma", "0.02", "--price", "50", "--min-count", "1",
+                  "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {curve_csv}:{line}: {column} must be")
     assert not (tmp_path / "calibration.json").exists()
 
 
@@ -744,10 +862,10 @@ def test_curve_bars_checks_flags_it_echoes(tmp_path, flag, value):
     # Bars use neither the window nor the horizon, but the report echoes both.
     bars = tmp_path / "bars.csv"
     bars.write_text("timestamp,open,high,low,close,volume\n0,1,2,0.5,1.5,3\n")
-    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), flag, value,
-                                    "--out", str(tmp_path)])
+    res = invoke(["curve", "--bars", str(bars), flag, value,
+                  "--out", str(tmp_path)])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and flag[2:] in lines[0]
     assert sorted(os.listdir(tmp_path)) == ["bars.csv"]
 
@@ -755,10 +873,10 @@ def test_curve_bars_checks_flags_it_echoes(tmp_path, flag, value):
 def test_curve_negative_min_count_exit_3_one_line(tmp_path):
     bars = tmp_path / "bars.csv"
     bars.write_text("timestamp,open,high,low,close,volume\n0,1,2,0.5,1.5,3\n")
-    res = CliRunner().invoke(main, ["curve", "--bars", str(bars), "--min-count", "-5",
-                                    "--out", str(tmp_path)])
+    res = invoke(["curve", "--bars", str(bars), "--min-count", "-5",
+                  "--out", str(tmp_path)])
     assert res.exit_code == 3
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "min_count" in lines[0]
     assert not (tmp_path / "curve.csv").exists()
 
@@ -850,7 +968,7 @@ def test_simulate_report_redraw_rate(tmp_path):
 
 def test_simulate_redraw_rate_warning_reaches_stderr(tmp_path):
     # Logging's last-resort handler prints the warning; pytest's log capture
-    # would hide it from CliRunner, so the command runs in a child process.
+    # would hide it from the in-process runner, so the command runs in a child process.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run(
         [sys.executable, "-m", "spreadwave.cli", "simulate", "--steps", "3000",
@@ -1180,7 +1298,8 @@ def chain_inputs(tmp_path_factory):
 
 
 # Each command loads, besides the package, the CLI, errors and data_io, only
-# the model modules it runs.
+# the model modules it runs: no parser library, and difflib only to suggest a
+# name for a misspelled one.
 @pytest.mark.parametrize("args, adds", [
     ([], ()),
     (["simulate", "--steps", "10"], ("coupled_wave",)),
@@ -1204,7 +1323,8 @@ def test_each_command_loads_only_its_modules(tmp_path, chain_inputs, args, adds)
             "        spreadwave.cli.main(args)\n"
             "except SystemExit as exc:\n"
             "    assert exc.code in (0, None), exc.code\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'spreadwave'))\n")
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] in ('spreadwave', 'click', 'difflib')))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -1288,9 +1408,9 @@ def test_calibrate_kind_choices_are_the_report_kinds():
 def test_scale_equal_horizons(tmp_path):
     # geomspace(t1, t1, n) puts interior points an ulp below t1.
     t1 = "579.0190297100158"
-    res = CliRunner().invoke(main, ["scale", "--base-spread", "2", "--eta", "0.8",
-                                    "--lam", "1.6", "--horizon", t1, "--t2-max", t1,
-                                    "--t-steps", "5", "--out", str(tmp_path)])
+    res = invoke(["scale", "--base-spread", "2", "--eta", "0.8",
+                  "--lam", "1.6", "--horizon", t1, "--t2-max", t1,
+                  "--t-steps", "5", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     rows = (tmp_path / "scale.csv").read_text().splitlines()[1:]
     assert [row.split(",") for row in rows] == [[t1, "2.0", "2.0"]] * 5
@@ -1307,8 +1427,8 @@ def test_scale_equal_horizons(tmp_path):
 ])
 def test_parameter_overflow_exit_4_names_the_command(tmp_path, curve_csv, args):
     args = [curve_csv if a == "CURVE" else a for a in args]
-    res = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+    res = invoke([*args, "--out", str(tmp_path / "out")])
     assert res.exit_code == 4
-    lines = stderr_lines(res)
+    lines = res.stderr.strip().splitlines()
     assert lines == [f"error: numerical failure: {args[0]}: a parameter overflowed "
                      "double precision"]
