@@ -310,9 +310,10 @@ def build_spread_volume_curve(
     else:
         # Edges that round together would make an empty bucket, or a last one
         # of no width: each edge is kept once.  geomspace can overflow on its
-        # way to an endpoint near the float maximum, which it then sets exactly.
+        # way to an endpoint near the float maximum, which it then sets
+        # exactly; an inner edge that overflowed is cut back to that endpoint.
         with np.errstate(over="ignore"):
-            edges = np.unique(np.geomspace(lo, hi, spec.n_buckets + 1))
+            edges = np.unique(np.minimum(np.geomspace(lo, hi, spec.n_buckets + 1), hi))
         edges[0] = min(edges[0], float(volumes.min()))
         edges[-1] = max(edges[-1], float(volumes.max()))
 

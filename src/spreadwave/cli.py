@@ -738,11 +738,22 @@ def cmd_optimize(cfg: dict) -> None:
         "v_hi": v_hi,
         "halt_fraction": float(np.mean(policy.halt)),
         "n_failures": len(policy.failures),
-        "median_spread_ratio": float(np.nanmedian(ratio)),
-        "median_exec_rate": float(np.nanmedian(policy.exec_rate)),
+        "median_spread_ratio": _nan_median(ratio),
+        "median_exec_rate": _nan_median(policy.exec_rate),
     }
     write_json_report(_out_path(cfg, "optimize_report.json"), report)
     print(f"wrote {policy_path} ({len(grid)} volume points)")
+
+
+def _nan_median(values: np.ndarray) -> float:
+    """``np.nanmedian``'s value, without the numpy.ma module that it imports:
+    the middle of the sorted values that are not NaN, the mean of the two
+    middle ones for an even count, and NaN where every value is NaN."""
+    kept = np.sort(values[~np.isnan(values)])
+    middle = kept.size // 2
+    if kept.size % 2:
+        return float(kept[middle])
+    return float((kept[middle - 1] + kept[middle]) / 2.0) if kept.size else float("nan")
 
 
 # The command bodies, in the order ``--help`` lists them.

@@ -12,31 +12,35 @@ height setting the oscillation frequency between the high and low levels.
 Reproducibility contract: every path is generated from substreams derived
 from (seed, path_index), so results are bit-identical no matter how paths
 are distributed across workers.  Within one stream layout (``STREAM_LAYOUT``)
-a seed reproduces the same bars byte for byte; layout 2 draws each variate
-kind from its own substream (whole arrays and blocks of one give the same
-values), so its bars differ from those of spreadwave 0.1.0 (layout 1, which
+a seed reproduces the same bars byte for byte.  Layout 1 (spreadwave 0.1.0)
 drew all four variates of a step in turn from the single (seed, path_index)
-stream).  ``evolve_fluctuating`` draws from substreams of the same keys;
-``step_price`` draws from the generators it is given.
+stream; layout 2 draws each variate kind from its own substream (whole
+arrays and blocks of one give the same values); layout 3 draws what layout 2
+draws and runs the price walk as a scan, so its bars differ from layout 2's
+in the last bits.  ``evolve_fluctuating`` draws from substreams of the same
+keys; ``step_price`` draws from the generators it is given.
 
-``simulate_blocks`` advances the mid and last prices in one guarded walk:
-the arithmetic, the redraws and the per-step redraw cap of ``step_price``,
-which stays its scalar oracle.  The volatility diagnostics take the columns
-they reduce (``path_volatility(s_last, s0)``, ``bar_height_rayleigh_scale(h)``),
-so a caller that keeps only those columns, such as the ``simulate`` command,
-uses them directly.
-
-``evolve_fluctuating`` draws the coefficients of ``_BLOCK_ROWS`` steps at a
-time, builds the block's per-step unitaries with ``_step_matrices`` and
-multiplies them together, so its amplitudes match a loop of
-``evolve_amplitudes`` calls, which runs ``_step_matrices`` for one step,
-within 1e-12, not bit for bit; their draws are the same.
+Both walks are prefix products, so they run as array scans over blocks of
+``_BLOCK_ROWS`` steps (Blelloch, "Prefix sums and their applications",
+1990); a block whose scan meets a price that is not positive re-walks step
+by step with its redraws.  ``simulate_blocks`` re-walks with the arithmetic,
+redraws and per-step redraw cap of ``step_price``, its scalar oracle, which
+a scanned block matches within rounding, not bit for bit.  The volatility
+diagnostics take the columns they reduce (``path_volatility(s_last, s0)``,
+``bar_height_rayleigh_scale(h)``), so a caller that keeps only those
+columns, such as the ``simulate`` command, uses them directly.
+``evolve_fluctuating``'s scanned mid walk equals a per-step loop bit for
+bit.  It multiplies each block's step unitaries, held as SU(2) triples by
+``_step_matrices``, so its amplitudes match a loop of ``evolve_amplitudes``
+calls, which runs ``_step_matrices`` for one step, within 1e-12, not bit
+for bit; their draws are the same.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -54,7 +58,7 @@ _REDRAW_WARN_RATE = 1e-3
 # subkeys of its substreams under (seed, path_index); evolve_fluctuating
 # draws dz, (xi, kappa) and redraws under the same keys.  Subkey 1 holds the
 # lognormal volumes in every layout.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 _VOLUME_STREAM = 1
 _DZ_STREAM = 2
 _XI_KAPPA_STREAM = 3
@@ -139,6 +143,11 @@ class AmplitudeState:
 
     psi_high: complex
     psi_low: complex
+
+    def __post_init__(self) -> None:
+        for name in ("psi_high", "psi_low"):
+            value = getattr(self, name)
+            check_finite(name, (value.real, value.imag))
 
     def norm_sq(self) -> float:
         return abs(self.psi_high) ** 2 + abs(self.psi_low) ** 2
@@ -255,7 +264,9 @@ def step_price(
 
     xi = params.xi_mean + params.xi_std * rng.standard_normal()
     kappa = params.kappa_mean + params.kappa_std * rng.standard_normal()
-    h = math.hypot(xi, kappa)
+    # np.hypot, as the simulator's blocks: math.hypot differs from it in
+    # the last bit for some inputs.
+    h = float(np.hypot(xi, kappa))
     s_high = s_mid + 0.5 * h
     s_low = s_mid - 0.5 * h
 
@@ -273,6 +284,11 @@ def step_price(
     return BarSample(s_mid=s_mid, s_high=s_high, s_low=s_low, s_last=s_next, h=h)
 
 
+def _check_steps(n_steps) -> None:
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+
+
 def simulate_blocks(
     params: CoupledWaveParams,
     s0: float,
@@ -280,7 +296,7 @@ def simulate_blocks(
     path_index: int = 0,
     volume: VolumeConfig | None = None,
 ) -> Iterator[BarSeries]:
-    """Simulate a path of bars (stream layout 2) as consecutive row blocks.
+    """Simulate a path of bars (stream layout 3) as consecutive row blocks.
 
     Yields one ``BarSeries`` per ``_BLOCK_ROWS`` rows; its ``s0`` is the last
     price before the block and its ``redraws`` the block's own.  The
@@ -291,19 +307,67 @@ def simulate_blocks(
     normals are drawn one block at a time, which gives the values a whole-
     array draw gives; the xi normals come first in their substream, ahead of
     every kappa, so they are drawn whole and are the only per-row state
-    besides the block.  Only the positivity-guarded mid/last walk runs step
-    by step, with exactly the arithmetic of ``step_price``: a non-positive
-    mid redraws its normal, then a non-positive last price redraws its
-    placement.  The redraws come from one more substream, capped per step
-    as in ``step_price``.  The volume column never draws from the price streams
-    (see VolumeConfig), so changing the volume mode never perturbs the bars.
+    besides the block.  A block's mid/last walk runs as a scan
+    (``_scanned_walk``).  Where the scan meets a mid, a last price or a
+    cumulative growth that is not positive and finite, the block re-walks
+    step by step (``_walked_block``) with exactly the arithmetic of
+    ``step_price``: a non-positive mid redraws its normal, then a
+    non-positive last price redraws its placement.  The redraws come from
+    one more substream, capped per step as in ``step_price``.  The volume
+    column never draws from the price streams (see VolumeConfig), so
+    changing the volume mode never perturbs the bars.
     """
     check_finite("s0", s0, above=0.0)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
+    _check_steps(n_steps)
     check_finite("path_index", path_index, at_least=0)
     return _simulated_blocks(params, float(s0), n_steps, path_index,
                              volume if volume is not None else VolumeConfig(mode="none"))
+
+
+def _scanned_walk(s_last: float, growth: np.ndarray, offsets: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The mids and last prices of a block without redraws, as a scan.
+
+    The last price follows L_k = g_k L_{k-1} + c_k, so L = G (L_0 +
+    cumsum(c / G)) with G = cumprod(g), and each mid is L_{k-1} g_k.
+    Returns None where a mid, a last price or G is not positive and finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cum_growth = np.multiply.accumulate(growth)
+        lasts = cum_growth * (s_last + np.cumsum(offsets / cum_growth))
+        mids = growth * np.concatenate(([s_last], lasts[:-1]))
+    for prices in (cum_growth, lasts, mids):
+        if not ((prices > 0.0) & (prices < math.inf)).all():
+            return None
+    return mids, lasts
+
+
+def _walked_block(s_last: float, growth: np.ndarray, halves: np.ndarray,
+                  placement: np.ndarray, uniform: bool, sigma: float,
+                  redraw_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """The mids, last prices and redraw count of a block, walked step by step
+    with the arithmetic and the redraws of ``step_price``."""
+    mids: list[float] = []
+    lasts: list[float] = []
+    redraws = 0
+    for growth_i, half_i, variate in zip(growth.tolist(), halves.tolist(), placement.tolist()):
+        used = 0
+        s_mid = s_last * growth_i
+        if s_mid <= 0.0:
+            s_mid, used = _guarded(
+                s_mid, lambda: s_last * (1.0 + sigma * redraw_rng.standard_normal()),
+                used, _MAX_REDRAWS)
+        s_low, s_high = s_mid - half_i, s_mid + half_i
+        s_next = s_low + (s_high - s_low) * variate if uniform else s_mid + half_i * variate
+        if s_next <= 0.0:
+            place = ((lambda: redraw_rng.uniform(s_low, s_high)) if uniform
+                     else (lambda: s_mid + half_i * redraw_rng.standard_normal()))
+            s_next, used = _guarded(s_next, place, used, _MAX_REDRAWS)
+        redraws += used
+        mids.append(s_mid)
+        lasts.append(s_next)
+        s_last = s_next
+    return np.array(mids), np.array(lasts), redraws
 
 
 def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
@@ -325,35 +389,23 @@ def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
         growth = 1.0 + sigma * dz_rng.standard_normal(size)
         xi = params.xi_mean + params.xi_std * xi_normals[rows]
         kappa = params.kappa_mean + params.kappa_std * xi_kappa_rng.standard_normal(size)
-        # math.hypot as in step_price: np.hypot differs from it in the last
-        # bit for some inputs.
-        heights = np.array(list(map(math.hypot, xi.tolist(), kappa.tolist())))
+        heights = np.hypot(xi, kappa)
+        halves = 0.5 * heights
         placement = (placement_rng.random(size) if uniform
                      else placement_rng.standard_normal(size))
         block_s0, block_redraws = s_last, 0
-        mids: list[float] = []
-        lasts: list[float] = []
-        for growth_i, half_i, variate in zip(growth.tolist(), (0.5 * heights).tolist(),
-                                             placement.tolist()):
-            used = 0
-            s_mid = s_last * growth_i
-            if s_mid <= 0.0:
-                s_mid, used = _guarded(
-                    s_mid, lambda: s_last * (1.0 + sigma * redraw_rng.standard_normal()),
-                    used, _MAX_REDRAWS)
-            s_low, s_high = s_mid - half_i, s_mid + half_i
-            s_next = s_low + (s_high - s_low) * variate if uniform else s_mid + half_i * variate
-            if s_next <= 0.0:
-                place = ((lambda: redraw_rng.uniform(s_low, s_high)) if uniform
-                         else (lambda: s_mid + half_i * redraw_rng.standard_normal()))
-                s_next, used = _guarded(s_next, place, used, _MAX_REDRAWS)
-            block_redraws += used
-            mids.append(s_mid)
-            lasts.append(s_next)
-            s_last = s_next
-        s_mids, s_lasts = np.array(mids), np.array(lasts)
-        if not np.isfinite(s_lasts).all():
-            raise DomainError(_PRICE_OVERFLOW)
+        # The placement's offset from the mid: s_low + (s_high - s_low) u for
+        # the uniform rule, s_mid + (h/2) z for the normal one.
+        offsets = halves * (2.0 * placement - 1.0) if uniform else halves * placement
+        scanned = _scanned_walk(s_last, growth, offsets)
+        if scanned is None:
+            s_mids, s_lasts, block_redraws = _walked_block(
+                s_last, growth, halves, placement, uniform, sigma, redraw_rng)
+            if not np.isfinite(s_lasts).all():
+                raise DomainError(_PRICE_OVERFLOW)
+        else:
+            s_mids, s_lasts = scanned
+        s_last = float(s_lasts[-1])
         if volume.mode == "impact":
             volumes = volume.avg_trade_size * heights / (
                 2.0 * math.pi * params.tau0 * s_mids
@@ -367,10 +419,9 @@ def _simulated_blocks(params: CoupledWaveParams, s_last: float, n_steps: int,
                 "simulated volumes overflowed; the volume parameters are too large "
                 "for these bars"
             )
-        half_h = 0.5 * heights
         redraws += block_redraws
         yield BarSeries(
-            s_mid=s_mids, s_high=s_mids + half_h, s_low=s_mids - half_h,
+            s_mid=s_mids, s_high=s_mids + halves, s_low=s_mids - halves,
             s_last=s_lasts, h=heights, volume=volumes, s0=block_s0, redraws=block_redraws,
         )
     if redraws > _REDRAW_WARN_RATE * n_steps:
@@ -387,7 +438,7 @@ def simulate_path(
     path_index: int = 0,
     volume: VolumeConfig | None = None,
 ) -> BarSeries:
-    """Simulate a path of bars (stream layout 2): ``simulate_blocks``, collected.
+    """Simulate a path of bars (stream layout 3): ``simulate_blocks``, collected.
 
     Beyond the six result columns, the working memory is the stream's: one
     block and the xi normals.
@@ -456,18 +507,16 @@ def evolve_amplitudes(
     One step of ``evolve_fluctuating``'s kernel, ``_step_matrices``: the
     rotation angle is h * t / (2 tau0 s) with h = sqrt(xi^2 + kappa^2);
     s_mid contributes only a global phase.  Norm is conserved exactly up to
-    rounding.  For h = 0 the evolution is a pure phase.  A phase or rotation
-    angle that is not finite raises ``DomainError``.
+    rounding.  For h = 0 the evolution is a pure phase.  ``s`` and ``tau0``
+    must be finite and > 0, and a phase or rotation angle that is not finite
+    raises ``DomainError``.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if not (tau0 > 0.0):
-        raise DomainError(f"tau0 must be > 0, got {tau0!r}")
+    check_finite("s", s, above=0.0)
+    check_finite("tau0", tau0, above=0.0)
     coefficients = (np.array([x], dtype=float) for x in (s_mid, xi, kappa))
-    u00, u01, u10, u11 = _step_matrices(*coefficients, s, tau0, t)
-    psi_high, psi_low = state0.psi_high, state0.psi_low
-    return AmplitudeState(complex((u00 * psi_high + u01 * psi_low)[0]),
-                          complex((u10 * psi_high + u11 * psi_low)[0]))
+    highs, lows = _apply(_step_matrices(*coefficients, s, tau0, t),
+                         state0.psi_high, state0.psi_low)
+    return AmplitudeState(complex(highs[0]), complex(lows[0]))
 
 
 def suggest_amplitude_dt(params: CoupledWaveParams, s_scale: float) -> float:
@@ -475,11 +524,29 @@ def suggest_amplitude_dt(params: CoupledWaveParams, s_scale: float) -> float:
 
     Piecewise-constant coefficients stay accurate when each step rotates the
     state only slightly; the characteristic bar height sets the rate.
+    ``s_scale`` must be finite and > 0.
     """
+    check_finite("s_scale", s_scale, above=0.0)
     h_char = math.sqrt(params._h_sq_mean())
     if h_char == 0.0:
         raise DomainError("bar height is identically zero; any dt works")
     return _MAX_ROTATION * 2.0 * params.tau0 * s_scale / h_char
+
+
+def _walked_mids(s_mid: float, growth: np.ndarray, sigma: float,
+                 redraw_rng: np.random.Generator) -> np.ndarray:
+    """A block's mids walked step by step, s_mid (1 + sigma dz), a non-positive
+    mid redrawing its dz at most ``_MAX_REDRAWS`` times."""
+    mids: list[float] = []
+    for growth_i in growth.tolist():
+        s_next = s_mid * growth_i
+        if s_next <= 0.0:
+            s_next, _ = _guarded(
+                s_next, lambda: s_mid * (1.0 + sigma * redraw_rng.standard_normal()),
+                0, _MAX_REDRAWS)
+        mids.append(s_next)
+        s_mid = s_next
+    return np.array(mids)
 
 
 def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
@@ -490,42 +557,41 @@ def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
     dz, the (xi, kappa) pairs and the positivity redraws each come from
     their own (seed, path_index, k) substream, under ``simulate_path``'s
     keys.  A block draws its dz and its (xi, kappa) pairs as one array each,
-    which hold the values of per-step draws, and runs the mid walk over its
-    dz.  A non-positive mid redraws its dz, at most ``_MAX_REDRAWS`` times
-    per step.  A mid that overflows stays non-finite, so a block whose last
-    mid is not finite raises ``DomainError``.
+    which hold the values of per-step draws.  Its mids are the running
+    product of the carried mid and each step's growth 1 + sigma dz, which
+    equals a per-step loop of s_mid (1 + sigma dz) bit for bit.  A block
+    with a non-positive mid re-walks with that loop, where a non-positive
+    mid redraws its dz, at most ``_MAX_REDRAWS`` times per step.  A mid that
+    overflows stays non-finite, so a block whose last mid is not finite
+    raises ``DomainError``.
     """
     dz_rng, xi_kappa_rng, redraw_rng = (path_rng(params.seed, path_index, key) for key in
                                         (_DZ_STREAM, _XI_KAPPA_STREAM, _REDRAW_STREAM))
     sigma = params.sigma_step
     for rows in row_blocks(n_steps):
-        size = rows.stop - rows.start
-        mids: list[float] = []
-        for dz in dz_rng.standard_normal(size).tolist():
-            s_next = s_mid + s_mid * sigma * dz
-            if s_next <= 0.0:
-                s_next, _ = _guarded(
-                    s_next, lambda: s_mid + s_mid * sigma * redraw_rng.standard_normal(),
-                    0, _MAX_REDRAWS)
-            mids.append(s_next)
-            s_mid = s_next
+        growth = 1.0 + sigma * dz_rng.standard_normal(rows.stop - rows.start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mids = np.multiply.accumulate(np.concatenate(([s_mid], growth)))[1:]
+        if (mids <= 0.0).any():
+            mids = _walked_mids(s_mid, growth, sigma, redraw_rng)
+        s_mid = float(mids[-1])
         if not math.isfinite(s_mid):
             raise DomainError(_PRICE_OVERFLOW)
-        xi_kappa = xi_kappa_rng.standard_normal((size, 2))
-        yield (np.array(mids), params.xi_mean + params.xi_std * xi_kappa[:, 0],
+        xi_kappa = xi_kappa_rng.standard_normal((growth.size, 2))
+        yield (mids, params.xi_mean + params.xi_std * xi_kappa[:, 0],
                params.kappa_mean + params.kappa_std * xi_kappa[:, 1])
 
 
 def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
                    s: float, tau0: float, t: float) -> tuple[np.ndarray, ...]:
-    """The entries (u00, u01, u10, u11) of each step's unitary, as complex
-    arrays: psi' = U psi with psi = (psi_high, psi_low), and
+    """Each step's unitary as an SU(2) triple (phase, a, b) of complex arrays:
+    psi' = U psi with psi = (psi_high, psi_low), and
 
-        U = exp(-i angle) [[cos theta - i (xi/h) sin theta, -i (kappa/h) sin theta],
-                           [-i (kappa/h) sin theta, cos theta + i (xi/h) sin theta]]
+        U = phase [[a, b], [-conj(b), conj(a)]],
+        phase = exp(-i s_mid t / (tau0 s)),
+        a = cos theta - i (xi/h) sin theta,   b = -i (kappa/h) sin theta,
 
-    with the phase angle s_mid t / (tau0 s) and the rotation angle
-    theta = h t / (2 tau0 s), h = hypot(xi, kappa).
+    with the rotation angle theta = h t / (2 tau0 s), h = hypot(xi, kappa).
 
     Raises ``DomainError`` if a step's phase or rotation angle is not finite.
     """
@@ -535,26 +601,31 @@ def _step_matrices(mids: np.ndarray, xis: np.ndarray, kappas: np.ndarray,
         theta = h * t / (2.0 * tau0 * s)
     if not (np.isfinite(angle).all() and np.isfinite(theta).all()):
         raise DomainError(_ANGLE_OVERFLOW)
-    phase = np.exp(-1j * angle)
     # h == 0 only where xi == kappa == 0: the step is a pure phase.
     with np.errstate(invalid="ignore"):
         sin_h = np.where(h == 0.0, 0.0, np.sin(theta) / h)
-    cos_t = np.cos(theta)
-    off = phase * (-1j * kappas * sin_h)
-    return (phase * (cos_t - 1j * xis * sin_h), off, off, phase * (cos_t + 1j * xis * sin_h))
+    return (np.exp(-1j * angle), np.cos(theta) - 1j * (xis * sin_h), -1j * (kappas * sin_h))
 
 
-def _mul(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Element-wise 2x2 products a @ b of matrices given as their four entries."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+def _mul(x: Sequence[np.ndarray], y: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Element-wise products x @ y of unitaries given as SU(2) triples
+    (phase, a, b): five complex products, where four entries would take eight."""
+    p1, a1, b1 = x
+    p2, a2, b2 = y
+    return p1 * p2, a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
+
+
+def _apply(u: Sequence[np.ndarray], psi_high: complex,
+           psi_low: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The states U psi for each SU(2) triple (phase, a, b) of ``u``."""
+    phase, a, b = u
+    return (phase * (a * psi_high + b * psi_low),
+            phase * (a.conj() * psi_low - b.conj() * psi_high))
 
 
 def _reduce(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-    """The product m[n-1] @ ... @ m[0] of a block's matrices, as one-element
-    entries, by pairwise reduction."""
+    """The product m[n-1] @ ... @ m[0] of a block's triples, as one-element
+    arrays, by pairwise reduction."""
     # Operands are lists: tuple() of a generator over-allocates and shrinks,
     # and each shrunk tuple joins the interpreter's free list, which then
     # grows with the number of steps.
@@ -567,7 +638,7 @@ def _reduce(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
 
 
 def _scan(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-    """The inclusive prefix products m[i] @ ... @ m[0] of a block's matrices,
+    """The inclusive prefix products m[i] @ ... @ m[0] of a block's triples,
     by a Hillis-Steele scan."""
     d = 1
     while d < m[0].size:
@@ -598,20 +669,19 @@ def evolve_fluctuating(
     blocks of ``_BLOCK_ROWS`` steps (see ``_coefficient_blocks``), so the
     (s_mid, xi, kappa) of every step equal those of a per-step loop that
     draws from the same substreams, bit for bit.  Each block's per-step
-    unitaries (``_step_matrices``) are multiplied together as arrays, by a
-    pairwise reduction, or by a prefix scan when the trajectory is wanted.
-    The products are reassociated, so the amplitudes match those of a loop
-    of ``evolve_amplitudes`` calls within 1e-12, not bit for bit.  A step
-    whose phase or rotation angle is not finite raises ``DomainError``, as
-    in ``evolve_amplitudes``.
+    unitaries (``_step_matrices``) are multiplied together as SU(2) triples,
+    by a pairwise reduction, or by a prefix scan when the trajectory is
+    wanted.  The products are reassociated, so the amplitudes match those of
+    a loop of ``evolve_amplitudes`` calls within 1e-12, not bit for bit.  A
+    step whose phase or rotation angle is not finite raises ``DomainError``,
+    as in ``evolve_amplitudes``.
 
     Returns the final state, plus the (n_steps+1, 2) population trajectory
     when ``return_trajectory`` is set.
     """
     check_finite("s_scale", s_scale, above=0.0)
     check_finite("dt", dt, above=0.0)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps!r}")
+    _check_steps(n_steps)
     check_finite("path_index", path_index, at_least=0)
 
     psi_high, psi_low = state0.psi_high, state0.psi_low
@@ -621,8 +691,8 @@ def evolve_fluctuating(
     row = 1
     for mids, xis, kappas in _coefficient_blocks(params, s_scale, n_steps, path_index):
         steps = _step_matrices(mids, xis, kappas, s_scale, params.tau0, dt)
-        u00, u01, u10, u11 = _reduce(steps) if trajectory is None else _scan(steps)
-        highs, lows = u00 * psi_high + u01 * psi_low, u10 * psi_high + u11 * psi_low
+        highs, lows = _apply(_reduce(steps) if trajectory is None else _scan(steps),
+                             psi_high, psi_low)
         if trajectory is not None:
             trajectory[row:row + mids.size, 0] = highs.real ** 2 + highs.imag ** 2
             trajectory[row:row + mids.size, 1] = lows.real ** 2 + lows.imag ** 2

@@ -309,7 +309,10 @@ def _numeric_optimum(law, v: np.ndarray, alpha: float, lam0: float) -> np.ndarra
     hi = lams[np.minimum(k + 1, lams.size - 1)]
     root = np.flatnonzero(found & (0 < k) & (k < lams.size - 1))
     root = root[(slope(lo[root], v[root]) > 0.0) & (slope(hi[root], v[root]) < 0.0)]
-    rest = np.setdiff1d(np.flatnonzero(found), root)
+    # A boolean mask, not np.setdiff1d, which imports numpy.ma.
+    searched = found.copy()
+    searched[root] = False
+    rest = np.flatnonzero(searched)
     if root.size:
         lam[root] = _bisect(slope, lo[root], hi[root], v[root])
     if rest.size:

@@ -27,7 +27,7 @@ from spreadwave import (
     suggest_amplitude_dt,
 )
 from spreadwave import coupled_wave, errors
-from spreadwave.coupled_wave import RedrawCounter, path_rng
+from spreadwave.coupled_wave import RedrawCounter, path_rng, simulate_blocks
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -45,7 +45,7 @@ def test_bar_envelope_is_the_price_operator_spectrum(xi_mean, kappa_mean, seed):
     p = CoupledWaveParams(sigma_step=1e-3, xi_mean=xi_mean, xi_std=0.5,
                           kappa_mean=kappa_mean, kappa_std=0.5, seed=seed)
     series = simulate_path(p, 100.0, 40, path_index=1)
-    # Stream layout 2 draws every xi normal, then every kappa normal, from
+    # Stream layouts 2 and 3 draw every xi normal, then every kappa normal, from
     # substream 3.
     normals = path_rng(seed, 1, 3).standard_normal((2, 40))
     xi, kappa = xi_mean + 0.5 * normals[0], kappa_mean + 0.5 * normals[1]
@@ -269,11 +269,13 @@ class ReplayGenerator:
 
 
 def step_price_oracle(params, s0, n_steps, path_index=0,
-                      max_redraws=coupled_wave._MAX_REDRAWS):
-    """Loop of step_price fed the variates of stream layout 2.
+                      max_redraws=coupled_wave._MAX_REDRAWS, restarts=None):
+    """Loop of step_price fed the variates of stream layout 3; returns the
+    bars and the redraws of each step.
 
-    Layout 2 keys the substreams of (seed, path_index) as 2: dz, 3: (xi,
-    kappa), 4: placement, 5: positivity redraws.
+    Layout 3 keys the substreams of (seed, path_index) as 2: dz, 3: (xi,
+    kappa), 4: placement, 5: positivity redraws.  ``restarts`` maps a row to
+    the last price the walk restarts from at that row.
     """
     seed = params.seed
     dz = path_rng(seed, path_index, 2).standard_normal(n_steps)
@@ -287,30 +289,92 @@ def step_price_oracle(params, s0, n_steps, path_index=0,
     replay = ReplayGenerator(variates.tolist())
     redraw_rng = path_rng(seed, path_index, 5)
     counter = RedrawCounter()
-    bars, s_last = [], s0
-    for _ in range(n_steps):
+    bars, used, s_last = [], [], s0
+    for row in range(n_steps):
+        s_last = (restarts or {}).get(row, s_last)
+        before = counter.count
         bar = step_price(s_last, params, replay, counter, max_redraws,
                          redraw_rng=redraw_rng)
         bars.append(bar)
+        used.append(counter.count - before)
         s_last = bar.s_last
-    return bars, counter.count
+    return bars, used
+
+
+# A scanned block reassociates the walk's arithmetic, so its mids and last
+# prices match step_price's within a relative bound, not bit for bit.
+# Measured over seeds 0-199: at most 1.4e-14 in 3000 steps at the CLI
+# defaults, and 7.7e-13 in 8-step blocks at sigma_step 0.3 from a price of
+# 1, where a last price can fall close to 0.  A short last block at
+# sigma_step 0.5 stayed within 6.7e-16 (seeds 0-29).
+_SCAN_TOL = 1e-13
+_HOSTILE_SCAN_TOL = 4e-12
+
+
+def _walk_errors(monkeypatch, params, s0, n, path_index=2):
+    """Run ``simulate_blocks`` against ``step_price_oracle`` restarted at each
+    block's s0; returns, per block, whether it re-walked, and the largest
+    relative error of its mids and last prices.
+
+    Each block must count the oracle's redraws, hold its heights bit for
+    bit, and, where it re-walked, its prices too; a scanned block redraws
+    nothing.
+    """
+    real, calls = coupled_wave._walked_block, []
+    monkeypatch.setattr(coupled_wave, "_walked_block",
+                        lambda *args: calls.append(args) or real(*args))
+    blocks, walked = [], []
+    for block in simulate_blocks(params, s0, n, path_index, VolumeConfig()):
+        blocks.append(block)
+        walked.append(bool(calls))
+        calls.clear()
+    rows = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+    bars, used = step_price_oracle(params, s0, n, path_index,
+                                   restarts={row: b.s0 for row, b in zip(rows, blocks)})
+    worst = []
+    for block, lo, hi, rewalked in zip(blocks, rows, rows[1:], walked):
+        expected = {field: np.array([getattr(bar, field) for bar in bars[lo:hi]])
+                    for field in ("s_mid", "s_high", "s_low", "s_last", "h")}
+        assert block.redraws == sum(used[lo:hi])
+        assert rewalked or block.redraws == 0
+        assert block.h.tobytes() == expected["h"].tobytes()
+        if rewalked:
+            for field, values in expected.items():
+                assert getattr(block, field).tobytes() == values.tobytes(), field
+        worst.append(max(float(np.max(np.abs(getattr(block, field) / expected[field] - 1.0)))
+                           for field in ("s_mid", "s_last")))
+    return walked, worst
 
 
 @pytest.mark.parametrize("rule", list(LastPriceRule))
-@pytest.mark.parametrize("params, s0, expect_redraws", [
-    (dict(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=42), 100.0, False),
-    (dict(sigma_step=0.5, xi_std=0.5, kappa_std=0.5, xi_mean=0.2, seed=3), 1.0, True),
-], ids=["cli_defaults", "hostile"])
-def test_simulate_path_matches_step_price_bit_for_bit(rule, params, s0, expect_redraws):
+@pytest.mark.parametrize("params, s0", [
+    (dict(sigma_step=0.5, xi_std=0.5, kappa_std=0.5, xi_mean=0.2, seed=3), 1.0),
+], ids=["hostile"])
+def test_simulate_path_matches_step_price_bit_for_bit(monkeypatch, rule, params, s0):
+    # Every block of this walk redraws, so every block re-walks, and the
+    # whole path is step_price's, bit for bit.
     p = CoupledWaveParams(last_price_rule=rule, **params)
     n = 3000
     series = simulate_path(p, s0, n, path_index=2)
-    bars, redraws = step_price_oracle(p, s0, n, path_index=2)
+    bars, used = step_price_oracle(p, s0, n, path_index=2)
     for field in ("s_mid", "s_high", "s_low", "s_last", "h"):
         expected = np.array([getattr(bar, field) for bar in bars])
         assert getattr(series, field).tobytes() == expected.tobytes(), field
-    assert series.redraws == redraws
-    assert (redraws > 0) == expect_redraws
+    assert series.redraws == sum(used) > 0
+    walked, _ = _walk_errors(monkeypatch, p, s0, n)
+    assert walked == [True, True]
+
+
+@pytest.mark.parametrize("rule", list(LastPriceRule))
+@pytest.mark.parametrize("params, s0", [
+    (dict(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=42), 100.0),
+], ids=["cli_defaults"])
+def test_scanned_walk_matches_step_price_within_bound(monkeypatch, rule, params, s0):
+    # No step of this walk redraws, so every block scans.
+    p = CoupledWaveParams(last_price_rule=rule, **params)
+    walked, worst = _walk_errors(monkeypatch, p, s0, 3000)
+    assert walked == [False, False]
+    assert max(worst) <= _SCAN_TOL
 
 
 def test_step_price_redraws_default_to_the_main_generator():
@@ -320,6 +384,20 @@ def test_step_price_redraws_default_to_the_main_generator():
     bars_a = [step_price(1.0, p, a) for _ in range(200)]
     bars_b = [step_price(1.0, p, b, redraw_rng=b) for _ in range(200)]
     assert bars_a == bars_b
+
+
+def test_step_price_height_is_the_array_hypot():
+    # The simulator's blocks take their heights from np.hypot over arrays;
+    # step_price's scalar call gives the same values, bit for bit, also where
+    # math.hypot would differ in the last bit.
+    xi, kappa = path_rng(11).standard_normal((2, 20_000))
+    p = [CoupledWaveParams(xi_mean=x, kappa_mean=k) for x, k in zip(xi[:200], kappa[:200])]
+    heights = [step_price(1e6, q, path_rng(0)).h for q in p]
+    assert np.array(heights).tobytes() == np.hypot(xi[:200], kappa[:200]).tobytes()
+    scalar = np.array([float(np.hypot(x, k)) for x, k in zip(xi.tolist(), kappa.tolist())])
+    assert scalar.tobytes() == np.hypot(xi, kappa).tobytes()
+    assert any(math.hypot(x, k) != h for x, k, h in zip(xi.tolist(), kappa.tolist(),
+                                                         scalar.tolist()))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -367,17 +445,34 @@ _B = errors._BLOCK_ROWS
 
 @pytest.mark.parametrize("rule", list(LastPriceRule))
 @pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + 3])
-def test_simulate_path_matches_step_price_across_row_blocks(rule, n):
+def test_simulate_path_matches_step_price_across_row_blocks(monkeypatch, rule, n):
     # The recurrence runs block by block; the state it carries across a
-    # block edge must be exactly step_price's, redraws included.
+    # block edge must be exactly step_price's, redraws included.  Every full
+    # block of this walk redraws; a short last block may scan.
     p = CoupledWaveParams(sigma_step=0.5, xi_std=0.5, kappa_std=0.5, xi_mean=0.2,
                           seed=3, last_price_rule=rule)
     series = simulate_path(p, 1.0, n, path_index=2, volume=VolumeConfig())
-    bars, redraws = step_price_oracle(p, 1.0, n, path_index=2)
-    for field in ("s_mid", "s_high", "s_low", "s_last", "h"):
-        expected = np.array([getattr(bar, field) for bar in bars])
-        assert getattr(series, field).tobytes() == expected.tobytes(), field
-    assert series.redraws == redraws > 0
+    walked, worst = _walk_errors(monkeypatch, p, 1.0, n)
+    assert all(walked[:n // _B])
+    assert max(worst) <= _SCAN_TOL
+    bars, used = step_price_oracle(p, 1.0, n, path_index=2)
+    assert series.redraws == sum(used) > 0
+
+
+@pytest.mark.parametrize("rule", list(LastPriceRule))
+def test_scanned_and_rewalked_blocks_carry_the_walk(monkeypatch, rule):
+    # In blocks of 8 steps at sigma_step 0.3, some blocks scan and some
+    # redraw; a block's walk starts from the previous block's last price,
+    # scanned or re-walked.
+    monkeypatch.setattr(errors, "_BLOCK_ROWS", 8)
+    p = CoupledWaveParams(sigma_step=0.3, xi_std=0.05, kappa_std=0.05, seed=4,
+                          last_price_rule=rule)
+    walked, worst = _walk_errors(monkeypatch, p, 1.0, 400)
+    pairs = set(zip(walked, walked[1:]))
+    assert {(False, True), (True, False)} <= pairs, walked
+    assert max(worst) <= _HOSTILE_SCAN_TOL
+    series = simulate_path(p, 1.0, 400)
+    assert np.all(series.s_mid > 0.0) and np.all(series.s_last > 0.0)
 
 
 @pytest.mark.parametrize("rule, seed", [(LastPriceRule.UNIFORM_IN_BAR, 6),
@@ -415,8 +510,9 @@ def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_inde
                                  trajectory=None, redraws=None, draws=None):
     """The per-step loop of ``evolve_amplitudes`` calls, with an uncapped redraw.
 
-    Each step draws one dz from substream 2 of (seed, path_index), redraws
-    it from substream 5 while the mid is non-positive, and draws its
+    Each step draws one dz from substream 2 of (seed, path_index), moves the
+    mid to s_mid (1 + sigma_step dz), redraws dz from substream 5 while that
+    mid is non-positive, and draws its
     (xi, kappa) pair from substream 3.  Appends the populations after each
     step to ``trajectory``, a step's index to ``redraws`` once per redraw of
     its mid, and each step's (s_mid, xi, kappa) to ``draws``, when given.
@@ -425,12 +521,12 @@ def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_inde
                                         for key in (2, 3, 5))
     state, s_mid = state0, s_scale
     for i in range(n_steps):
-        step = s_mid * params.sigma_step * dz_rng.standard_normal()
-        while s_mid + step <= 0.0:
+        growth = 1.0 + params.sigma_step * dz_rng.standard_normal()
+        while s_mid * growth <= 0.0:
             if redraws is not None:
                 redraws.append(i)
-            step = s_mid * params.sigma_step * redraw_rng.standard_normal()
-        s_mid = s_mid + step
+            growth = 1.0 + params.sigma_step * redraw_rng.standard_normal()
+        s_mid = s_mid * growth
         xi_normal, kappa_normal = xi_kappa_rng.standard_normal(2).tolist()
         xi = params.xi_mean + params.xi_std * xi_normal
         kappa = params.kappa_mean + params.kappa_std * kappa_normal
@@ -587,3 +683,71 @@ def test_evolve_fluctuating_rejects_bad_scale_and_step(name, value):
     with pytest.raises(DomainError, match=name):
         evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), CoupledWaveParams(xi_std=0.3),
                            n_steps=10, **kwargs)
+
+
+def test_evolve_mid_walk_is_the_loop_bit_for_bit():
+    # The benchmark's amplitude run: its 100k mids, scanned block by block,
+    # are those of a per-step loop of s_mid (1 + sigma_step dz), bit for bit.
+    p = CoupledWaveParams(sigma_step=1e-4, xi_std=0.5, kappa_std=0.5, seed=1)
+    mids = np.concatenate([block[0] for block in
+                           coupled_wave._coefficient_blocks(p, 100.0, 100_000, 0)])
+    s_mid, expected = 100.0, []
+    for dz in path_rng(1, 0, 2).standard_normal(100_000).tolist():
+        s_mid = s_mid * (1.0 + p.sigma_step * dz)
+        expected.append(s_mid)
+    assert mids.tobytes() == np.array(expected).tobytes()
+
+
+def _full(triple):
+    """The 2x2 matrices phase [[a, b], [-conj(b), conj(a)]] of SU(2) triples."""
+    phase, a, b = triple
+    return phase[:, None, None] * np.stack([np.stack([a, b], -1),
+                                            np.stack([-b.conj(), a.conj()], -1)], -2)
+
+
+def test_su2_products_equal_the_full_products():
+    rng = path_rng(13)
+    mids = rng.uniform(50.0, 150.0, 2000)
+    xis, kappas = rng.normal(0.0, 2.0, (2, 2000))
+    xis[::7] = kappas[::7] = 0.0  # h == 0: a pure phase
+    x = coupled_wave._step_matrices(mids[:1000], xis[:1000], kappas[:1000], 100.0, 1.0, 3.7)
+    y = coupled_wave._step_matrices(mids[1000:], xis[1000:], kappas[1000:], 100.0, 1.0, 0.9)
+    eye, eps = np.eye(2), np.finfo(float).eps
+    for u in (x, y):
+        assert np.max(np.abs(_full(u) @ _full(u).conj().swapaxes(1, 2) - eye)) <= 4 * eps
+    product = _full(coupled_wave._mul(x, y))
+    assert np.max(np.abs(product - _full(x) @ _full(y))) <= 4 * eps
+
+
+@pytest.mark.parametrize("s_scale", [-1.0, 0.0, math.nan, math.inf])
+def test_suggest_amplitude_dt_rejects_a_bad_scale(s_scale):
+    # It returned -0.283, 0.0, nan and inf.
+    with pytest.raises(DomainError, match="s_scale"):
+        suggest_amplitude_dt(CoupledWaveParams(xi_std=0.5, kappa_std=0.5), s_scale)
+
+
+@pytest.mark.parametrize("name", ["s", "tau0"])
+def test_evolve_amplitudes_rejects_an_infinite_scale(name):
+    # An infinite s or tau0 made every angle 0, and the state came back unchanged.
+    kwargs = {"s": 100.0, "tau0": 1.0, name: math.inf}
+    with pytest.raises(DomainError, match=name):
+        evolve_amplitudes(AmplitudeState(0.6 + 0.0j, 0.8j), 100.0, 0.3, 0.4, t=1.0, **kwargs)
+
+
+@pytest.mark.parametrize("psi", [(math.nan, 0.0), (1.0, complex(0.0, math.inf)),
+                                 (complex(math.nan, 1.0), 0.0)])
+def test_amplitude_state_rejects_non_finite_amplitudes(psi):
+    # evolve_fluctuating from AmplitudeState(nan, 0) ran to a NaN state.
+    with pytest.raises(DomainError, match="psi_"):
+        evolve_fluctuating(AmplitudeState(*psi), CoupledWaveParams(xi_std=0.3), 100.0,
+                           0.01, 10)
+
+
+@pytest.mark.parametrize("n_steps", [10.5, 10.0, "10", 0, -3])
+def test_step_counts_must_be_integers(n_steps):
+    # A fractional count raised a bare TypeError from range().
+    with pytest.raises(DomainError, match="n_steps"):
+        evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), CoupledWaveParams(xi_std=0.3),
+                           100.0, 0.01, n_steps)
+    with pytest.raises(DomainError, match="n_steps"):
+        simulate_path(CoupledWaveParams(), 100.0, n_steps)

@@ -5,7 +5,7 @@ from integer arithmetic alone, so they do not depend on the simulator or on
 numpy's random streams; their digests were recorded with spreadwave 0.1.0
 and must never move.  The pipeline golden runs the README chain at its
 documented size (5000 bars) and pins every output; it was recorded under
-stream layout 2 and may change only with a deliberate change of output
+stream layout 3 and may change only with a deliberate change of output
 bytes, recorded in CHANGES.md with its cause.  Random streams and the fit
 depend on numpy (the package does not use scipy), so that golden holds for
 one numpy version (recorded with numpy 2.4).  The ``scale`` goldens run the
@@ -169,15 +169,15 @@ _README_PIPELINE = (
 )
 
 _README_DIGESTS = {
-    "bars.csv": "96ac30572c27d281a76a209f53f9036a0b7d318c1d1b2564998f4c1209cbf82f",
-    "simulate_report.json": "84e59f19287fb00506c4dc7e74add356d225987127b14521f2dc58145bbe22d0",
-    "curve.csv": "a8b2e3ca747acbf29b881c83b61980d690475640b1a21547d768076c2daa8679",
-    "curve_hist.csv": "c9163cde8f33ba7f7a65296b953077661e3c2cb45d24d2438e185983bb700183",
-    "curve_report.json": "73414990703ebaaa5472afbecc05e5d90885608b427160f543bbeed6c567b76a",
-    "calibration.json": "92b40b9393f09947f0a60c847dda9482eb1bf3046960ff7bc4906193dcb1fa97",
-    "overlay.csv": "e1397a71e7b1ba35bc708388b07885958bfb7940ca67739ebd92de8e76de37a2",
-    "policy.csv": "b45d9476efa968c621b49389c174a226aa8bd865aba6b61cce278a6ec3e9204c",
-    "optimize_report.json": "e5020705ac4e394024f8a2bb02492b51831197159e771fd4fc5717a01b1254d5",
+    "bars.csv": "d1d955460aa0ba00a0562ef71c295e15cdae00330865e70a5e46e774dd27c428",
+    "simulate_report.json": "6c47f3630c0e044efca32006e704f1b1af6b72efce863aaaf41116e510ecd81b",
+    "curve.csv": "1d791f9f49bd6118f75ee47a5357cff02d06d255313be6b753d9d94a39bd2c9a",
+    "curve_hist.csv": "cc763560d30e7ee952e27032bf0c1aab791da60efa1e89a5b34a5a9d1e9c053d",
+    "curve_report.json": "035dcf1584b059279242eeebd7d79708ae56d50a12daba81c8c56b0e9adebe4b",
+    "calibration.json": "e081cd57f6244857ab381422e9ee0373988b87bcfbee5309ce11528add4c9e1b",
+    "overlay.csv": "fd8d6289494164ab02af62c5693b8eb1669874ec51818c05dd265db490d3e9cf",
+    "policy.csv": "3b2bb13d8a3964db7d38e63a8e2c4d37d06926fc1354e5379fc0c86afb0ea858",
+    "optimize_report.json": "61fab8e9169d0100a66e79be50ca6ef8c1e1840a6db8d560229d2eb4630b195b",
 }
 
 

@@ -210,6 +210,8 @@ _CURVE_VOLUMES = st.one_of(
 @given(volumes=_CURVE_VOLUMES, n_buckets=st.integers(1, 30),
        percentiles=st.sampled_from([(1.0, 99.0), (0.0, 100.0), (0.0, 0.25), (40.0, 60.0)]))
 @example(volumes=[1.0] * 98 + [1.0 + 2.0 ** -51] * 2, n_buckets=25, percentiles=(1.0, 99.0))
+@example(volumes=[1.7976931348622093e+308, 1.7976931348623157e+308], n_buckets=2,
+         percentiles=(1.0, 99.0))
 @settings(max_examples=300, deadline=None)
 def test_every_built_curve_reads_back(volumes, n_buckets, percentiles):
     samples = SpreadSamples(volumes=np.array(volumes), source=CurveSource.BAR,
@@ -887,7 +889,7 @@ def test_simulate_report_diagnostics(tmp_path):
                         "--out", str(out)]).exit_code == 0
     long = read_json_report(str(tmp_path / "long" / "simulate_report.json"))["summary"]
     short = read_json_report(str(tmp_path / "short" / "simulate_report.json"))["summary"]
-    assert long["stream_layout"] == short["stream_layout"] == 2
+    assert long["stream_layout"] == short["stream_layout"] == 3
     assert long["closure_ratio"] == pytest.approx(
         long["empirical_volatility"] / long["predicted_volatility"], rel=1e-15)
     assert 0.9 < long["closure_ratio"] < 1.1
@@ -1299,7 +1301,8 @@ def chain_inputs(tmp_path_factory):
 
 # Each command loads, besides the package, the CLI, errors and data_io, only
 # the model modules it runs: no parser library, and difflib only to suggest a
-# name for a misspelled one.
+# name for a misspelled one.  Only ``curve`` loads numpy.ma, which its
+# quantiles (np.percentile, np.quantile) import.
 @pytest.mark.parametrize("args, adds", [
     ([], ()),
     (["simulate", "--steps", "10"], ("coupled_wave",)),
@@ -1324,13 +1327,35 @@ def test_each_command_loads_only_its_modules(tmp_path, chain_inputs, args, adds)
             "except SystemExit as exc:\n"
             "    assert exc.code in (0, None), exc.code\n"
             "print(*sorted(m for m in sys.modules\n"
-            "              if m.split('.')[0] in ('spreadwave', 'click', 'difflib')))\n")
+            "              if m.split('.')[0] in ('spreadwave', 'click', 'difflib')\n"
+            "              or m == 'numpy.ma'))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.splitlines()[-1].split())
     always = {"spreadwave", "spreadwave.cli", "spreadwave.data_io", "spreadwave.errors"}
-    assert loaded == always | {"spreadwave." + name for name in adds}
+    quantiles = {"numpy.ma"} if args[:1] == ["curve"] else set()
+    assert loaded == always | quantiles | {"spreadwave." + name for name in adds}
+
+
+def test_a_numeric_policy_loads_no_masked_arrays():
+    # A law without a closed-form optimum takes the numeric search, which
+    # must not import numpy.ma (np.setdiff1d does).
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from spreadwave import optimizer\n"
+            "class Law:\n"
+            "    lambda_ref = 1.2\n"
+            "    def delta(self, lam, v):\n"
+            "        return np.sqrt(10.0 / v + v * v) / 0.6 * np.tanh(np.asarray(lam) / 2.0)\n"
+            "policy = optimizer.policy_curve(np.geomspace(0.4, 6.8, 50),\n"
+            "                                optimizer.ExecutionModel(lambda0=3.0), Law(), 3.0)\n"
+            "assert np.isfinite(policy.lambda_opt).all() and not policy.failures\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_fitting_and_simulating_load_no_io_module():
