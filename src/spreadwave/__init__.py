@@ -28,7 +28,7 @@ _PUBLIC = (
     ("calibration", "bars_to_samples"),
     ("spread_models", "bidask_spread_model"),
     ("calibration", "build_spread_volume_curve fit_bar_curve fit_bid_ask_curve "
-                    "fit_execution_scale measure_flow_stats quotes_to_samples"),
+                    "measure_flow_stats quotes_to_samples"),
     ("coupled_wave", "AmplitudeState BarSample BarSeries CoupledWaveParams LastPriceRule "
                      "VolumeConfig bar_height_rayleigh_scale evolve_amplitudes "
                      "evolve_fluctuating path_volatility predicted_volatility simulate_path "

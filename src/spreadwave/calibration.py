@@ -13,9 +13,9 @@ Each rule of that workflow has one owner here.  The sample adapters only
 pair volumes with spreads; ``build_spread_volume_curve`` alone decides which
 pairs count and counts the rest by cause.  ``SpreadVolumeCurve.usable``
 alone decides which buckets a fit uses.  ``spread_law`` alone maps a curve
-kind to its law, for the fits, the synthetic curves, the fit overlay and the
-optimizer's calibrated law; it looks the law kernels up in this module's
-namespace on each call.
+kind to its law, for the fits, the fit overlay and the optimizer's
+calibrated law; it looks the law kernels up in this module's namespace on
+each call.
 
 A fit leaves the package as a calibration report (``calibration.json``):
 ``calibration_report`` builds its entries and ``parse_calibration_report``
@@ -36,6 +36,7 @@ from .errors import (
     FitConvergenceError,
     InputFormatError,
     InsufficientDataError,
+    check_count,
     check_finite,
 )
 # ``spread_law`` looks the law kernels up in this module's namespace.
@@ -132,8 +133,7 @@ class BucketSpec:
     hi_percentile: float = 99.0
 
     def __post_init__(self) -> None:
-        if self.n_buckets < 1:
-            raise DomainError(f"n_buckets must be >= 1, got {self.n_buckets!r}")
+        check_count("n_buckets", self.n_buckets)
         if not (0.0 <= self.lo_percentile < self.hi_percentile <= 100.0):
             raise DomainError("percentile bounds must satisfy 0 <= lo < hi <= 100")
 
@@ -180,8 +180,7 @@ def measure_flow_stats(trades: TradeColumns, window: float) -> FlowStats:
         trades: Trade tape, timestamps non-decreasing.
         window: Length of the observation window in reference time units.
     """
-    if not (window > 0.0):
-        raise DomainError(f"window must be > 0, got {window!r}")
+    check_finite("window", window, above=0.0)
     if len(trades) < 30:
         raise InsufficientDataError(
             f"need >= 30 trades in the window, got {len(trades)}"
@@ -252,8 +251,7 @@ def quotes_to_samples(quotes: QuoteColumns, trades: TradeColumns,
     by the window length.  A quote with no trailing flow gets volume 0,
     which no log-volume axis holds, so the curve rejects it.
     """
-    if not (window > 0.0):
-        raise DomainError(f"window must be > 0, got {window!r}")
+    check_finite("window", window, above=0.0)
     order = np.argsort(trades.timestamp, kind="stable")
     times = trades.timestamp[order]
     cumsize = np.concatenate(([0.0], np.cumsum(trades.size[order])))
@@ -613,18 +611,3 @@ def parse_calibration_report(report: dict, path: str, horizon: float) -> tuple[
         check_finite("horizon", stored, above=0.0)
     return result, flow, source, stored, v_range
 
-
-def fit_execution_scale(spreads) -> float:
-    """Maximum-likelihood scale of the quadratic-exponential spread density.
-
-    For samples following p(x) = 2 x / x0^2 * exp(-(x/x0)^2) the estimator
-    is x0 = sqrt(mean(x^2)).
-    """
-    spreads = np.asarray(list(spreads), dtype=float)
-    if spreads.size < 100:
-        raise InsufficientDataError(
-            f"need >= 100 samples, got {spreads.size}"
-        )
-    if np.any(spreads <= 0.0) or not np.all(np.isfinite(spreads)):
-        raise DomainError("all samples must be positive and finite")
-    return float(math.sqrt(np.mean(spreads ** 2)))

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, check_finite, row_blocks
+from .errors import DomainError, InsufficientDataError, check_count, check_finite, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -253,8 +252,7 @@ def step_price(
     envelope itself may touch zero when h is comparable to the price; only
     traded prices (mid, last) are constrained.
     """
-    if not (s_last > 0.0):
-        raise DomainError(f"s_last must be > 0, got {s_last!r}")
+    check_finite("s_last", s_last, above=0.0)
     source = rng if redraw_rng is None else redraw_rng
 
     def mid(gen: np.random.Generator) -> float:
@@ -282,11 +280,6 @@ def step_price(
     if redraw_counter is not None:
         redraw_counter.count += redraws
     return BarSample(s_mid=s_mid, s_high=s_high, s_low=s_low, s_last=s_next, h=h)
-
-
-def _check_steps(n_steps) -> None:
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
 
 def simulate_blocks(
@@ -318,7 +311,7 @@ def simulate_blocks(
     changing the volume mode never perturbs the bars.
     """
     check_finite("s0", s0, above=0.0)
-    _check_steps(n_steps)
+    check_count("n_steps", n_steps)
     check_finite("path_index", path_index, at_least=0)
     return _simulated_blocks(params, float(s0), n_steps, path_index,
                              volume if volume is not None else VolumeConfig(mode="none"))
@@ -346,7 +339,9 @@ def _walked_block(s_last: float, growth: np.ndarray, halves: np.ndarray,
                   placement: np.ndarray, uniform: bool, sigma: float,
                   redraw_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
     """The mids, last prices and redraw count of a block, walked step by step
-    with the arithmetic and the redraws of ``step_price``."""
+    with the arithmetic and the redraws of ``step_price``.  Over bars of no
+    height (zero ``halves`` and ``placement``, the normal rule) each last
+    price is its mid: the amplitude walk's re-walk."""
     mids: list[float] = []
     lasts: list[float] = []
     redraws = 0
@@ -476,8 +471,7 @@ def predicted_volatility(params: CoupledWaveParams, s: float) -> float:
     placement-rule variance coefficient (1/3 uniform, 1 normal) and E[h^2]
     the analytic moment of the xi/kappa draws.
     """
-    if not (s > 0.0):
-        raise DomainError(f"s must be > 0, got {s!r}")
+    check_finite("s", s, above=0.0)
     alpha = params.last_price_rule.placement_alpha
     return math.sqrt((s * params.sigma_step) ** 2 + alpha * params._h_sq_mean() / 4.0)
 
@@ -533,22 +527,6 @@ def suggest_amplitude_dt(params: CoupledWaveParams, s_scale: float) -> float:
     return _MAX_ROTATION * 2.0 * params.tau0 * s_scale / h_char
 
 
-def _walked_mids(s_mid: float, growth: np.ndarray, sigma: float,
-                 redraw_rng: np.random.Generator) -> np.ndarray:
-    """A block's mids walked step by step, s_mid (1 + sigma dz), a non-positive
-    mid redrawing its dz at most ``_MAX_REDRAWS`` times."""
-    mids: list[float] = []
-    for growth_i in growth.tolist():
-        s_next = s_mid * growth_i
-        if s_next <= 0.0:
-            s_next, _ = _guarded(
-                s_next, lambda: s_mid * (1.0 + sigma * redraw_rng.standard_normal()),
-                0, _MAX_REDRAWS)
-        mids.append(s_next)
-        s_mid = s_next
-    return np.array(mids)
-
-
 def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
                         path_index: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The (s_mid, xi, kappa) of ``n_steps`` amplitude steps, as arrays per
@@ -560,10 +538,11 @@ def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
     which hold the values of per-step draws.  Its mids are the running
     product of the carried mid and each step's growth 1 + sigma dz, which
     equals a per-step loop of s_mid (1 + sigma dz) bit for bit.  A block
-    with a non-positive mid re-walks with that loop, where a non-positive
-    mid redraws its dz, at most ``_MAX_REDRAWS`` times per step.  A mid that
-    overflows stays non-finite, so a block whose last mid is not finite
-    raises ``DomainError``.
+    with a non-positive mid re-walks with that loop: ``_walked_block`` over
+    bars of no height, whose last price is each step's mid, so a
+    non-positive mid redraws its dz, at most ``_MAX_REDRAWS`` times per
+    step.  A mid that overflows stays non-finite, so a block whose last mid
+    is not finite raises ``DomainError``.
     """
     dz_rng, xi_kappa_rng, redraw_rng = (path_rng(params.seed, path_index, key) for key in
                                         (_DZ_STREAM, _XI_KAPPA_STREAM, _REDRAW_STREAM))
@@ -573,7 +552,8 @@ def _coefficient_blocks(params: CoupledWaveParams, s_mid: float, n_steps: int,
         with np.errstate(over="ignore", invalid="ignore"):
             mids = np.multiply.accumulate(np.concatenate(([s_mid], growth)))[1:]
         if (mids <= 0.0).any():
-            mids = _walked_mids(s_mid, growth, sigma, redraw_rng)
+            zeros = np.zeros(growth.size)
+            mids = _walked_block(s_mid, growth, zeros, zeros, False, sigma, redraw_rng)[0]
         s_mid = float(mids[-1])
         if not math.isfinite(s_mid):
             raise DomainError(_PRICE_OVERFLOW)
@@ -637,17 +617,6 @@ def _reduce(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
     return m
 
 
-def _scan(m: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-    """The inclusive prefix products m[i] @ ... @ m[0] of a block's triples,
-    by a Hillis-Steele scan."""
-    d = 1
-    while d < m[0].size:
-        pairs = _mul([x[d:] for x in m], [x[:-d] for x in m])
-        m = [np.concatenate((x[:d], p)) for x, p in zip(m, pairs)]
-        d *= 2
-    return m
-
-
 def evolve_fluctuating(
     state0: AmplitudeState,
     params: CoupledWaveParams,
@@ -655,8 +624,7 @@ def evolve_fluctuating(
     dt: float,
     n_steps: int,
     path_index: int = 0,
-    return_trajectory: bool = False,
-) -> AmplitudeState | tuple[AmplitudeState, np.ndarray]:
+) -> AmplitudeState:
     """Chain the closed-form evolution over per-step redrawn coefficients.
 
     Each step draws (dz, xi, kappa), advances the mid-price walk, and
@@ -670,36 +638,22 @@ def evolve_fluctuating(
     (s_mid, xi, kappa) of every step equal those of a per-step loop that
     draws from the same substreams, bit for bit.  Each block's per-step
     unitaries (``_step_matrices``) are multiplied together as SU(2) triples,
-    by a pairwise reduction, or by a prefix scan when the trajectory is
-    wanted.  The products are reassociated, so the amplitudes match those of
-    a loop of ``evolve_amplitudes`` calls within 1e-12, not bit for bit.  A
-    step whose phase or rotation angle is not finite raises ``DomainError``,
-    as in ``evolve_amplitudes``.
+    by a pairwise reduction.  The products are reassociated, so the
+    amplitudes match those of a loop of ``evolve_amplitudes`` calls within
+    1e-12, not bit for bit.  A step whose phase or rotation angle is not
+    finite raises ``DomainError``, as in ``evolve_amplitudes``.
 
-    Returns the final state, plus the (n_steps+1, 2) population trajectory
-    when ``return_trajectory`` is set.
+    Returns the final state only; populations step by step come from a loop
+    of ``evolve_amplitudes``, the one-step kernel.
     """
     check_finite("s_scale", s_scale, above=0.0)
     check_finite("dt", dt, above=0.0)
-    _check_steps(n_steps)
+    check_count("n_steps", n_steps)
     check_finite("path_index", path_index, at_least=0)
 
     psi_high, psi_low = state0.psi_high, state0.psi_low
-    trajectory = np.empty((n_steps + 1, 2)) if return_trajectory else None
-    if trajectory is not None:
-        trajectory[0] = state0.populations()
-    row = 1
     for mids, xis, kappas in _coefficient_blocks(params, s_scale, n_steps, path_index):
         steps = _step_matrices(mids, xis, kappas, s_scale, params.tau0, dt)
-        highs, lows = _apply(_reduce(steps) if trajectory is None else _scan(steps),
-                             psi_high, psi_low)
-        if trajectory is not None:
-            trajectory[row:row + mids.size, 0] = highs.real ** 2 + highs.imag ** 2
-            trajectory[row:row + mids.size, 1] = lows.real ** 2 + lows.imag ** 2
-            row += mids.size
-        psi_high, psi_low = complex(highs[-1]), complex(lows[-1])
-
-    state = AmplitudeState(psi_high, psi_low)
-    if trajectory is not None:
-        return state, trajectory
-    return state
+        highs, lows = _apply(_reduce(steps), psi_high, psi_low)
+        psi_high, psi_low = complex(highs[0]), complex(lows[0])
+    return AmplitudeState(psi_high, psi_low)

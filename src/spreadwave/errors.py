@@ -1,10 +1,12 @@
-"""Exception taxonomy, process exit codes, the shared parameter check and
+"""Exception taxonomy, process exit codes, the shared parameter checks and
 the row-block grid.
 
 Every module imports this one, so what they all share lives here: it loads
 only numpy, and a process that fits or simulates without a CSV file never
 loads the I/O layer for it.
 """
+
+import numbers
 
 import numpy as np
 
@@ -72,3 +74,9 @@ def check_finite(name: str, value, *, above: float | None = None,
     if not ok.all():
         bad = float(values[~ok][0]) if values.ndim else value
         raise DomainError(f"{name} must be finite{bound}, got {bad!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")

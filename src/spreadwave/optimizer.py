@@ -100,8 +100,7 @@ def execution_rate(model: ExecutionModel, lam: float) -> float:
     r(lam) = exp(-(lam / lambda0)^2): 1 at zero premium, strictly
     decreasing, e^-1 at lam = lambda0.
     """
-    if lam < 0.0:
-        raise DomainError(f"lam must be >= 0, got {lam!r}")
+    check_finite("lam", lam, at_least=0.0)
     return float(_rate(lam, model.lambda0))
 
 
@@ -211,8 +210,7 @@ class QuotePolicy:
 
 def spread_pnl(params: PnLParams, model: ExecutionModel, lam: float) -> float:
     """Spread revenue per period: 0.5 * r(lam) * v * (delta(lam; v) - alpha)."""
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be > 0, got {lam!r}")
+    check_finite("lam", lam, above=0.0)
     return float(_pnl(params.spread_law, lam, params.volume_v,
                       params.commission_alpha, model.lambda0))
 

@@ -23,7 +23,11 @@ _BLOCK_CELLS = 8192
 
 
 class PiecewiseConstantTable:
-    """Piecewise-constant lookup over (T, V) buckets with edge clamping."""
+    """Piecewise-constant lookup over (T, V) buckets with edge clamping.
+
+    The edges are finite and strictly ascending, and the values are risk
+    multipliers: finite and > 0, as in ``SpreadSurfaceParams``.
+    """
 
     def __init__(self, t_edges, v_edges, values) -> None:
         self.t_edges = np.asarray(t_edges, dtype=float)
@@ -34,6 +38,9 @@ class PiecewiseConstantTable:
             raise DomainError(
                 f"values shape {self.values.shape} does not match bucket grid {expected}"
             )
+        check_finite("t_edges", self.t_edges)
+        check_finite("v_edges", self.v_edges)
+        check_finite("values", self.values, above=0.0)
         if np.any(np.diff(self.t_edges) <= 0) or np.any(np.diff(self.v_edges) <= 0):
             raise DomainError("bucket edges must be strictly ascending")
 

@@ -1,4 +1,5 @@
-"""Synthetic data generators for tests, demos, and round-trip checks.
+"""Synthetic data generators: test support for the fit round-trips and the
+flow statistics, not part of the package.
 
 Two layers of realism:
 
@@ -15,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import CurveBucket, CurveSource, FlowStats, SpreadVolumeCurve, spread_law
-from .data_io import TradeColumns
-from .errors import DomainError
+from spreadwave.calibration import (CurveBucket, CurveSource, FlowStats, SpreadVolumeCurve,
+                                    spread_law)
+from spreadwave.data_io import TradeColumns
+from spreadwave.errors import DomainError
 
 
 def _rng(seed: int, *extra: int) -> np.random.Generator:

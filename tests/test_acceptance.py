@@ -16,6 +16,7 @@ import scipy.integrate
 import scipy.stats
 
 from cli_runner import invoke
+from synthetic import synthetic_spread_curve
 
 from spreadwave import (
     STRADDLE_LAMBDA,
@@ -53,7 +54,6 @@ from spreadwave import (
     straddle_spread,
     suggest_amplitude_dt,
 )
-from spreadwave.synthetic import synthetic_spread_curve
 
 
 def test_criterion_01_minimum_spread_identity():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_runner import invoke
+from synthetic import synthetic_spread_curve, synthetic_trades
 
 from spreadwave import (
     BarColumns,
@@ -31,14 +32,12 @@ from spreadwave import (
     calibrated_law,
     fit_bar_curve,
     fit_bid_ask_curve,
-    fit_execution_scale,
     measure_flow_stats,
     quotes_to_samples,
 )
 from spreadwave import calibration
 from spreadwave.data_io import (read_bars, read_curve, read_json_report,
                                 write_curve_csv, write_json_report)
-from spreadwave.synthetic import synthetic_spread_curve, synthetic_trades
 
 
 # --------------------------------------------------------------------------
@@ -353,25 +352,6 @@ def test_models_vectorize():
     bar = bar_spread_model(V, 2.0, 1.0, 0.02, 100.0, 0.01, 1.0)
     assert ba.shape == V.shape and bar.shape == V.shape
     assert np.all(ba > 0.0) and np.all(bar > 0.0)
-
-
-def test_execution_scale_mle():
-    # constant samples: x0 = sqrt(mean(x^2)) = the constant
-    assert fit_execution_scale(np.full(200, 2.5)) == pytest.approx(2.5)
-
-
-def test_execution_scale_consistency(rng):
-    # draws from p(x) = 2x/x0^2 exp(-(x/x0)^2) are Rayleigh(x0/sqrt(2))
-    x0 = 1.7
-    samples = rng.rayleigh(scale=x0 / math.sqrt(2.0), size=200_000)
-    assert fit_execution_scale(samples) == pytest.approx(x0, rel=0.01)
-
-
-def test_execution_scale_validation():
-    with pytest.raises(InsufficientDataError):
-        fit_execution_scale(np.ones(10))
-    with pytest.raises(DomainError):
-        fit_execution_scale(np.concatenate([np.ones(150), [-1.0]]))
 
 
 # --------------------------------------------------------------------------

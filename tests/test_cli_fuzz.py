@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_runner import invoke
+from synthetic import synthetic_spread_curve
 
 from spreadwave import CoupledWaveParams, FlowStats, VolumeConfig, simulate_path
 from spreadwave.data_io import write_bars_csv, write_curve_csv
-from spreadwave.synthetic import synthetic_spread_curve
 
 _HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e300")
 _FUZZ = settings(max_examples=40, derandomize=True, deadline=None)

@@ -226,18 +226,6 @@ def test_population_oscillation_period():
     assert half.populations()[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evolve_fluctuating_trajectory_shape():
-    p = CoupledWaveParams(sigma_step=1e-4, xi_std=0.3, kappa_std=0.3, seed=4)
-    dt = suggest_amplitude_dt(p, 100.0)
-    state0 = AmplitudeState(1.0 + 0.0j, 0.0j)
-    state, traj = evolve_fluctuating(state0, p, 100.0, dt, 50,
-                                     return_trajectory=True)
-    assert traj.shape == (51, 2)
-    assert traj[0] == pytest.approx([1.0, 0.0])
-    assert np.all(traj >= 0.0)
-    assert np.sum(traj[-1]) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_validation_errors():
     with pytest.raises(DomainError):
         CoupledWaveParams(sigma_step=-0.1)
@@ -507,15 +495,15 @@ def test_simulate_path_redraw_cap_matches_step_price(monkeypatch, rule, seed):
 # --------------------------------------------------------------------------
 
 def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_index=0,
-                                 trajectory=None, redraws=None, draws=None):
+                                 redraws=None, draws=None):
     """The per-step loop of ``evolve_amplitudes`` calls, with an uncapped redraw.
 
     Each step draws one dz from substream 2 of (seed, path_index), moves the
     mid to s_mid (1 + sigma_step dz), redraws dz from substream 5 while that
     mid is non-positive, and draws its
-    (xi, kappa) pair from substream 3.  Appends the populations after each
-    step to ``trajectory``, a step's index to ``redraws`` once per redraw of
-    its mid, and each step's (s_mid, xi, kappa) to ``draws``, when given.
+    (xi, kappa) pair from substream 3.  Appends a step's index to
+    ``redraws`` once per redraw of its mid, and each step's (s_mid, xi,
+    kappa) to ``draws``, when given.
     """
     dz_rng, xi_kappa_rng, redraw_rng = (path_rng(params.seed, path_index, key)
                                         for key in (2, 3, 5))
@@ -533,14 +521,12 @@ def evolve_fluctuating_reference(state0, params, s_scale, dt, n_steps, path_inde
         if draws is not None:
             draws.append((s_mid, xi, kappa))
         state = evolve_amplitudes(state, s_mid, xi, kappa, s_scale, params.tau0, dt)
-        if trajectory is not None:
-            trajectory.append(state.populations())
     return state
 
 
 # The kernel multiplies a block's step unitaries in another order than the
-# loop does, so its amplitudes and populations match the loop's within this
-# bound, not bit for bit; its draws match bit for bit.
+# loop does, so its amplitudes match the loop's within this bound, not bit
+# for bit; its draws match bit for bit.
 _AMPLITUDE_TOL = 1e-12
 
 
@@ -572,19 +558,13 @@ _SMALL_B = 8
 def _assert_kernel_equals_loop(state0, params, n_steps, path_index=0):
     """``evolve_fluctuating``, run in blocks of ``_SMALL_B`` steps, draws what
     the reference loop draws, bit for bit, and ends within ``_AMPLITUDE_TOL``
-    of its amplitudes and populations, with and without its trajectory;
-    returns the reference's ``redraws``."""
-    populations, redraws, draws = [state0.populations()], [], []
+    of its amplitudes; returns the reference's ``redraws``."""
+    redraws, draws = [], []
     expected = evolve_fluctuating_reference(state0, params, 100.0, 0.01, n_steps, path_index,
-                                            populations, redraws, draws)
+                                            redraws, draws)
     kernel_draws, block_sizes = _kernel_draws(params, n_steps, path_index)
     assert kernel_draws == draws
     assert block_sizes == [min(_SMALL_B, n_steps - lo) for lo in range(0, n_steps, _SMALL_B)]
-    state, trajectory = evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index,
-                                           return_trajectory=True)
-    _assert_close(state, expected)
-    assert trajectory.shape == (n_steps + 1, 2)
-    assert np.max(np.abs(trajectory - populations)) <= _AMPLITUDE_TOL
     _assert_close(evolve_fluctuating(state0, params, 100.0, 0.01, n_steps, path_index),
                   expected)
     return redraws
@@ -626,9 +606,6 @@ def test_evolve_fluctuating_keeps_the_norm_over_100k_steps():
     state0 = AmplitudeState(0.6 + 0.0j, 0.8j)
     state = evolve_fluctuating(state0, p, 100.0, dt, 100_000)
     assert abs(state.norm_sq() - 1.0) <= 1e-12
-    end, trajectory = evolve_fluctuating(state0, p, 100.0, dt, 100_000, return_trajectory=True)
-    assert np.max(np.abs(trajectory.sum(axis=1) - 1.0)) <= 1e-12
-    _assert_close(end, state)
 
 
 def test_evolve_fluctuating_redraw_cap(monkeypatch):
@@ -743,9 +720,10 @@ def test_amplitude_state_rejects_non_finite_amplitudes(psi):
                            0.01, 10)
 
 
-@pytest.mark.parametrize("n_steps", [10.5, 10.0, "10", 0, -3])
+@pytest.mark.parametrize("n_steps", [10.5, 10.0, "10", 0, -3, True])
 def test_step_counts_must_be_integers(n_steps):
-    # A fractional count raised a bare TypeError from range().
+    # A fractional count raised a bare TypeError from range().  True ran one
+    # amplitude step, and simulate_path raised a bare TypeError from np.empty.
     with pytest.raises(DomainError, match="n_steps"):
         evolve_fluctuating(AmplitudeState(1.0 + 0.0j, 0.0j), CoupledWaveParams(xi_std=0.3),
                            100.0, 0.01, n_steps)

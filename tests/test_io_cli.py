@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -23,17 +24,29 @@ from spreadwave import (
     BarColumns,
     CoupledWaveParams,
     CurveSource,
+    DomainError,
+    ExecutionModel,
     InputFormatError,
+    PiecewiseConstantTable,
+    PnLParams,
     QuoteColumns,
     TradeColumns,
     VolumeConfig,
+    dimensionless_law,
+    execution_density,
+    execution_rate,
+    predicted_volatility,
     simulate_path,
+    spread_pnl,
+    step_price,
 )
 from spreadwave import cli, coupled_wave, data_io
 from spreadwave.calibration import (
     BucketSpec,
     SpreadSamples,
     build_spread_volume_curve,
+    measure_flow_stats,
+    quotes_to_samples,
 )
 from spreadwave.cli import resolve_config
 from spreadwave.errors import _BLOCK_ROWS
@@ -478,7 +491,7 @@ def test_calibrate_missing_column_exit_3(tmp_path):
 def test_calibrate_round_trip_via_cli(tmp_path):
     # synthetic curve from known parameters, fitted through the CLI
     from spreadwave import FlowStats
-    from spreadwave.synthetic import synthetic_spread_curve
+    from synthetic import synthetic_spread_curve
     flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=50.0)
     curve = synthetic_spread_curve(flow, 3.5, 1.2, 0.01,
                                    np.geomspace(10, 1000, 25),
@@ -764,7 +777,7 @@ def test_overflowing_output_exit_4_one_line(tmp_path, args):
 @pytest.fixture
 def curve_csv(tmp_path):
     from spreadwave import FlowStats
-    from spreadwave.synthetic import synthetic_spread_curve
+    from synthetic import synthetic_spread_curve
     flow = FlowStats(n=100.0, V=0.0, sigma=0.02, mean_price=50.0)
     curve = synthetic_spread_curve(flow, 3.5, 1.2, 0.01, np.geomspace(10, 1000, 8),
                                    noise_rel=0.0, seed=0)
@@ -1390,7 +1403,7 @@ _PUBLIC_NAMES = [
     "CurveSource", "FlowStats", "QuoteColumns", "Rejections", "SpreadSamples",
     "SpreadVolumeCurve", "TradeColumns", "bar_spread_model", "bars_to_samples",
     "bidask_spread_model", "build_spread_volume_curve", "fit_bar_curve", "fit_bid_ask_curve",
-    "fit_execution_scale", "measure_flow_stats", "quotes_to_samples", "AmplitudeState",
+    "measure_flow_stats", "quotes_to_samples", "AmplitudeState",
     "BarSample", "BarSeries", "CoupledWaveParams", "LastPriceRule", "VolumeConfig",
     "bar_height_rayleigh_scale", "evolve_amplitudes", "evolve_fluctuating", "path_volatility",
     "predicted_volatility", "simulate_path", "step_price", "suggest_amplitude_dt", "DomainError",
@@ -1422,6 +1435,57 @@ def test_package_names_resolve_to_their_defining_modules():
     assert all(star[name] is getattr(spreadwave, name) for name in _PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no_such_name"):
         spreadwave.no_such_name
+
+
+def test_package_holds_only_the_modules_it_runs():
+    # Nine modules with the package's own __init__: code that only the tests
+    # call (as the synthetic tapes and curves) lives in tests/.
+    import spreadwave
+
+    assert [m.name for m in pkgutil.iter_modules(spreadwave.__path__)] == [
+        "calibration", "cli", "coupled_wave", "data_io", "errors", "optimizer", "scaling",
+        "spread_models"]
+
+
+def _tape(n=40):
+    times = np.arange(float(n))
+    return TradeColumns(times, np.full(n, 100.0), np.full(n, 10.0))
+
+
+def _table(t_edges=(1.0, 2.0), v_edges=(1.0, 2.0), value=1.0):
+    return PiecewiseConstantTable(t_edges, v_edges, [[value]])
+
+
+# Each call once returned inf or NaN, gave volumes of 0, built a table of NaN
+# cells, accepted a bool or a float as a count, or raised another error.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: predicted_volatility(CoupledWaveParams(), math.inf),
+                 id="predicted_volatility-inf"),
+    pytest.param(lambda: step_price(math.inf, CoupledWaveParams(), coupled_wave.path_rng(0)),
+                 id="step_price-inf"),
+    pytest.param(lambda: execution_rate(ExecutionModel(3.0), math.nan), id="execution_rate-nan"),
+    pytest.param(lambda: execution_density(ExecutionModel(3.0), math.nan),
+                 id="execution_density-nan"),
+    pytest.param(lambda: spread_pnl(PnLParams(0.0, 1.0, dimensionless_law(10.0, 1.2)),
+                                    ExecutionModel(3.0), math.inf),
+                 id="spread_pnl-inf"),
+    pytest.param(lambda: measure_flow_stats(_tape(), window=math.inf),
+                 id="measure_flow_stats-inf"),
+    pytest.param(lambda: quotes_to_samples(QuoteColumns(np.arange(3.0), np.full(3, 99.0),
+                                                        np.full(3, 101.0)),
+                                           _tape(), window=math.inf),
+                 id="quotes_to_samples-inf"),
+    pytest.param(lambda: _table(t_edges=(1.0, math.nan)), id="table-nan-t-edge"),
+    pytest.param(lambda: _table(v_edges=(math.nan, 2.0)), id="table-nan-v-edge"),
+    pytest.param(lambda: _table(value=math.nan), id="table-nan-value"),
+    pytest.param(lambda: _table(value=0.0), id="table-zero-value"),
+    pytest.param(lambda: _table(value=-1.0), id="table-negative-value"),
+    pytest.param(lambda: BucketSpec(n_buckets=2.5), id="bucket-spec-float"),
+    pytest.param(lambda: BucketSpec(n_buckets=True), id="bucket-spec-bool"),
+])
+def test_entry_points_reject_non_finite_and_ill_typed_input(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_calibrate_kind_choices_are_the_report_kinds():
