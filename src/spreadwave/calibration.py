@@ -3,11 +3,11 @@
 The workflow mirrors how the curves are measured in practice: pair each
 spread observation with a concurrent volume, split the scatter into volume
 buckets, take a high quantile of the spread per bucket, then fit the
-closed-form law to the bucketed curve by weighted least squares: a closed-
-form two-column non-negative least-squares start on the squared spreads,
-refined by a Levenberg-Marquardt iteration whose 2x2 algebra runs on Python
-floats.  Flow statistics (average trade size, volume rate, volatility) come
-straight from the trade tape.
+closed-form law to the bucketed curve by weighted least squares: one closed-
+form two-column non-negative least-squares solve in (lambda^2, rho^2) gives
+the start and each step of the Gauss-Newton iteration that refines it, in
+2x2 algebra on Python floats.  Flow statistics (average trade size, volume
+rate, volatility) come straight from the trade tape.
 
 Each rule of that workflow has one owner here.  The sample adapters only
 pair volumes with spreads; ``build_spread_volume_curve`` alone decides which
@@ -50,7 +50,6 @@ _DEFAULT_QUANTILE = 0.90
 _DEFAULT_MIN_COUNT = 20
 _MAX_FIT_EVALS = 500
 _FIT_TOL = 1e-12               # relative tolerance on the cost and the step
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # np.linalg.pinv's default cutoff, relative to the largest singular value.
 _PINV_RCOND = 1e-15
@@ -343,35 +342,31 @@ def build_spread_volume_curve(
 # model fits
 # --------------------------------------------------------------------------
 
-def _nnls2(m0: np.ndarray, m1: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """argmin ||m0 x0 + m1 x1 - b|| over x >= 0, in closed form.
+def _nnls2(m0: np.ndarray, m1: np.ndarray, r: np.ndarray,
+           x: tuple[float, float] = (0.0, 0.0)) -> tuple[float, float]:
+    """The step d = x' - x from x >= 0 to x' = argmin ||m0 x0' + m1 x1' - b||
+    over x' >= 0, in closed form, given the residual r = b - m x at x.
 
-    The solution is the unconstrained least-squares solution on one of the
-    four supports {}, {0}, {1}, {0, 1}: the feasible one with the least
-    ||m x - b||^2 - ||b||^2 = x.(G x - 2 c), for the normal equations G x = c.
+    x' is the unconstrained least-squares solution on one of the four supports
+    {}, {0}, {1}, {0, 1}: the feasible one with the least
+    ||m d - r||^2 - ||r||^2 = d.(G d - 2 c), for G = m^T m and c = m^T r.
+    From x = 0, where r = b, the step is x' itself.
     """
     g00, g01, g11 = float(m0 @ m0), float(m0 @ m1), float(m1 @ m1)
-    c0, c1 = float(m0 @ b), float(m1 @ b)
-    candidates = [(0.0, 0.0)]
+    c0, c1 = float(m0 @ r), float(m1 @ r)
+    p, q = x
+    candidates = [(0.0 - p, 0.0 - q)]  # not -p: x' = -0.0 would give lambda_hat -0.0
     if g00 > 0.0:
-        candidates.append((max(c0 / g00, 0.0), 0.0))
+        candidates.append((max(p + (c0 + g01 * q) / g00, 0.0) - p, 0.0 - q))
     if g11 > 0.0:
-        candidates.append((0.0, max(c1 / g11, 0.0)))
+        candidates.append((0.0 - p, max(q + (c1 + g01 * p) / g11, 0.0) - q))
     det = g00 * g11 - g01 * g01
     if det > 0.0:
-        x = ((g11 * c0 - g01 * c1) / det, (g00 * c1 - g01 * c0) / det)
-        if min(x) >= 0.0:
-            candidates.append(x)
-    return min(candidates, key=lambda x: x[0] * (g00 * x[0] + g01 * x[1] - 2.0 * c0)
-               + x[1] * (g01 * x[0] + g11 * x[1] - 2.0 * c1))
-
-
-def _solve2(a: float, b: float, d: float, c0: float, c1: float) -> tuple[float, float]:
-    """x with [[a, b], [b, d]] x = (c0, c1), for a, d > 0, by Cramer's rule on the
-    rows divided by their diagonal entries, which no scale overflows."""
-    r0, r1, c0, c1 = b / a, b / d, c0 / a, c1 / d
-    det = 1.0 - r0 * r1
-    return (c0 - r0 * c1) / det, (c1 - r1 * c0) / det
+        d = ((g11 * c0 - g01 * c1) / det, (g00 * c1 - g01 * c0) / det)
+        if min(p + d[0], q + d[1]) >= 0.0:
+            candidates.append(d)
+    return min(candidates, key=lambda d: d[0] * (g00 * d[0] + g01 * d[1] - 2.0 * c0)
+               + d[1] * (g01 * d[0] + g11 * d[1] - 2.0 * c1))
 
 
 def _pinv2(g: np.ndarray) -> np.ndarray:
@@ -402,24 +397,28 @@ def _run_spread_fit(
     """Weighted least squares of ``law`` on (lam, rho) >= 0 over the curve's
     usable buckets, at the fixed ``tau0`` the caller bound into ``law``.
 
-    Both laws have the form f = sqrt(lam^2 A(V) + rho^2 B(V)), with
-    A = law(V, 1, 0)^2 and B = law(V, 0, 1)^2.  The start value is the
-    non-negative least-squares fit of (lam^2, rho^2) to y^2; a Levenberg-
-    Marquardt iteration (More, 1978) refines it with the analytic Jacobian
-    (lam A, rho B) / f.  f is even in each parameter, so |x| projects a step
-    onto the bounds without changing the objective.  A parameter whose
-    column of (A, B) is zero on every bucket (lambda when sigma = 0) is not
-    identified and raises DomainError.
-
-    numpy reduces f, the residuals and J to J^T J and J^T res, which with the
-    damped step (``_solve2``) are Python floats.  f is the law's own, one call
-    per evaluation: rebuilt from A and B it more than doubled a noiseless SSE.
+    Both laws have the form f = sqrt(p A(V) + q B(V)), with p = lam^2,
+    q = rho^2, A = law(V, 1, 0)^2 and B = law(V, 0, 1)^2.  The start is the
+    non-negative least squares (NNLS, ``_nnls2``) of (p, q) against y^2.  A
+    projected Gauss-Newton iteration in (p, q) refines it: linearised at f,
+    w (f - y) is (w / 2f) (A p' + B q') - w (y - f / 2), so each step is the
+    NNLS of the rows (A, B) w / f against 2 w (y - f).  A step that does not
+    lower the cost is halved; the fit ends when a step moves the cost by at
+    most ``_FIT_TOL`` of it, or a halved step is below ``_FIT_TOL`` of (p, q).
+    A bucket where f is 0 or not finite adds no slope, there or to the
+    covariance's Jacobian (w / f) (lam A, rho B).  A parameter whose column
+    of (A, B) is zero on every bucket (lambda when sigma = 0) is not
+    identified and raises DomainError, and a curve with no spread > 0 raises
+    InsufficientDataError.  f is the law's own, one call per evaluation:
+    rebuilt from A and B it more than doubled a noiseless SSE.
     """
     check_finite("tau0", tau0, above=0.0)
     usable = [(b.v_mid, b.spread_q, b.count) for b in curve.usable()]
     if len(usable) < 3:
         raise InsufficientDataError(f"need >= 3 usable buckets to fit, got {len(usable)}")
     v, y, counts = np.array(usable, dtype=float).T
+    if not (y > 0.0).any():
+        raise InsufficientDataError("no usable bucket has a spread > 0")
     w = np.sqrt(counts)
 
     basis = np.array([law(v, *p) ** 2 for p in ((1.0, 0.0), (0.0, 1.0))])  # rows A, B
@@ -427,57 +426,40 @@ def _run_spread_fit(
         if not column.any():
             raise DomainError(f"{name} is not identified: its term of the spread law is "
                               f"zero on every bucket (sigma={flow.sigma!r}, tau0={tau0!r})")
-    x0, x1 = (math.sqrt(max(p, 1e-16)) for p in _nnls2(*(basis * w), (y * y) * w))
-    xcol = np.empty((2, 1))
 
-    def evaluate(x0, x1):
-        f = law(v, x0, x1)
-        return f, w * (f - y)
+    def evaluate(x):
+        f = law(v, math.sqrt(x[0]), math.sqrt(x[1]))
+        res = w * (f - y)
+        return f, res, float(res @ res)
 
-    def normal_equations(x0, x1, f, res):
-        """J^T J and J^T res as floats, for J^T = (w / f) (x0 A, x1 B)."""
-        xcol[0, 0], xcol[1, 0] = x0, x1
-        jac = (w / f) * (basis * xcol)
-        (h00, h01), (_, h11) = (jac @ jac.T).tolist()
-        if not math.isfinite(h00 + h11):  # f is 0 or overflows on some bucket
-            jac = np.where(np.isfinite(jac), jac, 0.0)
-            (h00, h01), (_, h11) = (jac @ jac.T).tolist()
-        return h00, h01, h11, *(jac @ res).tolist()
+    def slopes(f):  # the rows (A, B) w / f, zero where f is 0 or not finite
+        return basis * np.divide(w, f, out=np.zeros_like(f), where=(f > 0.0) & (f < math.inf))
 
-    f, res = evaluate(x0, x1)
-    cost = float(res @ res)
-    nfev, nu, mu = 1, 2.0, 1e-3
+    x = _nnls2(*(basis * w), (y * y) * w)
+    f, res, cost = evaluate(x)
+    nfev, step = 1, None
     stop = "cost" if cost == 0.0 else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while stop is None and nfev < _MAX_FIT_EVALS and math.isfinite(cost):
-            h00, h01, h11, g0, g1 = normal_equations(x0, x1, f, res)
-            # Marquardt's scaling; a column whose parameter sits at 0 keeps a floor.
-            d0, d1 = (mu * max(h, _EPS * max(h00, h11, _TINY)) for h in (h00, h11))
-            s0, s1 = _solve2(h00 + d0, h01, h11 + d1, -g0, -g1)
-            x0_new, x1_new = abs(x0 + s0), abs(x1 + s1)
-            f_new, res_new = evaluate(x0_new, x1_new)
-            nfev += 1
-            cost_new = float(res_new @ res_new)
-            # cost - |res + J step|^2 for the damped step, without cancellation.
-            predicted = s0 * (d0 * s0 - g0) + s1 * (d1 * s1 - g1)
-            gain = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
-            if gain > 0.25 and cost - cost_new <= _FIT_TOL * cost:
-                stop = "cost"
-            elif math.hypot(s0, s1) <= _FIT_TOL * (_FIT_TOL + math.hypot(x0, x1)):
+    while stop is None and nfev < _MAX_FIT_EVALS and math.isfinite(cost):
+        if step is None:
+            step = _nnls2(*slopes(f), -2.0 * res, x)
+        trial = (x[0] + step[0], x[1] + step[1])
+        f_new, res_new, cost_new = evaluate(trial)
+        nfev += 1
+        if abs(cost - cost_new) <= _FIT_TOL * cost:
+            stop = "cost"
+        if cost_new < cost:
+            x, f, res, cost, step = trial, f_new, res_new, cost_new, None
+        elif stop is None:
+            step = (0.5 * step[0], 0.5 * step[1])
+            if math.hypot(*step) <= _FIT_TOL * (_FIT_TOL + math.hypot(*x)):
                 stop = "step"
-            if gain > 0.0:
-                x0, x1, f, res, cost = x0_new, x1_new, f_new, res_new, cost_new
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                nu = 2.0
-            else:
-                mu *= nu
-                nu *= 2.0
-        h00, h01, h11, _, _ = normal_equations(x0, x1, f, res)
+    lam, rho = math.sqrt(x[0]), math.sqrt(x[1])
+    jac = slopes(f) * [[lam], [rho]]
 
     converged, stop = stop is not None, stop or ("cap" if math.isfinite(cost) else "non-finite")
-    cov = cost / max(len(v) - 2, 1) * _pinv2(np.array([[h00, h01], [h01, h11]]))
+    cov = cost / max(len(v) - 2, 1) * _pinv2(jac @ jac.T)
     result = CalibrationResult(
-        lambda_hat=x0, rho_hat=x1, tau0_hat=tau0, residual_norm=math.sqrt(cost),
+        lambda_hat=lam, rho_hat=rho, tau0_hat=tau0, residual_norm=math.sqrt(cost),
         covariance_diag=tuple(cov.diagonal().tolist()), converged=converged,
         evaluations=nfev, stop=stop)
     if not converged:
@@ -573,7 +555,8 @@ def parse_calibration_report(report: dict, path: str, horizon: float) -> tuple[
     ``path`` names the report in the error lines.  A bar report whose
     horizon is null takes ``horizon``, and one without ``evaluations`` or
     ``stop`` reads None.  Raises InputFormatError for a missing key, a bad
-    field or an unknown kind, and DomainError for a value out of its range.
+    field or an unknown kind, and DomainError for a value out of its range
+    or for lambda_hat = rho_hat = 0, whose law is 0 at every volume.
     """
     try:
         res = report["result"]
@@ -605,6 +588,9 @@ def parse_calibration_report(report: dict, path: str, horizon: float) -> tuple[
     flow = FlowStats(n=n, V=volume, sigma=sigma, mean_price=price)
     check_finite("lambda_hat", result.lambda_hat, at_least=0.0)
     check_finite("rho_hat", result.rho_hat, at_least=0.0)
+    if result.lambda_hat == result.rho_hat == 0.0:
+        raise DomainError(f"{path}: lambda_hat and rho_hat are both 0, so the spread law "
+                          f"is 0 at every volume")
     check_finite("tau0_hat", result.tau0_hat, above=0.0)
     if source is CurveSource.BAR:
         stored = horizon if stored is None else stored

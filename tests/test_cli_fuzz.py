@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cli_runner import invoke
@@ -260,6 +260,7 @@ def _set_field(report: dict, field: str, value) -> None:
 
 @given(kind=st.sampled_from(["bar", "bidask"]),
        changed=st.dictionaries(st.sampled_from(_CAL_FIELDS), _CAL_VALUES, max_size=3))
+@example(kind="bar", changed={"lambda_hat": 0.0, "rho_hat": 0.0})  # a law 0 at every volume
 @_FUZZ
 def test_optimize_calibration_fuzz(calibration_report, kind, changed):
     work, report = calibration_report

@@ -174,10 +174,10 @@ _README_DIGESTS = {
     "curve.csv": "1d791f9f49bd6118f75ee47a5357cff02d06d255313be6b753d9d94a39bd2c9a",
     "curve_hist.csv": "cc763560d30e7ee952e27032bf0c1aab791da60efa1e89a5b34a5a9d1e9c053d",
     "curve_report.json": "035dcf1584b059279242eeebd7d79708ae56d50a12daba81c8c56b0e9adebe4b",
-    "calibration.json": "e081cd57f6244857ab381422e9ee0373988b87bcfbee5309ce11528add4c9e1b",
-    "overlay.csv": "fd8d6289494164ab02af62c5693b8eb1669874ec51818c05dd265db490d3e9cf",
-    "policy.csv": "3b2bb13d8a3964db7d38e63a8e2c4d37d06926fc1354e5379fc0c86afb0ea858",
-    "optimize_report.json": "61fab8e9169d0100a66e79be50ca6ef8c1e1840a6db8d560229d2eb4630b195b",
+    "calibration.json": "c2046a8a3c2a83cae13cf59640a836e22451242bb6823175cdab786d0a75041f",
+    "overlay.csv": "af27890e0d4be03d6b7fc025df253dac69e66e59ad8430c336a96e943b737b4a",
+    "policy.csv": "99debf5b1d7efc0ce8e46c178963a1029bf8a37eac78579fec3ecba1be473d7f",
+    "optimize_report.json": "5d3a31905f2cf33527423e0b5001be6164baf55013b474a89d8d1905c7b0ca95",
 }
 
 
@@ -213,11 +213,11 @@ def _bidask_curve_text():
 
 _BIDASK_DIGESTS = {
     "plain": {
-        "calibration.json": "e6b00f0a53170ef6c16ace2b02d68bfd22bdda1c3e9a0b991f21d8d4c54ef569",
-        "overlay.csv": "3e5f10a77ff210f68df59ee75a4d7b6c7d44f5165625791f3b9b46cdf27a7763",
-        "policy.csv": "6a19fe976ce6f972d744c5b03d9bfd1a7b3797c9f0d4646addb0bd3784fe4a6a",
+        "calibration.json": "7e9f94e130df536b7e7d5013a13b2548c5e1ae0545282b5a482282224c11db78",
+        "overlay.csv": "2bf827132ef9616becc44c8d9350bb1f6f5d2fe4a25c3bbac5634553fa7722fe",
+        "policy.csv": "efde692749e53afa23f865234fb447df95cef6510b35df14b52541afc14f697e",
         "optimize_report.json":
-            "4044568aa0d512d8f3c370fb0b5f0f2d2cea891bd26949a7539102fcf1f56cf3",
+            "a8bafe4928f7c921b5037b4bd30b6dbeed0e45e77bd59774c39b7d0b1d51d9a3",
     },
 }
 
