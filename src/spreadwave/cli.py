@@ -293,7 +293,9 @@ def _out_path(resolved: dict, name: str) -> str:
 
 
 def _fail(message: str, code: int) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
+    # One line whatever the message quotes (a parser's report, an argument,
+    # a path): each line break becomes the two characters \n.
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
     raise SystemExit(code)
 
 
@@ -606,8 +608,7 @@ def cmd_calibrate(cfg: dict) -> None:
     usable = curve.usable()
     law = spread_law(source, flow, result.tau0_hat, cfg["horizon"])
     model_values = law(np.array([b.v_mid for b in usable]), result.lambda_hat, result.rho_hat)
-    write_overlay_csv(_out_path(cfg, "overlay.csv"), curve,
-                      [float(m) for m in model_values])
+    write_overlay_csv(_out_path(cfg, "overlay.csv"), curve, model_values)
 
     report["outputs"] = {"calibration": "calibration.json", "overlay": "overlay.csv"}
     report.update(calibration_report(result, flow, source, cfg["horizon"],
@@ -652,27 +653,20 @@ def cmd_scale(cfg: dict) -> None:
         # geomspace can round interior points an ulp outside [t1, t2_max].
         t_grid = np.clip(np.geomspace(t1, cfg["t2_max"], cfg["t_steps"]),
                          t1, cfg["t2_max"])
-        rows = [
-            (
-                float(t2),
-                scale_spread_time(cfg["base_spread"], cfg["eta"],
-                                  cfg["lam"], t1, float(t2)),
-                classical_scale(cfg["base_spread"], t1, float(t2)),
-            )
-            for t2 in t_grid
-        ]
-        final_ratio = rows[-1][1] / rows[-1][2]
-        _require_finite("scale table", rows, final_ratio)
+        quantum = scale_spread_time(cfg["base_spread"], cfg["eta"], cfg["lam"], t1, t_grid)
+        classical = classical_scale(cfg["base_spread"], t1, t_grid)
+        final_ratio = quantum[-1] / classical[-1]
+        _require_finite("scale table", quantum, classical, final_ratio)
         report = _report_envelope("scale", cfg, [])
         out_path = _out_path(cfg, "scale.csv")
-        write_scale_csv(out_path, rows)
+        write_scale_csv(out_path, t_grid, quantum, classical)
         report["outputs"] = {"scale": "scale.csv"}
         report["units"] = {"delta_quantum": "input money units",
                            "delta_classical": "input money units"}
         report["summary"] = {
             "t1": t1,
             "t2_max": cfg["t2_max"],
-            "rows": len(rows),
+            "rows": len(t_grid),
             "final_ratio": final_ratio,
         }
     write_json_report(_out_path(cfg, "scale_report.json"), report)

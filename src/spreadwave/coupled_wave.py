@@ -464,16 +464,17 @@ def path_volatility(s_last: np.ndarray, s0: float) -> float:
     return float(np.std(increments, ddof=1))
 
 
-def predicted_volatility(params: CoupledWaveParams, s: float) -> float:
+def predicted_volatility(params: CoupledWaveParams, s):
     """Analytic per-step volatility of last prices.
 
     eta = sqrt(s^2 sigma_step^2 + alpha * E[h^2] / 4), where alpha is the
     placement-rule variance coefficient (1/3 uniform, 1 normal) and E[h^2]
-    the analytic moment of the xi/kappa draws.
+    the analytic moment of the xi/kappa draws.  ``s`` may be an array.
     """
     check_finite("s", s, above=0.0)
     alpha = params.last_price_rule.placement_alpha
-    return math.sqrt((s * params.sigma_step) ** 2 + alpha * params._h_sq_mean() / 4.0)
+    # np.square, not ``** 2``: on a float that is C pow, which can misround.
+    return np.sqrt(np.square(s * params.sigma_step) + alpha * params._h_sq_mean() / 4.0)
 
 
 def bar_height_rayleigh_scale(h: np.ndarray) -> float:

@@ -571,9 +571,10 @@ def write_policy_csv(path: str, policy: QuotePolicy) -> None:
                  [policy.halt])
 
 
-def write_scale_csv(path: str, rows: Sequence[tuple[float, float, float]]) -> None:
+def write_scale_csv(path: str, t: Sequence[float], delta_quantum: Sequence[float],
+                    delta_classical: Sequence[float]) -> None:
     _write_table(path, ("T", "delta_quantum", "delta_classical"),
-                 np.asarray(rows, dtype=float).reshape(-1, 3).T)
+                 [t, delta_quantum, delta_classical])
 
 
 def write_surface_csv(path: str, t_grid: Sequence[float],

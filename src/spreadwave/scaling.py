@@ -3,9 +3,10 @@
 A spread quoted for one holding horizon can be rescaled to another: the
 initial bar contributes a floor that does not grow with time, while the
 volatility part accumulates diffusively.  For large horizon ratios the
-classical square-root law is recovered.  The bar law as a function of both
-volume and horizon gives the spread surface; it is evaluated by the array
-kernel ``spread_models.bar_spread_model``.
+classical square-root law is recovered.  Both horizon laws broadcast over
+every argument, so a table over many horizons is one call.  The bar law as a
+function of both volume and horizon gives the spread surface; it is
+evaluated by the array kernel ``spread_models.bar_spread_model``.
 """
 
 from __future__ import annotations
@@ -86,18 +87,13 @@ class SpreadSurfaceParams:
 # horizon scaling
 # --------------------------------------------------------------------------
 
-def scale_spread_time(
-    spread_T1: float,
-    eta_T1: float,
-    lambda_risk: float,
-    T1: float,
-    T2: float,
-) -> float:
+def scale_spread_time(spread_T1, eta_T1, lambda_risk, T1, T2):
     """Rescale a spread from horizon T1 to a longer horizon T2.
 
     Delta_T2 = Delta_T1 * sqrt(1 + lambda^2 (eta_T1^2 / Delta_T1^2)
     (T2/T1 - 1)).  The floor contributed by the initial bar does not scale;
-    only the volatility part accumulates with the horizon.
+    only the volatility part accumulates with the horizon.  Broadcasts over
+    every argument; each T2 must be >= its T1.
     """
     check_finite("spread_T1", spread_T1, above=0.0)
     check_finite("eta_T1", eta_T1, at_least=0.0)
@@ -105,15 +101,15 @@ def scale_spread_time(
     check_finite("T1", T1, above=0.0)
     check_finite("T2", T2, at_least=T1)
     ratio = lambda_risk * eta_T1 / spread_T1
-    return spread_T1 * math.sqrt(1.0 + ratio * ratio * (T2 / T1 - 1.0))
+    return spread_T1 * np.sqrt(1.0 + ratio * ratio * (T2 / T1 - 1.0))
 
 
-def classical_scale(spread_T1: float, T1: float, T2: float) -> float:
-    """Classical square-root-of-time baseline: sqrt(T2/T1) * spread."""
+def classical_scale(spread_T1, T1, T2):
+    """Classical square-root-of-time baseline: sqrt(T2/T1) * spread; broadcasts."""
     check_finite("spread_T1", spread_T1, at_least=0.0)
     check_finite("T1", T1, above=0.0)
     check_finite("T2", T2, above=0.0)
-    return math.sqrt(T2 / T1) * spread_T1
+    return np.sqrt(T2 / T1) * spread_T1
 
 
 # --------------------------------------------------------------------------

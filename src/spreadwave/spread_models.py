@@ -8,9 +8,12 @@ liquidity component alone gives the basic square-root law; adding the impact
 component gives the general law, which is U-shaped in volume and admits an
 analytic minimum.
 
-Each law is written once, as an array kernel (``bidask_spread_model`` and
-``bar_spread_model``); the public scalar names are thin wrappers over them.
-All functions here are pure and safe to call concurrently.  Volatility
+Each law is written once, in array form (the kernels ``bidask_spread_model``
+and ``bar_spread_model``, and the laws over them), and broadcasts: a scalar
+call returns a float equal bit for bit to its element of an array call.
+``inverse_spread_volumes`` takes one level; it raises for a level below the
+minimum, and its trigonometry is libm's, which numpy's may differ from in
+the last bit.  All functions here are pure and safe to call concurrently.  Volatility
 ``sigma`` and volume ``V`` must always refer to the same reference time unit;
 the library performs no unit conversion.
 """
@@ -91,10 +94,10 @@ class SpreadMinimum:
     delta_min: float
 
 
-def _liquidity_spread(lam: float, s: float, sigma: float, tau: float) -> float:
+def _liquidity_spread(lam, s, sigma, tau):
     # Single shared multiplication path: keeps the straddle law bit-identical
     # to the basic law at lam = STRADDLE_LAMBDA.
-    return lam * s * sigma * math.sqrt(tau)
+    return lam * s * sigma * np.sqrt(tau)
 
 
 # --------------------------------------------------------------------------
@@ -116,8 +119,8 @@ def transaction_time(n: float, V: float) -> float:
     return n / V
 
 
-def basic_spread(params: SpreadModelParams, V: float) -> float:
-    """Liquidity-only spread: lambda * s * sigma * sqrt(n / V).
+def basic_spread(params: SpreadModelParams, V):
+    """Liquidity-only spread: lambda * s * sigma * sqrt(n / V); ``V`` may be an array.
 
     Monotone increasing in volatility and decreasing in volume.
     """
@@ -126,11 +129,12 @@ def basic_spread(params: SpreadModelParams, V: float) -> float:
     return _liquidity_spread(params.lambda_risk, params.price_s, params.sigma, tau)
 
 
-def straddle_spread(s: float, sigma: float, tau: float) -> float:
+def straddle_spread(s, sigma, tau):
     """Spread implied by straddle replication over the transaction time.
 
     Equals the basic law with the implied multiplier sqrt(8/pi) ~ 1.6.
-    ``tau`` may be zero (zero-horizon limit yields a zero spread).
+    ``tau`` may be zero (zero-horizon limit yields a zero spread).  Broadcasts
+    over ``s``, ``sigma`` and ``tau``.
     """
     check_finite("s", s, above=0.0)
     check_finite("sigma", sigma, above=0.0)

@@ -414,26 +414,28 @@ def test_fit_objective_no_worse_than_scipy(name, readme_curve):
     assert result.residual_norm == pytest.approx(math.sqrt(ours), rel=1e-12, abs=1e-300)
 
 
-@given(kind=st.sampled_from(["bidask", "bar"]), tau0=st.floats(1e-3, 10.0),
-       noise=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 16))
-@settings(max_examples=60, deadline=None)
-def test_fit_sse_no_worse_than_bounded_least_squares(kind, tau0, noise, seed):
-    """The fit against scipy's least_squares on [0, inf), both from the curve's
-    generating values (lambda 3.5, rho tau0 0.012), fitted at any tau0.
+def _sse_bound(sse_theirs, wy2):
+    """The largest fit SSE that is no worse than scipy's ``sse_theirs``, for a
+    curve with sum((w y)^2) = ``wy2``.
 
     The fit stops once a step is below 1e-12 of the parameters, so its excess
     SSE has a part relative to the SSE and a part relative to sum((w y)^2),
-    which J x = w f brings in.  Over 1500 draws of these ranges, with noise
-    also log-uniform down to 1e-20 and exactly 0, the excess stayed below
-    1e-11 * SSE + 1.8e-21 * sum((w y)^2), and above the bound below on one
-    draw (noise 3.2e-5).  Above 0.1% noise the excess was at most
-    1.3e-13 * SSE.  Between noise 1e-7 and 1e-3 the SSE's own rounding,
-    about 2 eps sqrt(SSE sum((w y)^2)), reaches the bound: scipy, iterating
-    to 1e-15, can end on a point whose SSE rounds low.  Over 2100 draws of
-    that band the fit missed the bound on 8, the Levenberg-Marquardt fit it
-    replaced on 2; where one missed, the fit's SSE in 40-digit arithmetic was
-    no larger than scipy's.  About 2% of this test's draws fall in the band.
+    which J x = w f brings in.  Each SSE is also rounded, by about
+    2 eps sqrt(SSE sum((w y)^2)) (Cauchy-Schwarz on its residuals, each
+    rounded relative to its w f or w y), and both are: hence the third term.
+    It matters only for noise between about 1e-6 and 1e-4; above that band
+    it is smaller than the first term, and below it than the second.
     """
+    eps = np.finfo(float).eps
+    return (sse_theirs * (1.0 + 1e-11) + 1e-21 * wy2
+            + 4.0 * eps * math.sqrt(sse_theirs * wy2))
+
+
+def _bounded_oracle(kind, tau0, noise, seed):
+    """The fit of a synthetic curve, its weighted residuals as a function of
+    (lambda, rho), and scipy's least_squares on [0, inf) from the curve's
+    generating values (lambda 3.5, rho tau0 0.012): (result, residuals,
+    scipy's point, scipy's SSE, sum((w y)^2))."""
     from scipy.optimize import least_squares
 
     T = 2.0 if kind == "bar" else None
@@ -456,10 +458,54 @@ def test_fit_sse_no_worse_than_bounded_least_squares(kind, tau0, noise, seed):
 
     theirs = least_squares(residuals, [3.5, 0.012 / tau0], bounds=(0.0, np.inf),
                            x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    sse_theirs = float(theirs.fun @ theirs.fun)
+    return (result, residuals, theirs.x, float(theirs.fun @ theirs.fun),
+            float(np.sum((w * y) ** 2)))
+
+
+@given(kind=st.sampled_from(["bidask", "bar"]), tau0=st.floats(1e-3, 10.0),
+       noise=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_fit_sse_no_worse_than_bounded_least_squares(kind, tau0, noise, seed):
+    """The fit against scipy's least_squares on [0, inf), both from the curve's
+    generating values, fitted at any tau0, within ``_sse_bound``.
+
+    Over 1500 draws of these ranges, with noise also log-uniform down to
+    1e-20 and exactly 0, the excess stayed below 1e-11 * SSE +
+    1.8e-21 * sum((w y)^2), and above 0.1% noise at most 1.3e-13 * SSE.
+    Between noise 1e-7 and 1e-3 the SSE's own rounding reaches those two
+    terms: scipy, iterating to 1e-15, can end on a point whose SSE rounds
+    low.  Over 4200 seeded draws of that band (noise log-uniform, tau0 and
+    the kind as here), a bound of the first two terms alone missed on 12,
+    and the full bound on none: the largest excess over scipy's SSE was
+    1.56 eps sqrt(SSE sum((w y)^2)), under the third term's 4.  About 2% of
+    this test's draws fall in the band.
+    """
+    result, residuals, _, sse_theirs, wy2 = _bounded_oracle(kind, tau0, noise, seed)
     ours = residuals([result.lambda_hat, result.rho_hat])
     assert result.converged
-    assert ours @ ours <= sse_theirs * (1.0 + 1e-11) + 1e-21 * float(np.sum((w * y) ** 2))
+    assert ours @ ours <= _sse_bound(sse_theirs, wy2)
+
+
+@pytest.mark.parametrize("kind", ["bidask", "bar"])
+@pytest.mark.parametrize("noise, seed", [(3e-6, 11), (1e-5, 5), (5e-5, 2)])
+def test_sse_bound_refuses_a_point_off_the_optimum(kind, noise, seed):
+    """A negative control of ``_sse_bound`` inside the rounding band: scipy's
+    point moved along lambda until its SSE exceeds scipy's by 10 times the
+    rounding term fails the bound, so the bound still tells a worse fit
+    from rounding."""
+    _, residuals, best, sse_theirs, wy2 = _bounded_oracle(kind, 1.0, noise, seed)
+    term = 4.0 * np.finfo(float).eps * math.sqrt(sse_theirs * wy2)
+    assert term > 1e-11 * sse_theirs + 1e-21 * wy2  # the band, where the term rules
+
+    def excess(step):
+        r = residuals([best[0] + step, best[1]])
+        return float(r @ r) - sse_theirs
+
+    # Near the optimum the excess grows as step^2: scale a small step to it.
+    probe = 1e-6 * best[0]
+    step = probe * math.sqrt(10.0 * term / excess(probe))
+    assert excess(step) == pytest.approx(10.0 * term, rel=0.05)
+    assert sse_theirs + excess(step) > _sse_bound(sse_theirs, wy2)
 
 
 def test_fit_covariance_is_the_gauss_newton_estimate():
@@ -661,8 +707,8 @@ def test_bar_fit_recovers_the_lognormal_volume_closure(tmp_path, seed):
     within 0.39% of the sample-quantile value and within 1.13% of the
     Rayleigh value, and rho_hat was at most 7.6e-4; the bounds below are
     those worst cases with a margin.  Half of those seeds end at rho_hat = 0,
-    where the fit's SSE must still be scipy's bounded optimum, with the
-    tolerances of ``test_fit_sse_no_worse_than_bounded_least_squares``; a
+    where the fit's SSE must still be scipy's bounded optimum, within
+    ``_sse_bound``, the bound of the property test against scipy; a
     fit that stalls short of the bound (rho_hat of 1e-10 to 1e-8) was 8e-5 to
     1.9e-4 of the SSE above it.
     """
@@ -708,7 +754,7 @@ def test_bar_fit_recovers_the_lognormal_volume_closure(tmp_path, seed):
                       x_scale="jac", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         for rho in (1e-3, 0.0)))
     ours = residuals([result["lambda_hat"], result["rho_hat"]])
-    assert ours @ ours <= sse_theirs * (1.0 + 1e-11) + 1e-21 * float(np.sum((w * y) ** 2))
+    assert ours @ ours <= _sse_bound(sse_theirs, float(np.sum((w * y) ** 2)))
 
 
 # --------------------------------------------------------------------------

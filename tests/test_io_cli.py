@@ -27,18 +27,22 @@ from spreadwave import (
     DomainError,
     ExecutionModel,
     InputFormatError,
+    InsufficientDataError,
     PiecewiseConstantTable,
     PnLParams,
     QuoteColumns,
     TradeColumns,
     VolumeConfig,
+    bar_height_rayleigh_scale,
     dimensionless_law,
     execution_density,
     execution_rate,
+    policy_curve,
     predicted_volatility,
     simulate_path,
     spread_pnl,
     step_price,
+    suggest_amplitude_dt,
 )
 from spreadwave import cli, coupled_wave, data_io
 from spreadwave.calibration import (
@@ -563,6 +567,18 @@ def test_optimize_demo_bands(tmp_path):
     assert 0.40 <= report["summary"]["median_exec_rate"] <= 0.60
 
 
+@pytest.mark.parametrize("points", ["40", "41"])
+def test_optimize_median_is_numpys(tmp_path, points):
+    # An even count takes the mean of the two middle values.
+    res = invoke(["optimize", "--a-coeff", "10", "--alpha", "3", "--lambda0", "3",
+                  "--v-points", points, "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    rates = np.loadtxt(tmp_path / "policy.csv", delimiter=",", skiprows=1, usecols=3)
+    assert rates.size == int(points)
+    report = read_json_report(str(tmp_path / "optimize_report.json"))
+    assert report["summary"]["median_exec_rate"] == float(np.median(rates))
+
+
 def test_optimize_requires_one_source(tmp_path):
     res = invoke([
         "optimize", "--lambda0", "3", "--out", str(tmp_path)])
@@ -604,8 +620,9 @@ def test_version_flag():
     (["calibrate", "--kind", "bar", "extra"], "Got unexpected extra argument (extra)"),
     (["calibrat"], "No such command 'calibrat'"),
     (["--bogus"], "No such option '--bogus'"),
+    (["simulate", "a\nb"], "Got unexpected extra argument (a\\nb)"),
 ], ids=["removed-flag", "flag-without-value", "extra-argument", "unknown-command",
-        "unknown-group-flag"])
+        "unknown-group-flag", "line-break-argument"])
 def test_usage_error_exit_3_one_line(tmp_path, monkeypatch, args, message):
     """A usage error is invalid input, not an I/O failure: exit 3 and one
     line, without a usage text."""
@@ -614,6 +631,7 @@ def test_usage_error_exit_3_one_line(tmp_path, monkeypatch, args, message):
     assert res.exit_code == 3
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert len(res.stderr.splitlines()) == 1
     assert res.stdout == "" and os.listdir(tmp_path) == []
 
 
@@ -625,6 +643,47 @@ def test_removed_config_key_exit_3_one_line(tmp_path):
     assert res.exit_code == 3
     assert res.stderr.strip().splitlines() == [
         "error: unknown config keys for calibrate: strict_product"]
+
+
+# Each file is written as ``name`` and its path passed after ``args``.
+@pytest.mark.parametrize("args, name, text, message", [
+    (["simulate", "--config"], "c.yaml", "steps: [1\n", "c.yaml: invalid YAML: "),
+    (["simulate", "--config"], "c.json", "steps: [1\n",
+     "c.json: neither valid JSON nor valid YAML: "),
+    (["simulate", "--config"], "c.yaml", "- 1\n- 2\n", "c.yaml: config must be a mapping"),
+    (["optimize", "--lambda0", "3", "--calibration"], "calibration.json", "{",
+     "calibration.json: invalid JSON: "),
+    (["optimize", "--lambda0", "3", "--calibration"], "calibration.json", '{"kind": "bar"}',
+     "calibration.json: missing key 'result' (not a calibration report?)"),
+    (["curve", "--bars"], "bars.csv", "", "bars.csv: empty file, no header row"),
+    (["curve", "--bars"], "e\nmpty.csv", "", "e\\nmpty.csv: empty file, no header row"),
+    (["calibrate", "--n", "100", "--sigma", "0.02", "--price", "50", "--curve"], "curve.csv",
+     "v_lo,v_hi,v_mid,spread_q,count\n", "curve.csv: curve has no buckets"),
+    # csv refuses a cell past its field_size_limit, 131072 characters.
+    (["curve", "--bars"], "bars.csv", "t" * 131073 + "\n0\n",
+     "bars.csv: malformed CSV: field larger than field limit"),
+], ids=["invalid-yaml", "json-falls-back-to-yaml", "yaml-list", "invalid-json",
+        "report-without-result", "empty-bars", "line-break-in-path", "header-only-curve",
+        "huge-header-cell"])
+def test_malformed_input_file_exit_3_one_line(tmp_path, args, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    res = invoke([*args, str(path), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"error: {tmp_path}/{message}")
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("name", ["c.yaml", "c.json"])
+def test_empty_config_file_reads_as_no_keys(tmp_path, name):
+    cfg = tmp_path / name
+    cfg.write_text("")
+    assert resolve_config("simulate", str(cfg), {}) == resolve_config("simulate", None, {})
+    res = invoke(["simulate", "--config", str(cfg), "--steps", "10",
+                  "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert (tmp_path / "out" / "bars.csv").exists()
 
 
 def test_bare_command_prints_help():
@@ -745,6 +804,7 @@ _HUGE = "4611686018427387904"  # 2**62
     (["simulate", "--steps", "abc"], "steps"),
     (["scale", "--surface", "maybe"], "surface"),
     (["simulate", "--seed", "1.5"], "seed"),
+    (["calibrate", "--curve", "missing.csv"], "missing required config: n, sigma, price"),
 ])
 def test_invalid_parameter_exit_3_one_line(tmp_path, args, name):
     res = invoke([*args, "--out", str(tmp_path)])
@@ -1435,6 +1495,8 @@ def test_package_names_resolve_to_their_defining_modules():
     assert all(star[name] is getattr(spreadwave, name) for name in _PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no_such_name"):
         spreadwave.no_such_name
+    names = dir(spreadwave)
+    assert names == sorted(names) and set(_PUBLIC_NAMES) <= set(names)
 
 
 def test_package_holds_only_the_modules_it_runs():
@@ -1485,6 +1547,44 @@ def _table(t_edges=(1.0, 2.0), v_edges=(1.0, 2.0), value=1.0):
 ])
 def test_entry_points_reject_non_finite_and_ill_typed_input(call):
     with pytest.raises(DomainError):
+        call()
+
+
+# The library's other refusals, each with its error and the cause it names.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: VolumeConfig(mode="bogus"), DomainError,
+                 "unknown volume mode 'bogus'", id="volume-mode"),
+    pytest.param(lambda: bar_height_rayleigh_scale(np.array([])), InsufficientDataError,
+                 "empty series", id="rayleigh-empty"),
+    pytest.param(lambda: suggest_amplitude_dt(CoupledWaveParams(), 100.0), DomainError,
+                 "bar height is identically zero", id="amplitude-dt-zero-heights"),
+    pytest.param(lambda: PiecewiseConstantTable((1.0, 2.0), (1.0, 2.0), [[1.0, 1.0]]),
+                 DomainError, r"values shape \(1, 2\) does not match bucket grid \(1, 1\)",
+                 id="table-shape"),
+    pytest.param(lambda: _table(v_edges=(2.0, 1.0)), DomainError,
+                 "bucket edges must be strictly ascending", id="table-descending-edges"),
+    pytest.param(lambda: policy_curve([], ExecutionModel(3.0), dimensionless_law(10.0, 1.2),
+                                      0.0), DomainError, "volume grid must be non-empty",
+                 id="policy-curve-empty"),
+    pytest.param(lambda: measure_flow_stats(_tape(29), window=60.0), InsufficientDataError,
+                 "need >= 30 trades in the window, got 29", id="flow-few-trades"),
+    pytest.param(lambda: measure_flow_stats(
+        TradeColumns(np.arange(40.0), np.full(40, 100.0), np.r_[np.full(39, 10.0), 0.0]),
+        window=60.0), DomainError, "trade prices and sizes must be > 0", id="flow-zero-size"),
+    pytest.param(lambda: measure_flow_stats(
+        TradeColumns(np.arange(40.0)[::-1], np.full(40, 100.0), np.full(40, 10.0)),
+        window=60.0), DomainError, "trade timestamps must be non-decreasing",
+                 id="flow-decreasing-times"),
+    pytest.param(lambda: measure_flow_stats(
+        TradeColumns(np.zeros(40), np.full(40, 100.0), np.full(40, 10.0)), window=60.0),
+                 InsufficientDataError, "all trades share one timestamp", id="flow-one-time"),
+    pytest.param(lambda: build_spread_volume_curve(SpreadSamples(
+        np.geomspace(1.0, 100.0, 50), np.full(50, 0.5), CurveSource.BAR), quantile_level=0.0),
+                 DomainError, r"quantile_level must be in \(0, 1\], got 0.0",
+                 id="curve-quantile-0"),
+])
+def test_library_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 
